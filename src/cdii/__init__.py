@@ -35,6 +35,7 @@ from .calibration import (  # noqa: E402
 from .config import ConfigError, PipelineConfig, load_config  # noqa: E402
 from .fem_cem import (  # noqa: E402
     BlockSystem,
+    CemOperator,
     ConductivityField,
     CurrentPattern,
     ForwardSolution,
@@ -56,6 +57,7 @@ from .mesh import (  # noqa: E402
     build_uniform_mesh,
     centroids,
     locate_electrodes,
+    nested_dissection_order,
     triangle_gradients,
 )
 from .phantom import (  # noqa: E402
@@ -81,6 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockSystem",
     "BoundaryVoltageTrace",
+    "CemOperator",
     "ConductivityField",
     "ConfigError",
     "CurrentPattern",
@@ -115,6 +118,7 @@ __all__ = [
     "locate_electrodes",
     "max_principle_excess",
     "minimum_value",
+    "nested_dissection_order",
     "reconstruct",
     "should_stop",
     "side_trace",

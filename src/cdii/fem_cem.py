@@ -13,6 +13,17 @@ Psi couples nodes to voltages, and Upsilon is the voltage block.  All
 electrode boundary integrals of products of linear traces are evaluated in
 closed form (edge mass matrix h/6 * [[2, 1], [1, 2]]), so no quadrature
 error enters the electrode terms.
+
+Only the conductivity changes between the forward solves of a
+reconstruction.  A ``CemOperator`` is therefore built once per mesh and
+electrode setup: it holds the block matrix's sparsity pattern with the
+nodes in nested-dissection order and the electrode voltages last, the
+fixed electrode entries, and a map from each triangle's nine stiffness
+entries to their slots in the pattern.  A solve scatters the conductivity
+into those slots and factorizes in that order with SuperLU's symmetric
+mode.  ``assemble_system`` is the reference assembly: the operator takes
+its pattern and electrode blocks from one call to it, and the tests
+compare the operator's matrix against it.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import ElectrodeSetup, Mesh, triangle_gradients
+from .mesh import ElectrodeSetup, Mesh, nested_dissection_order, triangle_gradients
 
 #: Default relative-residual tolerance of the linear solve.
 DEFAULT_SOLVER_TOL = 1e-10
@@ -110,7 +121,12 @@ class BlockSystem:
             raise ValueError("stiffness block lost symmetry during assembly")
 
     def full_matrix(self) -> sp.csc_matrix:
-        """The symmetric block matrix of the eliminated-voltage system."""
+        """The symmetric block matrix of the eliminated-voltage system.
+
+        Unknowns are in mesh node order, then the electrode voltages.
+        ``CemOperator`` takes its sparsity pattern from this matrix once;
+        the forward solves factorize the operator's permuted copy.
+        """
         return sp.bmat(
             [
                 [self.Lambda, sp.csr_matrix(self.Psi)],
@@ -131,13 +147,17 @@ def _check_setup(mesh: Mesh, setup: ElectrodeSetup, currents: CurrentPattern) ->
             raise ValueError(f"electrode {k} references edges outside the mesh")
 
 
-def _check_problem(mesh: Mesh, sigma: ConductivityField,
-                   setup: ElectrodeSetup, currents: CurrentPattern) -> None:
+def _check_sigma(mesh: Mesh, sigma: ConductivityField) -> None:
     if len(sigma.values) != mesh.triangle_count:
         raise ValueError(
             f"conductivity has {len(sigma.values)} values for "
             f"{mesh.triangle_count} triangles"
         )
+
+
+def _check_problem(mesh: Mesh, sigma: ConductivityField,
+                   setup: ElectrodeSetup, currents: CurrentPattern) -> None:
+    _check_sigma(mesh, sigma)
     _check_setup(mesh, setup, currents)
 
 
@@ -218,30 +238,106 @@ def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
         Psi[:, k] = w[N] / z[N] - w[k] / z[k]
     Upsilon = np.full((N, N), length[N] / z[N]) + np.diag(length[:N] / z[:N])
 
+    return BlockSystem(Lambda=Lam, Psi=Psi, Upsilon=Upsilon,
+                       rhs=_load_vector(m, currents))
+
+
+def _load_vector(m: int, currents: CurrentPattern) -> np.ndarray:
+    """Right-hand side: no nodal load, then ``I_k - I_N`` per voltage."""
+    N = len(currents.values) - 1
     rhs = np.zeros(m + N)
     rhs[m:] = currents.values[:N] - currents.values[N]
-    return BlockSystem(Lambda=Lam, Psi=Psi, Upsilon=Upsilon, rhs=rhs)
+    return rhs
+
+
+class CemOperator:
+    """The CEM block matrix of one mesh and electrode setup, for any conductivity.
+
+    Built from one call to ``assemble_system`` at unit conductivity, which
+    validates the setup and checks symmetry.  Unknowns are permuted into
+    ``perm`` order: mesh nodes in nested-dissection order, then the
+    electrode voltages.  Row ``i`` of ``matrix(sigma)`` is row ``perm[i]``
+    of the reference matrix, and ``position`` is the inverse permutation.
+    """
+
+    def __init__(self, mesh: Mesh, setup: ElectrodeSetup):
+        m = mesh.node_count
+        size = m + setup.count - 1
+        unit = assemble_system(mesh, ConductivityField(np.ones(mesh.triangle_count)),
+                               setup, CurrentPattern(np.zeros(setup.count)))
+        self.mesh = mesh
+        self.setup = setup
+        self.perm = np.concatenate([nested_dissection_order(mesh.side_nodes),
+                                    np.arange(m, size)])
+        self.position = np.empty_like(self.perm)
+        self.position[self.perm] = np.arange(size)
+
+        M = unit.full_matrix()[self.perm][:, self.perm]
+        M.sort_indices()
+        self._indices, self._indptr = M.indices, M.indptr
+
+        # Slot of each triangle's (row, col) entries: index a copy of the
+        # pattern that stores slot + 1 (a missing entry would read 0).
+        slots = sp.csc_matrix((np.arange(1, M.nnz + 1, dtype=np.int32),
+                               M.indices, M.indptr), shape=M.shape)
+        tri = self.position[mesh.triangles]
+        rows = np.repeat(tri, 3, axis=1).reshape(-1)
+        cols = np.tile(tri, (1, 3)).reshape(-1)
+        self._slots = np.asarray(slots[rows, cols]).reshape(-1) - 1
+
+        # What is left after the unit stiffness: the electrode trace mass,
+        # Psi and Upsilon as assemble_system built them, up to rounding.
+        self._fixed = M.data - self._stiffness(np.ones(mesh.triangle_count))
+
+    def _stiffness(self, sigma: np.ndarray) -> np.ndarray:
+        weights = (sigma[:, None] * _STIFF.reshape(1, 9)).reshape(-1)
+        return np.bincount(self._slots, weights=weights, minlength=len(self._indices))
+
+    def matrix(self, sigma: ConductivityField) -> sp.csc_matrix:
+        """The permuted block matrix at conductivity ``sigma``."""
+        _check_sigma(self.mesh, sigma)
+        size = len(self.perm)
+        return sp.csc_matrix((self._fixed + self._stiffness(sigma.values),
+                              self._indices, self._indptr), shape=(size, size))
 
 
 def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
                   currents: CurrentPattern,
-                  solver_tol: float = DEFAULT_SOLVER_TOL) -> ForwardSolution:
+                  solver_tol: float = DEFAULT_SOLVER_TOL, *,
+                  operator: CemOperator | None = None) -> ForwardSolution:
     """Solve the forward problem for the nodal potential and electrode voltages.
 
-    The sparse system is factorized directly and the solution is accepted
-    only if the relative residual is at most ``solver_tol``; one step of
-    iterative refinement is attempted before giving up.  Deterministic for
-    identical inputs.
+    The conductivity is scattered into ``operator``'s fixed pattern, and
+    the matrix is factorized directly in the operator's nested-dissection
+    order with SuperLU's symmetric mode and no pivoting (the matrix is
+    symmetric positive definite).  The solution is accepted only if the
+    relative residual is at most ``solver_tol``; one step of iterative
+    refinement is attempted before giving up.  Deterministic for identical
+    inputs.
+
+    Parameters
+    ----------
+    operator : CemOperator, optional
+        Built for these ``mesh`` and ``setup`` objects; callers that solve
+        many times pass one so it is built once.  Without it, one is built
+        for this solve.
 
     Raises
     ------
+    ValueError
+        If ``operator`` was built for another mesh or electrode setup.
     SolverError
         If the residual contract cannot be met.
     """
-    system = assemble_system(mesh, sigma, setup, currents)
-    M = system.full_matrix()
-    b = system.rhs
-    lu = spla.splu(M)
+    _check_problem(mesh, sigma, setup, currents)
+    if operator is None:
+        operator = CemOperator(mesh, setup)
+    elif operator.mesh is not mesh or operator.setup is not setup:
+        raise ValueError("operator was built for a different mesh or electrode setup")
+    M = operator.matrix(sigma)
+    b = _load_vector(mesh.node_count, currents)[operator.perm]
+    lu = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
     x = lu.solve(b)
 
     b_norm = np.linalg.norm(b)
@@ -257,6 +353,7 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
 
     m = mesh.node_count
     N = setup.count - 1
+    x = x[operator.position]
     u = x[:m]
     U = np.empty(N + 1)
     U[:N] = x[m:]

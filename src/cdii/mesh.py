@@ -4,7 +4,9 @@ Every grid cell is split along its southeast-to-northwest diagonal into a
 lower triangle anchored at the cell's southwest corner and an upper triangle
 anchored at the northeast corner.  Node numbering is row-major from the
 southwest corner of the box; triangles are numbered cell by cell, west to
-east then south to north, lower triangle before upper.
+east then south to north, lower triangle before upper.  The order in which
+a sparse factorization eliminates the nodes is a separate, nested-dissection
+numbering (``nested_dissection_order``).
 
 All geometry is exact: spacing is ``h = 1/(side_nodes - 1)``, every triangle
 has area ``h**2 / 2``, every boundary edge has length ``h``.
@@ -199,6 +201,45 @@ def build_uniform_mesh(side_nodes: int) -> Mesh:
         boundary_edges=_frozen(boundary_edges),
         edge_sides=_frozen(edge_sides),
     )
+
+
+def nested_dissection_order(side_nodes: int) -> np.ndarray:
+    """Node ids of a ``side_nodes``-square grid in nested-dissection order.
+
+    A grid line across the middle of the longer side of a block of nodes
+    separates the block, since every mesh edge joins nodes at most one row
+    and one column apart.  The two halves are ordered recursively, then the
+    separator; blocks under three nodes a side are taken row-major.
+    Eliminating in this order keeps the sparse factor fill near the
+    optimum for a regular grid (George, SIAM J. Numer. Anal. 10, 1973).
+    """
+    if not isinstance(side_nodes, (int, np.integer)) or side_nodes < 2:
+        raise ValueError(f"side_nodes must be an integer >= 2, got {side_nodes!r}")
+    n = int(side_nodes)
+    parts: list[np.ndarray] = []
+    _dissect(np.arange(n * n).reshape(n, n), parts)
+    return np.concatenate(parts)
+
+
+def _dissect(block: np.ndarray, parts: list[np.ndarray]) -> None:
+    # Module level rather than a closure: a recursive closure forms a
+    # reference cycle, which keeps every block alive until the cyclic
+    # collector runs.
+    rows, cols = block.shape
+    if rows == 0 or cols == 0:
+        return
+    if max(rows, cols) < 3:
+        parts.append(block.ravel())
+    elif rows >= cols:
+        mid = rows // 2
+        _dissect(block[:mid], parts)
+        _dissect(block[mid + 1:], parts)
+        parts.append(block[mid])
+    else:
+        mid = cols // 2
+        _dissect(block[:, :mid], parts)
+        _dissect(block[:, mid + 1:], parts)
+        parts.append(block[:, mid])
 
 
 def basis_gradients(mesh: Mesh, triangle_id: int) -> np.ndarray:

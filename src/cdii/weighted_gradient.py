@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem_cem import (
+    CemOperator,
     ConductivityField,
     CurrentPattern,
     ForwardSolution,
@@ -179,8 +180,9 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
 
     Starts from unit conductivity, then repeats clamp-update and forward
     solve until the gradient change drops to ``delta * epsilon / essinf(a)``
-    or ``max_iter`` is reached.  The per-iteration log records the
-    weighted-gradient objective, which is non-increasing along the
+    or ``max_iter`` is reached.  Every forward solve shares one
+    ``CemOperator``, built before the first.  The per-iteration log records
+    the weighted-gradient objective, which is non-increasing along the
     iteration up to solver residual.
 
     Raises
@@ -200,8 +202,16 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     threshold = config.delta * config.epsilon / essinf_a
 
     t0 = time.perf_counter()
-    sol = solve_forward(mesh, ConductivityField(np.ones(mesh.triangle_count)),
-                        setup, currents, config.solver_tol)
+    operator = CemOperator(mesh, setup)
+
+    def solve(sigma: ConductivityField, n: int) -> ForwardSolution:
+        try:
+            return solve_forward(mesh, sigma, setup, currents, config.solver_tol,
+                                 operator=operator)
+        except SolverError as exc:
+            raise SolverError(f"iteration {n}: {exc}") from exc
+
+    sol = solve(ConductivityField(np.ones(mesh.triangle_count)), 0)
     log = [IterationRecord(
         iteration=0,
         objective=functional_value(mesh, data, setup, currents, (sol.u, sol.U)),
@@ -214,10 +224,7 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     for n in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         sigma_n = clamp_conductivity(data, sol.grad_u, config.epsilon)
-        try:
-            new_sol = solve_forward(mesh, sigma_n, setup, currents, config.solver_tol)
-        except SolverError as exc:
-            raise SolverError(f"iteration {n}: {exc}") from exc
+        new_sol = solve(sigma_n, n)
         diff = float(np.max(np.hypot(new_sol.grad_u[:, 0] - sol.grad_u[:, 0],
                                      new_sol.grad_u[:, 1] - sol.grad_u[:, 1])))
         log.append(IterationRecord(

@@ -119,6 +119,16 @@ def test_overlapping_electrodes_rejected(tmp_path, capsys):
     assert "electrodes[1].interval" in capsys.readouterr().err
 
 
+def test_solver_failure_exits_3_without_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
+                       **{"recon.solver_tol": "1e-30"})
+    assert run(["pipeline", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("solver error: ") and "(tolerance 1.0e-30)" in err
+    assert "Traceback" not in err
+
+
 def test_reconstruct_without_data(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
     assert run(["reconstruct", "--config", str(cfg)]) == 2

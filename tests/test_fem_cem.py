@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cdii.fem_cem import (
+    CemOperator,
     ConductivityField,
     CurrentPattern,
     ForwardSolution,
+    SolverError,
     assemble_system,
     electrode_flux,
     energy_derivative,
@@ -112,6 +114,47 @@ def test_assemble_rejects_mismatched_sigma(equal_z_case):
     mesh, setup, currents = equal_z_case
     with pytest.raises(ValueError):
         assemble_system(mesh, ConductivityField(np.ones(3)), setup, currents)
+
+
+# Operator cases: side_nodes, then (side, span, impedance) per electrode.
+# Both parities, the smallest grids, 2-4 electrodes, partial spans.
+OPERATOR_CASES = [
+    (2, [("bottom", (0.0, 1.0), 0.5), ("top", (0.0, 1.0), 0.25)]),
+    (3, [("bottom", (0.0, 0.5), 0.1), ("top", (0.5, 1.0), 0.3),
+         ("left", (0.0, 1.0), 0.02)]),
+    (4, [("bottom", (0.0, 1 / 3), 1e-3), ("right", (1 / 3, 1.0), 0.4),
+         ("top", (1 / 3, 2 / 3), 0.05), ("left", (0.0, 2 / 3), 2.0)]),
+    (7, [("left", (0.5, 1.0), 8.3e-3), ("right", (0.0, 0.5), 0.2),
+         ("bottom", (1 / 6, 5 / 6), 0.07)]),
+    (10, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)]),
+]
+
+
+@pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES)
+def test_operator_matches_reference_assembly(side_nodes, electrodes):
+    rng = np.random.default_rng(side_nodes)
+    mesh = build_uniform_mesh(side_nodes)
+    setup = locate_electrodes(mesh, [(side, span) for side, span, _ in electrodes],
+                              [z for _, _, z in electrodes])
+    I = rng.normal(size=setup.count)
+    currents = CurrentPattern(I - I.mean())
+    operator = CemOperator(mesh, setup)
+    size = mesh.node_count + setup.count - 1
+    assert np.array_equal(np.sort(operator.perm), np.arange(size))
+    assert np.array_equal(operator.perm[mesh.node_count:],
+                          np.arange(mesh.node_count, size))
+    for _ in range(3):
+        sigma = ConductivityField(rng.uniform(0.1, 10.0, mesh.triangle_count))
+        reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
+        expected = reference[operator.perm][:, operator.perm].toarray()
+        actual = operator.matrix(sigma).toarray()
+        assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_operator_rejects_mismatched_sigma(equal_z_case):
+    mesh, setup, _ = equal_z_case
+    with pytest.raises(ValueError, match="conductivity"):
+        CemOperator(mesh, setup).matrix(ConductivityField(np.ones(3)))
 
 
 # ---------------------------------------------------------------- solve
@@ -245,6 +288,26 @@ def test_candidate_dimensions_checked(equal_z_case):
         energy_derivative(mesh, ones(mesh), setup, currents,
                           (np.zeros(mesh.node_count), np.zeros(2)),
                           (np.zeros(mesh.node_count), np.zeros(3)))
+
+
+def test_solve_rejects_foreign_operator(equal_z_case):
+    mesh, setup, currents = equal_z_case
+    operator = CemOperator(mesh, setup)
+    sol = solve_forward(mesh, ones(mesh), setup, currents, operator=operator)
+    assert np.array_equal(sol.u, solve_forward(mesh, ones(mesh), setup, currents).u)
+    other_mesh, other_setup, _ = two_electrode_case(10, Z, Z, ALPHA)
+    with pytest.raises(ValueError, match="different mesh"):
+        solve_forward(other_mesh, ones(other_mesh), setup, currents, operator=operator)
+    with pytest.raises(ValueError, match="different mesh"):
+        solve_forward(mesh, ones(mesh), other_setup, currents, operator=operator)
+
+
+def test_solve_enforces_residual_contract(equal_z_case):
+    # No direct solve reaches 1e-30, so the refinement step runs and fails.
+    mesh, setup, currents = equal_z_case
+    with pytest.raises(SolverError,
+                       match=r"relative residual \d\.\d{3}e-\d+ \(tolerance 1\.0e-30\)"):
+        solve_forward(mesh, ones(mesh), setup, currents, solver_tol=1e-30)
 
 
 # ----------------------------------------------------------------- flux

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from cdii.fem_cem import ConductivityField, CurrentPattern, interior_current, solve_forward
+import cdii.fem_cem
+import cdii.weighted_gradient
+from cdii.fem_cem import (
+    ConductivityField,
+    CurrentPattern,
+    SolverError,
+    interior_current,
+    solve_forward,
+)
 from cdii.weighted_gradient import (
     InteriorData,
     ReconstructionConfig,
@@ -225,6 +233,37 @@ def test_reconstruct_honors_iteration_cap():
     assert not result.converged
     assert result.iterations == 1
     assert_objective_descent(result)
+
+
+def test_reconstruct_assembles_once(monkeypatch):
+    calls = {"assemble": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cdii.fem_cem, "assemble_system",
+                        counted("assemble", cdii.fem_cem.assemble_system))
+    monkeypatch.setattr(cdii.weighted_gradient, "solve_forward",
+                        counted("solve", cdii.weighted_gradient.solve_forward))
+    mesh, setup, currents = two_electrode_case(16, 8.3e-3, 8.3e-3, 3e-3)
+    sigma_true = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.02)
+    data, _, _ = simulate_data(mesh, sigma_true, setup, currents)
+    calls.update(assemble=0, solve=0)
+    result = reconstruct(mesh, data, setup, currents,
+                         ReconstructionConfig(epsilon=0.1, delta=1e-7))
+    assert result.iterations > 1
+    assert calls == {"assemble": 1, "solve": result.iterations + 1}
+
+
+def test_reconstruct_solver_error_names_iteration_0():
+    mesh, setup, currents = two_electrode_case(12, 8.3e-3, 8.3e-3, 3e-3)
+    data = InteriorData(np.full(mesh.triangle_count, 3e-3))
+    config = ReconstructionConfig(epsilon=0.1, delta=1e-7, solver_tol=1e-30)
+    with pytest.raises(SolverError, match=r"^iteration 0: linear solve stalled"):
+        reconstruct(mesh, data, setup, currents, config)
 
 
 def test_reconstruct_rejects_vanishing_data():
