@@ -5,26 +5,7 @@ minimizes a weighted gradient functional over CEM-feasible potentials and
 a boundary-curve measurement calibrates away the inherent non-uniqueness.
 """
 
-import os as _os
-
-
-def _cap_threads() -> None:
-    # CDII_THREADS caps BLAS pools; must run before numpy spins them up.
-    raw = _os.environ.get("CDII_THREADS")
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        return
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            _os.environ.setdefault(var, str(n))
-
-
-_cap_threads()
-
-from .calibration import (  # noqa: E402
+from .calibration import (
     BoundaryVoltageTrace,
     PhiMap,
     apply_calibration,
@@ -32,8 +13,8 @@ from .calibration import (  # noqa: E402
     collect_pairs,
     side_trace,
 )
-from .config import ConfigError, PipelineConfig, load_config  # noqa: E402
-from .fem_cem import (  # noqa: E402
+from .config import ConfigError, PipelineConfig, load_config
+from .fem_cem import (
     BlockSystem,
     CemOperator,
     ConductivityField,
@@ -48,7 +29,7 @@ from .fem_cem import (  # noqa: E402
     max_principle_excess,
     solve_forward,
 )
-from .mesh import (  # noqa: E402
+from .mesh import (
     Electrode,
     ElectrodeSetup,
     Mesh,
@@ -60,13 +41,13 @@ from .mesh import (  # noqa: E402
     nested_dissection_order,
     triangle_gradients,
 )
-from .phantom import (  # noqa: E402
+from .phantom import (
     add_noise,
     gaussian_phantom,
     simulate_data,
     transform_conductivity,
 )
-from .weighted_gradient import (  # noqa: E402
+from .weighted_gradient import (
     InteriorData,
     IterationRecord,
     ReconstructionConfig,

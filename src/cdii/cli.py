@@ -28,9 +28,6 @@ convergence.csv columns: iteration,objective,max_grad_diff,wall_time_ms
 relative_l2, absolute_l2, max_error, iterations, converged.  Mesh debug
 dumps use a node table id,x,y and a triangle table id,v0,v1,v2
 (``csvio.write_mesh_csv``).
-
-The environment variable CDII_THREADS caps BLAS worker threads when set
-before the package is imported (0 or unset keeps the library default).
 """
 
 from __future__ import annotations
@@ -51,6 +48,7 @@ from .calibration import (
 )
 from .config import ConfigError, PipelineConfig, load_config
 from .csvio import (
+    data_line,
     read_convergence,
     read_field,
     read_trace,
@@ -147,6 +145,14 @@ def _metric_rows(reference: np.ndarray, candidate: np.ndarray) -> list[tuple[str
     ]
 
 
+def _read_field(path, key: str):
+    """``read_field(path)``, with an unreadable or malformed file as a ConfigError."""
+    try:
+        return read_field(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
 def cmd_forward(cfg: PipelineConfig) -> int:
     mesh, setup, currents = _build_problem(cfg)
     sigma = _phantom(cfg, mesh)
@@ -208,12 +214,17 @@ def cmd_reconstruct(cfg: PipelineConfig) -> int:
     a_path = out / "a.csv"
     if not a_path.exists():
         raise ConfigError("output.dir", f"{a_path} not found; run simulate first")
-    _, _, a_values = read_field(a_path)
-    if len(a_values) != mesh.triangle_count:
+    _, _, a_values = _read_field(a_path, "output.dir")
+    if a_values.ndim != 1 or len(a_values) != mesh.triangle_count:
         raise ConfigError("output.dir",
                           f"{a_path} holds {len(a_values)} triangles, the mesh has "
                           f"{mesh.triangle_count}")
-    result = _reconstruct(cfg, mesh, setup, currents, InteriorData(a_values))
+    try:
+        data = InteriorData(a_values)
+    except ValueError as exc:
+        line = data_line(a_path, InteriorData.first_invalid(a_values))
+        raise ConfigError("output.dir", f"{a_path}:{line}: {exc}") from None
+    result = _reconstruct(cfg, mesh, setup, currents, data)
     _write_reconstruction(out, result)
     return 0 if result.converged else 4
 
@@ -266,9 +277,9 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
         if not (out / name).exists():
             raise ConfigError("output.dir", f"{out / name} not found; run the "
                               "earlier pipeline stages first")
-    _, _, sigma_v = read_field(out / "sigma_v.csv")
-    _, _, v = read_field(out / "v.csv")
-    _, _, V = read_field(out / "V.csv")
+    _, _, sigma_v = _read_field(out / "sigma_v.csv", "output.dir")
+    _, _, v = _read_field(out / "v.csv", "output.dir")
+    _, _, V = _read_field(out / "V.csv", "output.dir")
     solution = ForwardSolution(u=v, U=V, grad_u=triangle_gradients(mesh, v))
     conv = read_convergence(out / "convergence.csv") if (out / "convergence.csv").exists() else []
     result = ReconstructionResult(
@@ -307,8 +318,8 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
 
 
 def cmd_metrics(reference: str, candidate: str, out_dir: str) -> int:
-    _, _, ref = read_field(reference)
-    _, _, cand = read_field(candidate)
+    _, _, ref = _read_field(reference, "metrics")
+    _, _, cand = _read_field(candidate, "metrics")
     if ref.shape != cand.shape or ref.ndim != 1:
         raise ConfigError("metrics",
                           f"field shapes differ: {ref.shape} vs {cand.shape}")

@@ -4,21 +4,30 @@ Field files carry a one-line comment header ``# quantity,unit,entity``
 (entity is ``triangle``, ``node``, or ``electrode``) followed by
 ``id,value[,value...]`` rows.  Floats are written with 17 significant
 digits, which round-trips binary64 exactly and keeps outputs byte-stable
-across runs.
+across runs.  Writers format each block of rows in one ``%`` pass.
 """
 
 from __future__ import annotations
 
-import math
+import io
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .mesh import Mesh
 
+_BLOCK = 4096  # rows per % pass: bounds the writer's buffers whatever the file size
 
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+
+def _write_rows(path, header: str, row, *columns) -> None:
+    """Write ``header`` and ``columns`` in lines of ``row``, a template or one per line."""
+    with open(path, "w") as f:
+        f.write(f"{header}\n")
+        for start in range(0, len(columns[0]), _BLOCK):
+            block = np.array([c[start:start + _BLOCK] for c in columns], dtype=object).T
+            lines = row[start:start + _BLOCK] if isinstance(row, list) else [row] * len(block)
+            f.write("".join(lines) % tuple(block.ravel().tolist()))
 
 
 def write_field(path, quantity: str, unit: str, entity: str,
@@ -26,56 +35,70 @@ def write_field(path, quantity: str, unit: str, entity: str,
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    if ids is None:
-        ids = np.arange(values.shape[0])
-    lines = [f"# {quantity},{unit},{entity}"]
-    for i, row in zip(ids, values):
-        lines.append(",".join([str(int(i))] + [fmt(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = "%d" + ",%.17g" * values.shape[1] + "\n"
+    _write_rows(path, f"# {quantity},{unit},{entity}", row,
+                np.arange(len(values)) if ids is None else ids, *values.T)
+
+
+def _data_rows(text: str):
+    """(1-based line number, tokens) of each line not blank after a ``#`` comment."""
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split(",")
+
+
+def _malformed(path, text: str, width: int, exc: ValueError) -> ValueError:
+    """The error of the first row of ``text`` that does not parse."""
+    for line, tokens in _data_rows(text):
+        if len(tokens) != width:
+            return ValueError(f"{path}:{line}: {len(tokens)} columns, expected {width}")
+        for token, parse in zip(tokens, [int] + [float] * (width - 1)):
+            try:
+                parse(token)
+            except ValueError:
+                return ValueError(f"{path}:{line}: cannot parse {token!r} as {parse.__name__}")
+    return ValueError(f"{path}: {exc}")
 
 
 def read_field(path) -> tuple[tuple[str, str, str], np.ndarray, np.ndarray]:
     """Read a field file; returns ((quantity, unit, entity), ids, values).
 
-    Values come back as a 1-d array when rows carry a single value, else
-    as an (n, k) array.
-    """
-    header = ("", "", "")
-    ids: list[int] = []
-    rows: list[list[float]] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = [p.strip() for p in line.lstrip("#").split(",")]
-            if len(parts) == 3:
-                header = (parts[0], parts[1], parts[2])
-            continue
-        tokens = line.split(",")
-        ids.append(int(tokens[0]))
-        rows.append([float(t) for t in tokens[1:]])
-    values = np.asarray(rows, dtype=float)
-    if values.ndim == 2 and values.shape[1] == 1:
-        values = values[:, 0]
-    return header, np.asarray(ids, dtype=np.int64), values
+    Values are 1-d when rows carry a single value, else (n, k).  Ids parse
+    as int64, which rejects "5.5" as ``int`` does.  A row that does not
+    parse raises ``ValueError`` naming the file and its 1-based line."""
+    text = Path(path).read_text()
+    first = text.partition("\n")[0].strip()
+    parts = tuple(p.strip() for p in first.lstrip("#").split(","))
+    header = parts if first.startswith("#") and len(parts) == 3 else ("", "", "")
+    row = next(_data_rows(text), None)
+    if row is None:
+        return header, np.zeros(0, dtype=np.int64), np.zeros(0)
+    k = len(row[1]) - 1
+    dtype = np.dtype([("id", np.int64), ("v", float, (k,))])
+    try:
+        table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
+                           comments="#", ndmin=1)
+    except ValueError as exc:
+        raise _malformed(path, text, k + 1, exc) from None
+    values = table["v"][:, 0] if k == 1 else table["v"]
+    return header, np.ascontiguousarray(table["id"]), np.ascontiguousarray(values)
+
+
+def data_line(path, row: int) -> int:
+    """1-based line number of data row ``row`` (0-based) of a field file."""
+    return next(islice(_data_rows(Path(path).read_text()), row, None))[0]
 
 
 def write_trace(path, node_ids: np.ndarray, values: np.ndarray) -> None:
-    write_field(path, "trace", "V", "node", np.asarray(values, dtype=float),
-                ids=np.asarray(node_ids))
+    write_field(path, "trace", "V", "node", values, ids=node_ids)
 
 
 def read_trace(path) -> list[tuple[str, float]]:
     """Raw trace rows as (first-column token, value); the first column may
     hold a node id or a coordinate along the curve."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        first, second = line.split(",", 1)
-        rows.append((first.strip(), float(second)))
+    rows = [(first.strip(), float(second))
+            for _, (first, second) in _data_rows(Path(path).read_text())]
     if not rows:
         raise ValueError(f"trace file {path} holds no samples")
     return rows
@@ -83,58 +106,35 @@ def read_trace(path) -> list[tuple[str, float]]:
 
 def write_phi(path, phi) -> None:
     """Two-column (s, t) dump of a calibration map's breakpoints."""
-    lines = ["s,t"]
-    for s, t in zip(phi.breakpoints, phi.values):
-        lines.append(f"{fmt(s)},{fmt(t)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, "s,t", "%.17g,%.17g\n", phi.breakpoints, phi.values)
 
 
 def write_convergence(path, log) -> None:
-    lines = ["iteration,objective,max_grad_diff,wall_time_ms"]
-    for rec in log:
-        lines.append(",".join([
-            str(rec.iteration), fmt(rec.objective),
-            fmt(rec.max_grad_diff) if not math.isnan(rec.max_grad_diff) else "nan",
-            fmt(rec.wall_ms),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, "iteration,objective,max_grad_diff,wall_time_ms", "%s,%.17g,%.17g,%.17g\n",
+                [r.iteration for r in log], [r.objective for r in log],
+                [r.max_grad_diff for r in log], [r.wall_ms for r in log])
 
 
 def read_convergence(path) -> list[tuple[int, float, float, float]]:
-    rows = []
-    for line in Path(path).read_text().splitlines()[1:]:
-        if not line.strip():
-            continue
-        it, obj, diff, ms = line.split(",")
-        rows.append((int(it), float(obj), float(diff), float(ms)))
-    return rows
+    return [(int(it), float(obj), float(diff), float(ms))
+            for _, (it, obj, diff, ms) in islice(_data_rows(Path(path).read_text()), 1, None)]
 
 
 def write_metrics(path, rows: list[tuple[str, float]]) -> None:
-    lines = ["metric,value"]
-    for name, value in rows:
-        text = str(value) if isinstance(value, (int, np.integer)) else fmt(value)
-        lines.append(f"{name},{text}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, "metric,value",
+                ["%s,%s\n" if isinstance(value, (int, np.integer)) else "%s,%.17g\n"
+                 for _, value in rows],
+                [name for name, _ in rows], [value for _, value in rows])
 
 
 def read_metrics(path) -> dict[str, float]:
-    out = {}
-    for line in Path(path).read_text().splitlines()[1:]:
-        if not line.strip():
-            continue
-        name, value = line.split(",", 1)
-        out[name] = float(value)
-    return out
+    return {name: float(value)
+            for _, (name, value) in islice(_data_rows(Path(path).read_text()), 1, None)}
 
 
 def write_mesh_csv(mesh: Mesh, nodes_path, triangles_path) -> None:
     """Debug dump of the mesh: node table id,x,y and triangle table id,v0,v1,v2."""
-    lines = ["id,x,y"]
-    for i, (x, y) in enumerate(mesh.nodes):
-        lines.append(f"{i},{fmt(x)},{fmt(y)}")
-    Path(nodes_path).write_text("\n".join(lines) + "\n")
-    lines = ["id,v0,v1,v2"]
-    for i, (a, b, c) in enumerate(mesh.triangles):
-        lines.append(f"{i},{a},{b},{c}")
-    Path(triangles_path).write_text("\n".join(lines) + "\n")
+    _write_rows(nodes_path, "id,x,y", "%d,%.17g,%.17g\n",
+                np.arange(len(mesh.nodes)), *mesh.nodes.T)
+    _write_rows(triangles_path, "id,v0,v1,v2", "%d,%d,%d,%d\n",
+                np.arange(len(mesh.triangles)), *mesh.triangles.T)

@@ -18,12 +18,12 @@ Only the conductivity changes between the forward solves of a
 reconstruction.  A ``CemOperator`` is therefore built once per mesh and
 electrode setup: it holds the block matrix's sparsity pattern with the
 nodes in nested-dissection order and the electrode voltages last, the
-fixed electrode entries, and a map from each triangle's nine stiffness
-entries to their slots in the pattern.  A solve scatters the conductivity
-into those slots and factorizes in that order with SuperLU's symmetric
-mode.  ``assemble_system`` is the reference assembly: the operator takes
-its pattern and electrode blocks from one call to it, and the tests
-compare the operator's matrix against it.
+fixed electrode entries, and a map from each triangle's seven nonzero
+stiffness entries to their slots in the pattern.  A solve scatters the
+conductivity into those slots and factorizes in that order with SuperLU's
+symmetric mode.  ``assemble_system`` is the reference assembly: the
+operator takes its pattern and electrode blocks from one call to it, and
+the tests compare the operator's matrix against it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ ZERO_SUM_TOL = 1e-12
 # Element stiffness pattern: area * (grad_i . grad_j) is h-independent and
 # identical for lower and upper triangles in their local vertex orders.
 _STIFF = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+
+# The seven entries of _STIFF that are not zero: local vertices 1 and 2 of
+# either triangle are the SE and NW corners of its cell, whose coupling
+# vanishes for every conductivity.
+_STIFF_ROWS, _STIFF_COLS = np.nonzero(_STIFF)
+_STIFF_NZ = _STIFF[_STIFF_ROWS, _STIFF_COLS]
 
 
 class SolverError(RuntimeError):
@@ -274,23 +280,31 @@ class CemOperator:
 
         M = unit.full_matrix()[self.perm][:, self.perm]
         M.sort_indices()
-        self._indices, self._indptr = M.indices, M.indptr
 
-        # Slot of each triangle's (row, col) entries: index a copy of the
-        # pattern that stores slot + 1 (a missing entry would read 0).
+        # Slot of each triangle's nonzero (row, col) entries: index a copy of
+        # the pattern that stores slot + 1 (a missing entry would read 0).
         slots = sp.csc_matrix((np.arange(1, M.nnz + 1, dtype=np.int32),
                                M.indices, M.indptr), shape=M.shape)
         tri = self.position[mesh.triangles]
-        rows = np.repeat(tri, 3, axis=1).reshape(-1)
-        cols = np.tile(tri, (1, 3)).reshape(-1)
-        self._slots = np.asarray(slots[rows, cols]).reshape(-1) - 1
+        rows = tri[:, _STIFF_ROWS].reshape(-1)
+        cols = tri[:, _STIFF_COLS].reshape(-1)
+        slots = np.asarray(slots[rows, cols]).reshape(-1) - 1
+
+        # Drop the entries that are zero for every conductivity: zero at
+        # unit conductivity (the assembly stores the SE-NW couplings as
+        # explicit zeros) and reached by no nonzero stiffness entry.
+        keep = M.data != 0.0
+        keep[slots] = True
+        kept_before = np.cumsum(np.concatenate([[False], keep]), dtype=np.int32)
+        self._indices, self._indptr = M.indices[keep], kept_before[M.indptr]
+        self._slots = kept_before[slots]
 
         # What is left after the unit stiffness: the electrode trace mass,
         # Psi and Upsilon as assemble_system built them, up to rounding.
-        self._fixed = M.data - self._stiffness(np.ones(mesh.triangle_count))
+        self._fixed = M.data[keep] - self._stiffness(np.ones(mesh.triangle_count))
 
     def _stiffness(self, sigma: np.ndarray) -> np.ndarray:
-        weights = (sigma[:, None] * _STIFF.reshape(1, 9)).reshape(-1)
+        weights = (sigma[:, None] * _STIFF_NZ).reshape(-1)
         return np.bincount(self._slots, weights=weights, minlength=len(self._indices))
 
     def matrix(self, sigma: ConductivityField) -> sp.csc_matrix:

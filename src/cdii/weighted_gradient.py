@@ -39,7 +39,7 @@ GRAD_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class InteriorData:
-    """Per-triangle current-density magnitude (A/m^2), nonnegative."""
+    """Per-triangle current-density magnitude (A/m^2), finite and nonnegative."""
 
     values: np.ndarray
 
@@ -47,10 +47,18 @@ class InteriorData:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValueError("interior data must be a 1-d array")
-        if np.any(v < 0.0):
-            raise ValueError("current-density magnitude cannot be negative")
+        bad = self.first_invalid(v)
+        if bad is not None:
+            raise ValueError("current-density magnitude must be finite and nonnegative; "
+                             f"triangle {bad} holds {float(v[bad])}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @staticmethod
+    def first_invalid(values: np.ndarray) -> int | None:
+        """Index of the first value that is negative or not finite, if any."""
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+        return int(bad[0]) if len(bad) else None
 
     @property
     def essinf(self) -> float:

@@ -135,7 +135,54 @@ def test_reconstruct_without_data(tmp_path, capsys):
     assert "a.csv" in capsys.readouterr().err
 
 
+MALFORMED_ROWS = {
+    "token": "3,abc",
+    "nan": "3,nan",
+    "inf": "3,inf",
+    "negative": "3,-0.5",
+    "fractional-id": "3.5,0.001",
+}
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_reconstruct_malformed_data_exits_2_naming_line(tmp_path, capsys, row):
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
+    assert run(["simulate", "--config", str(cfg)]) == 0
+    a_path = tmp_path / "out" / "a.csv"
+    lines = a_path.read_text().splitlines()
+    lines[4] = row  # data row 3
+    a_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["reconstruct", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: ") and f"{a_path}:5: " in err
+
+
+def test_calibrate_malformed_field_exits_2_naming_line(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
+    assert run(["pipeline", "--config", str(cfg)]) == 0
+    v_path = tmp_path / "out" / "v.csv"
+    v_path.write_text(v_path.read_text().replace("\n7,", "\n7,x", 1))
+    capsys.readouterr()
+    assert run(["calibrate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{v_path}:9: " in err
+
+
 # ----------------------------------------------------------------- metrics
+
+def test_metrics_malformed_or_missing_file_exits_2(tmp_path, capsys):
+    write_field(tmp_path / "r.csv", "sigma", "S/m", "triangle", np.ones(4))
+    (tmp_path / "c.csv").write_text("# sigma,S/m,triangle\n0,1\n1,one\n2,1\n3,1\n")
+    out = ["--out", str(tmp_path)]
+    assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "c.csv"), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{tmp_path / 'c.csv'}:3: " in err
+    assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "none.csv"), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "none.csv" in err
+
 
 def test_metrics_identical(tmp_path):
     values = np.linspace(1.0, 2.0, 32)

@@ -1,0 +1,198 @@
+"""CSV I/O: byte identity with a per-row reference writer, exact round
+trips, and errors that name the file and line of a malformed row."""
+
+import math
+import string
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cdii.calibration import PhiMap
+from cdii.csvio import (
+    data_line,
+    read_convergence,
+    read_field,
+    read_metrics,
+    write_convergence,
+    write_field,
+    write_mesh_csv,
+    write_metrics,
+    write_phi,
+    write_trace,
+)
+from cdii.mesh import build_uniform_mesh
+from cdii.weighted_gradient import IterationRecord
+
+
+# ------------------------------------------------------- reference writers
+# One line per row, each number through f"{x:.17g}": the format the field
+# files have always had.
+
+def fmt(x) -> str:
+    return f"{float(x):.17g}"
+
+
+def reference_field(path, quantity, unit, entity, values, ids=None):
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    if ids is None:
+        ids = np.arange(values.shape[0])
+    lines = [f"# {quantity},{unit},{entity}"]
+    for i, row in zip(ids, values):
+        lines.append(",".join([str(int(i))] + [fmt(v) for v in row]))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_table(path, header, rows):
+    Path(path).write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+           2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+           1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5, 1e22, 123456789.0]
+
+
+def special_values(rows: int, k: int) -> np.ndarray:
+    rng = np.random.default_rng(rows * 10 + k)
+    values = rng.standard_normal(rows * k) * 10.0 ** rng.integers(-20, 20, rows * k)
+    m = min(len(SPECIAL), values.size)
+    values[:m] = SPECIAL[:m]
+    return values.reshape(rows, k) if k > 1 else values
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_write_field_matches_reference_bytes(tmp_path, k):
+    values = special_values(40, k)
+    write_field(tmp_path / "new.csv", "J", "A/m^2", "triangle", values)
+    reference_field(tmp_path / "old.csv", "J", "A/m^2", "triangle", values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("ids", [
+    np.arange(100)[::7],                              # strided view
+    np.arange(60, dtype=np.int32).reshape(20, 3)[:, 1],  # column of a table
+    [5, 3, 99, 0, 12, 7, 8, 1, 2, 4, 6, 11, 13, 14, 15],  # plain list
+], ids=["strided", "column", "list"])
+def test_write_trace_matches_reference_bytes(tmp_path, ids):
+    values = special_values(len(ids), 1)[::-1]  # non-contiguous values too
+    write_trace(tmp_path / "new.csv", ids, values)
+    reference_field(tmp_path / "old.csv", "trace", "V", "node", values, ids=ids)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_field_empty(tmp_path):
+    write_field(tmp_path / "new.csv", "u", "V", "node", np.zeros(0))
+    reference_field(tmp_path / "old.csv", "u", "V", "node", np.zeros(0))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    header, ids, values = read_field(tmp_path / "new.csv")
+    assert header == ("u", "V", "node") and ids.shape == (0,) and values.shape == (0,)
+
+
+def test_small_writers_match_reference_bytes(tmp_path):
+    b = np.array([-1.0, -0.0, 1e-300, 0.5, 2.0])
+    t = np.array([-3.0, 0.0, 5e-324, 1.0 / 3.0, 7.0])
+    phi = PhiMap(b, t, np.diff(t) / np.diff(b))
+    write_phi(tmp_path / "phi.csv", phi)
+    reference_table(tmp_path / "phi_ref.csv", "s,t", [(fmt(s), fmt(v)) for s, v in zip(b, t)])
+
+    log = [IterationRecord(0, 1.25, math.nan, 12.5),
+           IterationRecord(1, -0.0, 1e-300, 0.1),
+           IterationRecord(2, 1e300, math.inf, 3.0)]
+    write_convergence(tmp_path / "conv.csv", log)
+    reference_table(tmp_path / "conv_ref.csv",
+                    "iteration,objective,max_grad_diff,wall_time_ms",
+                    [(str(r.iteration), fmt(r.objective), fmt(r.max_grad_diff),
+                      fmt(r.wall_ms)) for r in log])
+
+    rows = [("relative_l2", 0.1), ("iterations", 16), ("count", np.int64(3)),
+            ("converged", True), ("max_error", np.float64(1e-300)), ("big", 10 ** 20)]
+    write_metrics(tmp_path / "metrics.csv", rows)
+    reference_table(tmp_path / "metrics_ref.csv", "metric,value",
+                    [(n, str(v) if isinstance(v, (int, np.integer)) else fmt(v))
+                     for n, v in rows])
+
+    mesh = build_uniform_mesh(5)
+    write_mesh_csv(mesh, tmp_path / "nodes.csv", tmp_path / "tris.csv")
+    reference_table(tmp_path / "nodes_ref.csv", "id,x,y",
+                    [(str(i), fmt(x), fmt(y)) for i, (x, y) in enumerate(mesh.nodes)])
+    reference_table(tmp_path / "tris_ref.csv", "id,v0,v1,v2",
+                    [(str(i), str(a), str(b), str(c))
+                     for i, (a, b, c) in enumerate(mesh.triangles)])
+
+    for name in ("phi", "conv", "metrics", "nodes", "tris"):
+        new = (tmp_path / f"{name}.csv").read_bytes()
+        assert new == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+
+    write_metrics(tmp_path / "metrics.csv", rows[:3])
+    assert read_metrics(tmp_path / "metrics.csv") == {"relative_l2": 0.1, "iterations": 16.0,
+                                                      "count": 3.0}
+    conv = read_convergence(tmp_path / "conv.csv")
+    assert [c[0] for c in conv] == [0, 1, 2] and math.isnan(conv[0][2])
+
+
+def test_write_convergence_empty_log(tmp_path):
+    write_convergence(tmp_path / "conv.csv", [])
+    assert (tmp_path / "conv.csv").read_text() == \
+        "iteration,objective,max_grad_diff,wall_time_ms\n"
+
+
+# -------------------------------------------------------------- round trip
+
+headers = st.text(string.ascii_letters + string.digits + "/^_.-", min_size=1, max_size=8)
+tables = st.integers(1, 3).flatmap(lambda k: st.integers(1, 30).flatmap(
+    lambda n: st.tuples(
+        arrays(np.float64, (n, k), elements=st.floats(allow_nan=False, width=64)),
+        arrays(np.int64, n, elements=st.integers(-2 ** 63, 2 ** 63 - 1)))))
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.tuples(headers, headers, headers), table=tables)
+def test_read_field_inverts_write_field(tmp_path, header, table):
+    values, ids = table
+    path = tmp_path / "field.csv"
+    write_field(path, *header, values, ids=ids)
+    got_header, got_ids, got_values = read_field(path)
+    assert got_header == header
+    assert got_ids.dtype == np.int64 and np.array_equal(got_ids, ids)
+    expected = values[:, 0] if values.shape[1] == 1 else values
+    assert got_values.shape == expected.shape
+    assert np.array_equal(got_values.view(np.uint64), expected.view(np.uint64))
+
+
+def test_read_field_keeps_nonfinite_values(tmp_path):
+    write_field(tmp_path / "f.csv", "a", "A/m^2", "triangle", [math.nan, math.inf, -math.inf])
+    _, _, values = read_field(tmp_path / "f.csv")
+    assert math.isnan(values[0]) and values[1] == math.inf and values[2] == -math.inf
+
+
+# ----------------------------------------------------------- malformed rows
+
+PREFIX = "# a,A/m^2,triangle\n0,1.5\n\n# a comment\n1,2.5\n"  # next row: line 6
+
+
+@pytest.mark.parametrize("row,reason", [
+    ("2,abc", "cannot parse 'abc' as float"),
+    ("2,1.0x", "cannot parse '1.0x' as float"),
+    ("5.5,1.0", "cannot parse '5.5' as int"),
+    ("1e3,1.0", "cannot parse '1e3' as int"),
+    ("x,1.0", "cannot parse 'x' as int"),
+    ("2", "1 columns, expected 2"),
+    ("2,1.0,3.0", "3 columns, expected 2"),
+], ids=["token", "suffix", "fractional-id", "exponent-id", "word-id", "short", "long"])
+def test_malformed_row_names_file_and_line(tmp_path, row, reason):
+    path = tmp_path / "a.csv"
+    path.write_text(PREFIX + row + "\n3,4.5\n")
+    with pytest.raises(ValueError) as err:
+        read_field(path)
+    assert str(err.value) == f"{path}:6: {reason}"
+
+
+def test_data_line_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text(PREFIX + "2,3.5\n")
+    assert [data_line(path, row) for row in range(3)] == [2, 5, 6]

@@ -151,6 +151,29 @@ def test_operator_matches_reference_assembly(side_nodes, electrodes):
         assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
+    # z = h/3 makes the electrode trace mass cancel the unit stiffness along
+    # each bottom edge, so those entries are zero at unit sigma but not in
+    # general; the SE-NW coupling of every cell is zero for every sigma.
+    mesh = build_uniform_mesh(6)
+    setup = locate_electrodes(mesh, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))],
+                              [mesh.h / 3.0, 0.1])
+    currents = CurrentPattern(np.array([-1.0, 1.0]))
+    unit = assemble_system(mesh, ConductivityField(np.ones(mesh.triangle_count)),
+                           setup, currents).full_matrix()
+    cells = (mesh.side_nodes - 1) ** 2
+    assert np.count_nonzero(unit.data == 0.0) == 2 * cells + 2 * (mesh.side_nodes - 1)
+    operator = CemOperator(mesh, setup)
+    assert len(operator.matrix(ConductivityField(np.ones(mesh.triangle_count))).data) \
+        == unit.nnz - 2 * cells
+    sigma = ConductivityField(np.random.default_rng(6).uniform(0.1, 10.0, mesh.triangle_count))
+    reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
+    expected = reference[operator.perm][:, operator.perm].toarray()
+    actual = operator.matrix(sigma)
+    assert np.all(actual.data != 0.0)
+    assert np.max(np.abs(actual.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_operator_rejects_mismatched_sigma(equal_z_case):
     mesh, setup, _ = equal_z_case
     with pytest.raises(ValueError, match="conductivity"):

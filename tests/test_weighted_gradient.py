@@ -106,6 +106,20 @@ def test_minimum_identity_random_draws():
         assert lhs == pytest.approx(minimum_value(mesh, setup, sol), rel=1e-9)
 
 
+# ------------------------------------------------------------ interior data
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_interior_data_rejects_nonfinite_and_negative(bad):
+    values = np.array([1.0, 0.0, bad, np.nan])
+    assert InteriorData.first_invalid(values) == 2
+    with pytest.raises(ValueError, match="finite and nonnegative; triangle 2 holds"):
+        InteriorData(values)
+
+
+def test_interior_data_first_invalid_none_when_valid():
+    assert InteriorData.first_invalid(np.array([0.0, 1.0, 1e300])) is None
+
+
 # ----------------------------------------------------------------- clamp
 
 def test_clamp_inside_bounds():
