@@ -33,6 +33,7 @@ from .mesh import (
     Electrode,
     ElectrodeSetup,
     Mesh,
+    ParameterError,
     SIDES,
     basis_gradients,
     build_uniform_mesh,
@@ -74,6 +75,7 @@ __all__ = [
     "InteriorData",
     "IterationRecord",
     "Mesh",
+    "ParameterError",
     "PhiMap",
     "PipelineConfig",
     "ReconstructionConfig",

@@ -18,11 +18,11 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure,
 File formats
 ------------
 Field files carry a "# quantity,unit,entity" header then id,value rows
-with 17 significant digits.  trace.csv rows are node_id,value; a measured
-trace may instead carry the coordinate along the curve in its first column
-(a file of bare integers is keyed by node id; any decimal point or
-exponent switches the whole file to coordinates).  phi.csv is a
-two-column s,t table of the calibration map.
+with 17 significant digits.  trace.csv rows are node_id,value, the node on
+gamma.side; a measured trace may instead carry the coordinate along that
+side in its first column (a file of bare integers is keyed by node id; any
+decimal point or exponent switches the whole file to coordinates).  phi.csv
+is a two-column s,t table of the calibration map.
 convergence.csv columns: iteration,objective,max_grad_diff,wall_time_ms
 (wall time is the one machine-dependent output).  metrics.csv rows:
 relative_l2, absolute_l2, max_error, iterations, converged.  Mesh debug
@@ -33,6 +33,7 @@ dumps use a node table id,x,y and a triangle table id,v0,v1,v2
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import sys
@@ -42,6 +43,7 @@ import numpy as np
 
 from .calibration import (
     BoundaryVoltageTrace,
+    PhiMap,
     apply_calibration,
     build_monotone_map,
     collect_pairs,
@@ -49,7 +51,6 @@ from .calibration import (
 from .config import ConfigError, PipelineConfig, load_config
 from .csvio import (
     data_line,
-    read_convergence,
     read_field,
     read_trace,
     write_convergence,
@@ -66,7 +67,7 @@ from .fem_cem import (
     interior_current,
     solve_forward,
 )
-from .mesh import ALIGN_TOL, Mesh, build_uniform_mesh, locate_electrodes, triangle_gradients
+from .mesh import Mesh, build_uniform_mesh, locate_electrodes, triangle_gradients
 from .phantom import add_noise, gaussian_phantom, simulate_data
 from .weighted_gradient import (
     InteriorData,
@@ -81,38 +82,37 @@ log = logging.getLogger("cdii")
 TRACE_COORD_TOL = 1e-9
 
 
+@contextlib.contextmanager
+def _keyed(key: str):
+    """Raise a ValueError or OSError as a ConfigError under ``key`` plus the
+    name a ``ParameterError`` carries (``"recon."`` + ``"epsilon"``)."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(key + getattr(exc, "name", ""), str(exc)) from None
+
+
 def _build_problem(cfg: PipelineConfig):
-    mesh = build_uniform_mesh(cfg.side_nodes)
-    h = mesh.h
-    taken: list[tuple[str, int, int, int]] = []
-    for k, es in enumerate(cfg.electrodes):
-        i_lo, i_hi = round(es.lo / h), round(es.hi / h)
-        if abs(es.lo - i_lo * h) > ALIGN_TOL or abs(es.hi - i_hi * h) > ALIGN_TOL:
-            raise ConfigError(
-                f"electrodes[{k}].interval",
-                f"endpoints ({es.lo}, {es.hi}) do not align with the grid "
-                f"of spacing {h:.6g}",
-            )
-        for side, j, a, b in taken:
-            if side == es.side and a < i_hi and i_lo < b:
-                raise ConfigError(
-                    f"electrodes[{k}].interval",
-                    f"overlaps electrodes[{j}] on side {side!r}",
-                )
-        taken.append((es.side, k, i_lo, i_hi))
-    setup = locate_electrodes(
-        mesh,
-        [(es.side, (es.lo, es.hi)) for es in cfg.electrodes],
-        [es.z for es in cfg.electrodes],
-    )
-    currents = CurrentPattern(np.asarray(cfg.currents))
-    return mesh, setup, currents
+    """Every domain object the config describes, built before any solve so
+    that an invalid value fails each command alike."""
+    with _keyed("mesh.side_nodes"):
+        mesh = build_uniform_mesh(cfg.side_nodes)
+    with _keyed("electrodes"):
+        setup = locate_electrodes(mesh, [(es.side, (es.lo, es.hi)) for es in cfg.electrodes],
+                                  [es.z for es in cfg.electrodes])
+    with _keyed("currents"):
+        currents = CurrentPattern(np.asarray(cfg.currents))
+    with _keyed("recon."):
+        rc = ReconstructionConfig(epsilon=cfg.epsilon, delta=cfg.delta,
+                                  max_iter=cfg.max_iter, solver_tol=cfg.solver_tol)
+    with _keyed("gamma.side"):
+        gamma_edges = mesh.edges_on_side(cfg.gamma_side)
+    return mesh, setup, currents, rc, gamma_edges
 
 
-def _check_gamma(cfg: PipelineConfig, mesh: Mesh, setup) -> None:
-    gamma_edges = set(int(i) for i in mesh.edges_on_side(cfg.gamma_side))
+def _check_gamma(gamma_edges: np.ndarray, setup) -> None:
     for k, e in enumerate(setup.electrodes):
-        if gamma_edges & set(int(i) for i in e.edge_ids):
+        if np.intersect1d(gamma_edges, e.edge_ids).size:
             raise ConfigError(
                 "gamma.side",
                 f"measurement curve overlaps electrodes[{k}]; it must join "
@@ -145,16 +145,8 @@ def _metric_rows(reference: np.ndarray, candidate: np.ndarray) -> list[tuple[str
     ]
 
 
-def _read_field(path, key: str):
-    """``read_field(path)``, with an unreadable or malformed file as a ConfigError."""
-    try:
-        return read_field(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(key, str(exc)) from None
-
-
 def cmd_forward(cfg: PipelineConfig) -> int:
-    mesh, setup, currents = _build_problem(cfg)
+    mesh, setup, currents, _, _ = _build_problem(cfg)
     sigma = _phantom(cfg, mesh)
     sol = solve_forward(mesh, sigma, setup, currents, cfg.solver_tol)
     J, a = interior_current(mesh, sigma, sol)
@@ -178,8 +170,8 @@ def _simulate(cfg: PipelineConfig, mesh: Mesh, setup, currents):
 
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
-    mesh, setup, currents = _build_problem(cfg)
-    _check_gamma(cfg, mesh, setup)
+    mesh, setup, currents, _, gamma_edges = _build_problem(cfg)
+    _check_gamma(gamma_edges, setup)
     sigma_true, data, trace = _simulate(cfg, mesh, setup, currents)
     out = _out_dir(cfg)
     write_field(out / "sigma_true.csv", "sigma", "S/m", "triangle", sigma_true.values)
@@ -196,25 +188,24 @@ def _write_reconstruction(out: Path, result: ReconstructionResult) -> None:
     write_convergence(out / "convergence.csv", result.log)
 
 
-def _reconstruct(cfg: PipelineConfig, mesh: Mesh, setup, currents,
+def _reconstruct(rc: ReconstructionConfig, mesh: Mesh, setup, currents,
                  data: InteriorData) -> ReconstructionResult:
-    rc = ReconstructionConfig(epsilon=cfg.epsilon, delta=cfg.delta,
-                              max_iter=cfg.max_iter, solver_tol=cfg.solver_tol)
     result = reconstruct(mesh, data, setup, currents, rc)
     if result.converged:
         log.info("reconstruction converged in %d iterations", result.iterations)
     else:
-        log.warning("reconstruction hit the iteration cap (%d)", cfg.max_iter)
+        log.warning("reconstruction hit the iteration cap (%d)", rc.max_iter)
     return result
 
 
 def cmd_reconstruct(cfg: PipelineConfig) -> int:
-    mesh, setup, currents = _build_problem(cfg)
+    mesh, setup, currents, rc, _ = _build_problem(cfg)
     out = _out_dir(cfg)
     a_path = out / "a.csv"
     if not a_path.exists():
         raise ConfigError("output.dir", f"{a_path} not found; run simulate first")
-    _, _, a_values = _read_field(a_path, "output.dir")
+    with _keyed("output.dir"):
+        _, _, a_values = read_field(a_path)
     if a_values.ndim != 1 or len(a_values) != mesh.triangle_count:
         raise ConfigError("output.dir",
                           f"{a_path} holds {len(a_values)} triangles, the mesh has "
@@ -224,7 +215,7 @@ def cmd_reconstruct(cfg: PipelineConfig) -> int:
     except ValueError as exc:
         line = data_line(a_path, InteriorData.first_invalid(a_values))
         raise ConfigError("output.dir", f"{a_path}:{line}: {exc}") from None
-    result = _reconstruct(cfg, mesh, setup, currents, data)
+    result = _reconstruct(rc, mesh, setup, currents, data)
     _write_reconstruction(out, result)
     return 0 if result.converged else 4
 
@@ -236,11 +227,14 @@ def _trace_from_rows(mesh: Mesh, gamma_side: str,
     # the measurement side.
     keyed_by_id = all(not any(c in token for c in ".eE") for token, _ in rows)
     values = np.array([value for _, value in rows])
+    side_ids = mesh.nodes_on_side(gamma_side)
     if keyed_by_id:
         ids = np.array([int(token) for token, _ in rows])
+        off_side = np.setdiff1d(ids, side_ids)
+        if off_side.size:
+            raise ValueError(f"node {off_side[0]} is not on side {gamma_side!r}")
         return BoundaryVoltageTrace(node_ids=ids, values=values)
 
-    side_ids = mesh.nodes_on_side(gamma_side)
     axis = 0 if gamma_side in ("bottom", "top") else 1
     coords = mesh.nodes[side_ids, axis]
     ids = []
@@ -248,18 +242,13 @@ def _trace_from_rows(mesh: Mesh, gamma_side: str,
         pos = float(token)
         j = int(np.argmin(np.abs(coords - pos)))
         if abs(coords[j] - pos) > TRACE_COORD_TOL:
-            raise ConfigError(
-                "trace", f"coordinate {pos} matches no node on side "
-                         f"{gamma_side!r}")
+            raise ValueError(f"coordinate {pos} matches no node on side {gamma_side!r}")
         ids.append(int(side_ids[j]))
     return BoundaryVoltageTrace(node_ids=np.asarray(ids), values=values)
 
 
-def _calibrate(cfg: PipelineConfig, mesh: Mesh, setup,
-               result: ReconstructionResult, trace: BoundaryVoltageTrace,
+def _calibrate(mesh: Mesh, result: ReconstructionResult, phi: PhiMap,
                out: Path) -> ConductivityField:
-    pairs = collect_pairs(mesh, setup, result, trace)
-    phi = build_monotone_map(pairs)
     if phi.repaired:
         log.warning("calibration pairs violated monotonicity and were pooled")
     sigma_final = apply_calibration(mesh, result, phi)
@@ -270,33 +259,41 @@ def _calibrate(cfg: PipelineConfig, mesh: Mesh, setup,
 
 
 def cmd_calibrate(cfg: PipelineConfig) -> int:
-    mesh, setup, currents = _build_problem(cfg)
-    _check_gamma(cfg, mesh, setup)
+    mesh, setup, _, _, gamma_edges = _build_problem(cfg)
+    _check_gamma(gamma_edges, setup)
     out = _out_dir(cfg)
-    for name in ("sigma_v.csv", "v.csv", "V.csv", "trace.csv"):
-        if not (out / name).exists():
-            raise ConfigError("output.dir", f"{out / name} not found; run the "
+    sigma_path, v_path, V_path, trace_path = (
+        out / name for name in ("sigma_v.csv", "v.csv", "V.csv", "trace.csv"))
+    for path in (sigma_path, v_path, V_path, trace_path):
+        if not path.exists():
+            raise ConfigError("output.dir", f"{path} not found; run the "
                               "earlier pipeline stages first")
-    _, _, sigma_v = _read_field(out / "sigma_v.csv", "output.dir")
-    _, _, v = _read_field(out / "v.csv", "output.dir")
-    _, _, V = _read_field(out / "V.csv", "output.dir")
-    solution = ForwardSolution(u=v, U=V, grad_u=triangle_gradients(mesh, v))
-    conv = read_convergence(out / "convergence.csv") if (out / "convergence.csv").exists() else []
-    result = ReconstructionResult(
-        sigma_v=ConductivityField(sigma_v),
-        solution=solution,
-        log=[],
-        converged=True,
-        iterations=conv[-1][0] if conv else 0,
-    )
-    trace = _trace_from_rows(mesh, cfg.gamma_side, read_trace(out / "trace.csv"))
-    _calibrate(cfg, mesh, setup, result, trace, out)
+    with _keyed("output.dir"):
+        _, _, sigma_v = read_field(sigma_path)
+        _, _, v = read_field(v_path)
+        _, _, V = read_field(V_path)
+        rows = read_trace(trace_path)
+    with _keyed(str(sigma_path)):
+        sigma_v = ConductivityField(sigma_v)
+    if len(sigma_v.values) != mesh.triangle_count:
+        raise ConfigError(str(sigma_path), f"holds {len(sigma_v.values)} triangles, "
+                          f"the mesh has {mesh.triangle_count}")
+    with _keyed(str(v_path)):
+        grad_v = triangle_gradients(mesh, v)
+    with _keyed(str(V_path)):
+        solution = ForwardSolution(u=v, U=V, grad_u=grad_v)
+    result = ReconstructionResult(sigma_v=sigma_v, solution=solution, log=[],
+                                  converged=True, iterations=0)
+    with _keyed(str(trace_path)):
+        trace = _trace_from_rows(mesh, cfg.gamma_side, rows)
+        phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
+    _calibrate(mesh, result, phi, out)
     return 0
 
 
 def cmd_pipeline(cfg: PipelineConfig) -> int:
-    mesh, setup, currents = _build_problem(cfg)
-    _check_gamma(cfg, mesh, setup)
+    mesh, setup, currents, rc, gamma_edges = _build_problem(cfg)
+    _check_gamma(gamma_edges, setup)
     out = _out_dir(cfg)
 
     sigma_true, data, trace = _simulate(cfg, mesh, setup, currents)
@@ -304,10 +301,11 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
     write_field(out / "a.csv", "a", "A/m^2", "triangle", data.values)
     write_trace(out / "trace.csv", trace.node_ids, trace.values)
 
-    result = _reconstruct(cfg, mesh, setup, currents, data)
+    result = _reconstruct(rc, mesh, setup, currents, data)
     _write_reconstruction(out, result)
 
-    sigma_final = _calibrate(cfg, mesh, setup, result, trace, out)
+    phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
+    sigma_final = _calibrate(mesh, result, phi, out)
 
     rows = _metric_rows(sigma_true.values, sigma_final.values)
     rows.append(("iterations", result.iterations))
@@ -318,8 +316,9 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
 
 
 def cmd_metrics(reference: str, candidate: str, out_dir: str) -> int:
-    _, _, ref = _read_field(reference, "metrics")
-    _, _, cand = _read_field(candidate, "metrics")
+    with _keyed("metrics"):
+        _, _, ref = read_field(reference)
+        _, _, cand = read_field(candidate)
     if ref.shape != cand.shape or ref.ndim != 1:
         raise ConfigError("metrics",
                           f"field shapes differ: {ref.shape} vs {cand.shape}")

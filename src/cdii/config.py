@@ -4,15 +4,15 @@ The format is one ``key=value`` per line with dotted section prefixes,
 e.g. ``mesh.side_nodes=90``; blank lines and lines starting with ``#`` are
 ignored.  Electrodes are indexed: ``electrodes[0].side``,
 ``electrodes[0].interval`` (two comma-separated coordinates), and
-``electrodes[0].z``.  Validation errors name the offending key.
+``electrodes[0].z``.  Errors name the offending key.  Value ranges are
+checked by the domain constructors (the CLI names the key), except the
+phantom, noise and output ones, which not every command would reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-
-from .mesh import SIDES
 
 
 class ConfigError(Exception):
@@ -118,16 +118,8 @@ def _take_electrodes(mapping) -> tuple[ElectrodeSpec, ...]:
     while f"electrodes[{k}].side" in mapping or f"electrodes[{k}].interval" in mapping \
             or f"electrodes[{k}].z" in mapping:
         side = _take_str(mapping, f"electrodes[{k}].side")
-        if side not in SIDES:
-            raise ConfigError(f"electrodes[{k}].side",
-                              f"must be one of {SIDES}, got {side!r}")
         lo, hi = _take_floats(mapping, f"electrodes[{k}].interval", count=2)
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ConfigError(f"electrodes[{k}].interval",
-                              f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
         z = _take_float(mapping, f"electrodes[{k}].z")
-        if not z > 0.0:
-            raise ConfigError(f"electrodes[{k}].z", f"must be positive, got {z}")
         specs.append(ElectrodeSpec(side=side, lo=lo, hi=hi, z=z))
         k += 1
     if len(specs) < 2:
@@ -149,31 +141,17 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
     mapping = dict(mapping)
 
     side_nodes = _take_int(mapping, "mesh.side_nodes")
-    if side_nodes < 2:
-        raise ConfigError("mesh.side_nodes", f"must be >= 2, got {side_nodes}")
-
     electrodes = _take_electrodes(mapping)
 
     currents = _take_floats(mapping, "currents")
     if len(currents) != len(electrodes):
         raise ConfigError("currents",
                           f"{len(currents)} currents for {len(electrodes)} electrodes")
-    scale = max(abs(c) for c in currents)
-    if abs(sum(currents)) > 1e-12 * max(scale, 1e-300):
-        raise ConfigError("currents", f"must sum to zero, got {sum(currents):.3e}")
 
     epsilon = _take_float(mapping, "recon.epsilon", default=0.1)
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError("recon.epsilon", f"must lie in (0, 1), got {epsilon}")
     delta = _take_float(mapping, "recon.delta", default=1e-7)
-    if not delta > 0.0:
-        raise ConfigError("recon.delta", f"must be positive, got {delta}")
     max_iter = _take_int(mapping, "recon.max_iter", default=1000)
-    if max_iter < 1:
-        raise ConfigError("recon.max_iter", f"must be >= 1, got {max_iter}")
     solver_tol = _take_float(mapping, "recon.solver_tol", default=1e-10)
-    if not solver_tol > 0.0:
-        raise ConfigError("recon.solver_tol", f"must be positive, got {solver_tol}")
 
     center = _take_floats(mapping, "phantom.center", count=2, default=(0.5, 0.5))
     amplitude = _take_float(mapping, "phantom.amplitude", default=0.0)
@@ -184,8 +162,6 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
         raise ConfigError("phantom.width", f"must be positive, got {width}")
 
     gamma_side = _take_str(mapping, "gamma.side", default="right")
-    if gamma_side not in SIDES:
-        raise ConfigError("gamma.side", f"must be one of {SIDES}, got {gamma_side!r}")
 
     noise_level = _take_float(mapping, "noise.level", default=0.0)
     if noise_level < 0.0:

@@ -48,17 +48,17 @@ def _data_rows(text: str):
             yield lineno, line.split(",")
 
 
-def _malformed(path, text: str, width: int, exc: ValueError) -> ValueError:
-    """The error of the first row of ``text`` that does not parse."""
+def _malformed(path, text: str, parsers) -> ValueError | None:
+    """The error of the first row of ``text`` whose tokens ``parsers`` reject, if any."""
     for line, tokens in _data_rows(text):
-        if len(tokens) != width:
-            return ValueError(f"{path}:{line}: {len(tokens)} columns, expected {width}")
-        for token, parse in zip(tokens, [int] + [float] * (width - 1)):
+        if len(tokens) != len(parsers):
+            return ValueError(f"{path}:{line}: {len(tokens)} columns, expected {len(parsers)}")
+        for token, parse in zip(tokens, parsers):
             try:
                 parse(token)
             except ValueError:
                 return ValueError(f"{path}:{line}: cannot parse {token!r} as {parse.__name__}")
-    return ValueError(f"{path}: {exc}")
+    return None
 
 
 def read_field(path) -> tuple[tuple[str, str, str], np.ndarray, np.ndarray]:
@@ -80,7 +80,8 @@ def read_field(path) -> tuple[tuple[str, str, str], np.ndarray, np.ndarray]:
         table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
                            comments="#", ndmin=1)
     except ValueError as exc:
-        raise _malformed(path, text, k + 1, exc) from None
+        error = _malformed(path, text, [int] + [float] * k) or ValueError(f"{path}: {exc}")
+        raise error from None
     values = table["v"][:, 0] if k == 1 else table["v"]
     return header, np.ascontiguousarray(table["id"]), np.ascontiguousarray(values)
 
@@ -96,9 +97,13 @@ def write_trace(path, node_ids: np.ndarray, values: np.ndarray) -> None:
 
 def read_trace(path) -> list[tuple[str, float]]:
     """Raw trace rows as (first-column token, value); the first column may
-    hold a node id or a coordinate along the curve."""
-    rows = [(first.strip(), float(second))
-            for _, (first, second) in _data_rows(Path(path).read_text())]
+    hold a node id or a coordinate along the curve.  A row that is not two
+    numbers raises ``ValueError`` naming the file and its 1-based line."""
+    text = Path(path).read_text()
+    error = _malformed(path, text, [float, float])
+    if error:
+        raise error
+    rows = [(first.strip(), float(second)) for _, (first, second) in _data_rows(text)]
     if not rows:
         raise ValueError(f"trace file {path} holds no samples")
     return rows

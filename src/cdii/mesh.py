@@ -24,6 +24,15 @@ SIDES = ("bottom", "right", "top", "left")
 #: Tolerance for matching electrode interval endpoints to grid nodes.
 ALIGN_TOL = 1e-12
 
+
+class ParameterError(ValueError):
+    """An invalid value of one parameter; ``name`` names it, e.g. ``[1].z``."""
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        super().__init__(message)
+
+
 # Constant basis-function gradients, times h, in local vertex order.
 # Lower triangles list vertices (SW, SE, NW); upper triangles (NE, SE, NW).
 _LOWER_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -114,8 +123,6 @@ class Electrode:
     def __post_init__(self):
         if len(self.edge_ids) == 0:
             raise ValueError("electrode has no edges (zero surface measure)")
-        if not self.impedance > 0.0:
-            raise ValueError(f"impedance must be positive, got {self.impedance}")
 
     def nodes(self) -> np.ndarray:
         return np.unique(self.edges)
@@ -123,7 +130,8 @@ class Electrode:
 
 @dataclass(frozen=True)
 class ElectrodeSetup:
-    """The full electrode configuration; holds N+1 disjoint electrodes."""
+    """The full electrode configuration; holds N+1 disjoint electrodes, each
+    with a positive contact impedance."""
 
     electrodes: tuple[Electrode, ...]
 
@@ -132,9 +140,13 @@ class ElectrodeSetup:
             raise ValueError("at least two electrodes are required")
         seen: set[int] = set()
         for k, e in enumerate(self.electrodes):
+            if not e.impedance > 0.0:
+                raise ParameterError(
+                    f"[{k}].z", f"electrode {k}: impedance must be positive, got {e.impedance}")
             ids = set(int(i) for i in e.edge_ids)
             if seen & ids:
-                raise ValueError(f"electrode {k} shares boundary edges with another electrode")
+                raise ParameterError(f"[{k}].interval",
+                                     f"electrode {k} shares boundary edges with another electrode")
             seen |= ids
 
     @property
@@ -290,8 +302,10 @@ def locate_electrodes(
 
     Raises
     ------
-    ValueError
-        On misaligned endpoints, overlapping spans, or non-positive
+    ParameterError
+        Named ``[k].side``, ``[k].interval`` or ``[k].z`` for electrode
+        ``k``: an unknown side, an interval that is empty, leaves [0, 1],
+        misses the grid or overlaps an earlier one, or a non-positive
         impedance.
     """
     impedances = list(impedances)
@@ -303,17 +317,17 @@ def locate_electrodes(
     electrodes = []
     for k, ((side, (lo, hi)), z) in enumerate(zip(side_spans, impedances)):
         if side not in SIDES:
-            raise ValueError(f"electrode {k}: unknown side tag {side!r}")
+            raise ParameterError(f"[{k}].side", f"electrode {k}: unknown side tag {side!r}")
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ParameterError(
+                f"[{k}].interval",
+                f"electrode {k}: interval ({lo}, {hi}) is empty or leaves [0, 1]")
         i_lo, i_hi = round(lo / h), round(hi / h)
-        if abs(lo - i_lo * h) > ALIGN_TOL or abs(hi - i_hi * h) > ALIGN_TOL:
-            raise ValueError(
+        if abs(lo - i_lo * h) > ALIGN_TOL or abs(hi - i_hi * h) > ALIGN_TOL or i_lo == i_hi:
+            raise ParameterError(
+                f"[{k}].interval",
                 f"electrode {k}: interval ({lo}, {hi}) does not align with the "
-                f"grid of spacing {h}"
-            )
-        if not 0 <= i_lo < i_hi <= mesh.side_nodes - 1:
-            raise ValueError(
-                f"electrode {k}: interval ({lo}, {hi}) is empty or leaves [0, 1]"
-            )
+                f"grid of spacing {h}")
         edge_ids = mesh.edges_on_side(side)[i_lo:i_hi]
         electrodes.append(
             Electrode(

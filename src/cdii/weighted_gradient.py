@@ -30,7 +30,7 @@ from .fem_cem import (
     _edge_square_integral,
     solve_forward,
 )
-from .mesh import ElectrodeSetup, Mesh, triangle_gradients
+from .mesh import ElectrodeSetup, Mesh, ParameterError, triangle_gradients
 
 #: Gradient magnitudes below this floor are treated as degenerate in the
 #: conductivity update; the clamp bounds the result anyway.
@@ -75,13 +75,14 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+            raise ParameterError("epsilon", f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            raise ParameterError("delta", f"delta must be positive, got {self.delta}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+            raise ParameterError("max_iter", f"max_iter must be at least 1, got {self.max_iter}")
         if not self.solver_tol > 0.0:
-            raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
+            raise ParameterError("solver_tol",
+                                 f"solver_tol must be positive, got {self.solver_tol}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdii.cli import main
+from cdii.cli import _build_problem, main
+from cdii.config import ConfigError, config_from_mapping
 from cdii.csvio import (
     read_convergence,
     read_field,
@@ -119,6 +123,72 @@ def test_overlapping_electrodes_rejected(tmp_path, capsys):
     assert "electrodes[1].interval" in capsys.readouterr().err
 
 
+# Each rule is checked once, in config parsing or in a domain constructor;
+# every command reports it as exit 2 under the key that was set.
+INVALID_VALUES = {
+    "side_nodes=1": ({"mesh.side_nodes": "1"}, "mesh.side_nodes"),
+    "side-diag": ({"electrodes[1].side": "diag"}, "electrodes[1].side"),
+    "interval-reversed": ({"electrodes[0].interval": "1,0"}, "electrodes[0].interval"),
+    "interval-outside": ({"electrodes[0].interval": "0,2"}, "electrodes[0].interval"),
+    "interval-misaligned": ({"electrodes[0].interval": "0,0.7334"}, "electrodes[0].interval"),
+    "overlap": ({"electrodes[1].side": "bottom"}, "electrodes[1].interval"),
+    "z=0": ({"electrodes[1].z": "0"}, "electrodes[1].z"),
+    "z=-1": ({"electrodes[0].z": "-1"}, "electrodes[0].z"),
+    "unbalanced": ({"currents": "-0.001,0.003"}, "currents"),
+    "three-currents": ({"currents": "-0.003,0.001,0.002"}, "currents"),
+    "epsilon": ({"recon.epsilon": "1.5"}, "recon.epsilon"),
+    "delta": ({"recon.delta": "0"}, "recon.delta"),
+    "max_iter": ({"recon.max_iter": "0"}, "recon.max_iter"),
+    "solver_tol": ({"recon.solver_tol": "-1e-10"}, "recon.solver_tol"),
+    "gamma-diag": ({"gamma.side": "diag"}, "gamma.side"),
+    "amplitude": ({"phantom.amplitude": "-0.1"}, "phantom.amplitude"),
+    "width": ({"phantom.width": "0"}, "phantom.width"),
+    "noise": ({"noise.level": "-0.01"}, "noise.level"),
+}
+COMMANDS = ("forward", "simulate", "reconstruct", "calibrate", "pipeline")
+
+
+@pytest.fixture(scope="module")
+def valid_outputs(tmp_path_factory):
+    """Outputs of a valid pipeline run, so that a check reached only after
+    the files are read would show as a different exit."""
+    tmp = tmp_path_factory.mktemp("valid")
+    assert run(["pipeline", "--config", str(write_config(tmp / "run.cfg", tmp / "out"))]) == 0
+    return tmp / "out"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("overrides,key", INVALID_VALUES.values(), ids=INVALID_VALUES.keys())
+def test_invalid_value_exits_2_naming_key(tmp_path, capsys, valid_outputs,
+                                          overrides, key, command):
+    shutil.copytree(valid_outputs, tmp_path / "out")
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", **overrides)
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {key}: ")
+
+
+OUT_OF_RANGE = {
+    "recon.epsilon": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(np.nan),
+    "recon.delta": st.floats(max_value=0.0) | st.just(np.nan),
+    "recon.max_iter": st.integers(max_value=0),
+    "recon.solver_tol": st.floats(max_value=0.0) | st.just(np.nan),
+    "electrodes[0].z": st.floats(max_value=0.0) | st.just(np.nan),
+    "electrodes[1].z": st.floats(max_value=0.0) | st.just(np.nan),
+}
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
+    lambda key: st.tuples(st.just(key), OUT_OF_RANGE[key])))
+def test_out_of_range_value_raises_under_its_key(key_value):
+    key, value = key_value
+    cfg = config_from_mapping({**BASE, key: repr(value)})
+    with pytest.raises(ConfigError) as err:
+        _build_problem(cfg)
+    assert err.value.key == key
+
+
 def test_solver_failure_exits_3_without_traceback(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
                        **{"recon.solver_tol": "1e-30"})
@@ -168,6 +238,55 @@ def test_calibrate_malformed_field_exits_2_naming_line(tmp_path, capsys):
     assert run(["calibrate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{v_path}:9: " in err
+
+
+def _set_row(name, index, row):
+    def edit(out):
+        lines = (out / name).read_text().splitlines()
+        lines[index] = row
+        (out / name).write_text("\n".join(lines) + "\n")
+    return edit
+
+
+def _keep_rows(name, count):
+    def edit(out):
+        lines = (out / name).read_text().splitlines()
+        (out / name).write_text("\n".join(lines[:1 + count]) + "\n")
+    return edit
+
+
+def _flat_trace(out):
+    lines = (out / "trace.csv").read_text().splitlines()
+    rows = [line.split(",")[0] + ",0.5" for line in lines[1:]]
+    (out / "trace.csv").write_text("\n".join([lines[0], *rows]) + "\n")
+
+
+# A corrupted stage file is a configuration error naming that file.  On the
+# 12x12 mesh node 5 lies on the bottom electrode and node 25 inside.
+CALIBRATE_INPUTS = {
+    "trace-token": (_set_row("trace.csv", 2, "30,abc"), "trace.csv:3: "),
+    "trace-node-on-electrode": (_set_row("trace.csv", 2, "5,0.1"), "trace.csv: "),
+    "trace-node-interior": (_set_row("trace.csv", 2, "25,0.1"), "trace.csv: "),
+    "trace-flat": (_flat_trace, "trace.csv: "),
+    "trace-one-row": (_keep_rows("trace.csv", 1), "trace.csv: "),
+    "v-short": (_keep_rows("v.csv", 99), "v.csv: "),
+    "V-one-row": (_keep_rows("V.csv", 1), "V.csv: "),
+    "sigma_v-negative": (_set_row("sigma_v.csv", 4, "3,-0.5"), "sigma_v.csv: "),
+    "sigma_v-short": (_keep_rows("sigma_v.csv", 100), "sigma_v.csv: "),
+}
+
+
+@pytest.mark.parametrize("edit,named", CALIBRATE_INPUTS.values(), ids=CALIBRATE_INPUTS.keys())
+def test_calibrate_bad_input_file_exits_2_naming_file(tmp_path, capsys, valid_outputs,
+                                                     edit, named):
+    out = tmp_path / "out"
+    shutil.copytree(valid_outputs, out)
+    edit(out)
+    cfg = write_config(tmp_path / "run.cfg", out)
+    assert run(["calibrate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: ") and f"{out}/{named}" in err
 
 
 # ----------------------------------------------------------------- metrics

@@ -16,6 +16,7 @@ from cdii.csvio import (
     read_convergence,
     read_field,
     read_metrics,
+    read_trace,
     write_convergence,
     write_field,
     write_mesh_csv,
@@ -190,6 +191,22 @@ def test_malformed_row_names_file_and_line(tmp_path, row, reason):
     with pytest.raises(ValueError) as err:
         read_field(path)
     assert str(err.value) == f"{path}:6: {reason}"
+
+
+@pytest.mark.parametrize("row,reason", [
+    ("30,abc", "cannot parse 'abc' as float"),
+    ("x,0.5", "cannot parse 'x' as float"),
+    ("30", "1 columns, expected 2"),
+    ("30,0.5,1", "3 columns, expected 2"),
+], ids=["token", "word-key", "short", "long"])
+def test_malformed_trace_row_names_file_and_line(tmp_path, row, reason):
+    path = tmp_path / "trace.csv"
+    path.write_text(PREFIX + row + "\n3,4.5\n")
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == f"{path}:6: {reason}"
+    path.write_text(PREFIX + "0.25,3.5\n")
+    assert read_trace(path) == [("0", 1.5), ("1", 2.5), ("0.25", 3.5)]
 
 
 def test_data_line_skips_blank_and_comment_lines(tmp_path):
