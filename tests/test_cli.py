@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdii.cli import _build_problem, main
-from cdii.config import ConfigError, config_from_mapping
+from cdii.config import ConfigError, PipelineConfig, config_from_mapping
 from cdii.csvio import (
     read_convergence,
     read_field,
@@ -13,7 +13,9 @@ from cdii.csvio import (
     write_field,
     write_mesh_csv,
 )
+from cdii.fem_cem import DEFAULT_SOLVER_TOL
 from cdii.mesh import build_uniform_mesh
+from cdii.weighted_gradient import ReconstructionConfig
 
 
 BASE = {
@@ -187,6 +189,71 @@ def test_out_of_range_value_raises_under_its_key(key_value):
     with pytest.raises(ConfigError) as err:
         _build_problem(cfg)
     assert err.value.key == key
+
+
+def _without(*keys):
+    return {k: v for k, v in BASE.items() if k not in keys}
+
+
+# One fault each: the key and the message of the ConfigError the parser raises.
+PARSE_FAULTS = {
+    "side_nodes-token": ({**BASE, "mesh.side_nodes": "abc"},
+                         "mesh.side_nodes", "expected an integer, got 'abc'"),
+    "side_nodes-float": ({**BASE, "mesh.side_nodes": "12.0"},
+                         "mesh.side_nodes", "expected an integer, got '12.0'"),
+    "side_nodes-missing": (_without("mesh.side_nodes"), "mesh.side_nodes", "missing required key"),
+    "currents-missing": (_without("currents"), "currents", "missing required key"),
+    "z-missing": (_without("electrodes[1].z"), "electrodes[1].z", "missing required key"),
+    "one-electrode": ({**_without("electrodes[1].side", "electrodes[1].interval",
+                                  "electrodes[1].z"), "currents": "0"},
+                      "electrodes[0].side", "at least two electrodes are required"),
+    "stray-electrode": ({**BASE, "electrodes[3].z": "0.01"}, "electrodes[3].z", "unknown key"),
+    "interval-one-value": ({**BASE, "electrodes[0].interval": "0"},
+                           "electrodes[0].interval", "expected 2 values, got 1"),
+    "interval-three-values": ({**BASE, "electrodes[0].interval": "0,0.5,1"},
+                              "electrodes[0].interval", "expected 2 values, got 3"),
+    "interval-token": ({**BASE, "electrodes[0].interval": "0,x"}, "electrodes[0].interval",
+                       "expected comma-separated numbers, got '0,x'"),
+    "z-token": ({**BASE, "electrodes[1].z": "small"},
+                "electrodes[1].z", "expected a number, got 'small'"),
+    "currents-token": ({**BASE, "currents": "-1,one"},
+                       "currents", "expected comma-separated numbers, got '-1,one'"),
+    "epsilon-token": ({**BASE, "recon.epsilon": "tenth"},
+                      "recon.epsilon", "expected a number, got 'tenth'"),
+    "amplitude-token": ({**BASE, "phantom.amplitude": "high"},
+                        "phantom.amplitude", "expected a number, got 'high'"),
+    "seed-token": ({**BASE, "noise.seed": "s"}, "noise.seed", "expected an integer, got 's'"),
+    "max_iter-fraction": ({**BASE, "recon.max_iter": "1.5"},
+                          "recon.max_iter", "expected an integer, got '1.5'"),
+    "center-one-value": ({**BASE, "phantom.center": "0.5"},
+                         "phantom.center", "expected 2 values, got 1"),
+    "center-token": ({**BASE, "phantom.center": "mid,mid"},
+                     "phantom.center", "expected comma-separated numbers, got 'mid,mid'"),
+    "amplitude-negative": ({**BASE, "phantom.amplitude": "-0.1"},
+                           "phantom.amplitude", "must be nonnegative, got -0.1"),
+    "noise-negative": ({**BASE, "noise.level": "-0.01"},
+                       "noise.level", "must be nonnegative, got -0.01"),
+    "width-zero": ({**BASE, "phantom.width": "0"}, "phantom.width", "must be positive, got 0.0"),
+    "output-empty": ({**BASE, "output.dir": ""}, "output.dir", "must not be empty"),
+    "two-unknown": ({**BASE, "zeta.x": "1", "alpha.y": "2"}, "alpha.y", "unknown key"),
+}
+
+
+@pytest.mark.parametrize("mapping,key,message", PARSE_FAULTS.values(), ids=PARSE_FAULTS.keys())
+def test_config_fault_names_key_and_reason(mapping, key, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_mapping(mapping)
+    assert err.value.key == key
+    assert str(err.value) == f"{key}: {message}"
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    required = ("side_nodes", "electrodes", "currents")
+    cfg = config_from_mapping(_without("recon.epsilon", "recon.delta"))
+    defaults = PipelineConfig(**{name: getattr(cfg, name) for name in required})
+    assert cfg == defaults
+    assert cfg.solver_tol == DEFAULT_SOLVER_TOL
+    assert cfg.max_iter == ReconstructionConfig.max_iter
 
 
 def test_solver_failure_exits_3_without_traceback(tmp_path, capsys):
