@@ -189,8 +189,15 @@ def _write_reconstruction(out: Path, result: ReconstructionResult) -> None:
 
 
 def _reconstruct(rc: ReconstructionConfig, mesh: Mesh, setup, currents,
-                 data: InteriorData) -> ReconstructionResult:
-    result = reconstruct(mesh, data, setup, currents, rc)
+                 data: InteriorData, a_path: Path) -> ReconstructionResult:
+    """Reconstruct from ``data``, read from or written to ``a_path``; data
+    that is not bounded away from zero is an error naming the file and the
+    line of its first minimal value."""
+    try:
+        result = reconstruct(mesh, data, setup, currents, rc)
+    except ValueError as exc:
+        line = data_line(a_path, int(np.argmin(data.values)))
+        raise ConfigError("output.dir", f"{a_path}:{line}: {exc}") from None
     if result.converged:
         log.info("reconstruction converged in %d iterations", result.iterations)
     else:
@@ -215,7 +222,7 @@ def cmd_reconstruct(cfg: PipelineConfig) -> int:
     except ValueError as exc:
         line = data_line(a_path, InteriorData.first_invalid(a_values))
         raise ConfigError("output.dir", f"{a_path}:{line}: {exc}") from None
-    result = _reconstruct(rc, mesh, setup, currents, data)
+    result = _reconstruct(rc, mesh, setup, currents, data, a_path)
     _write_reconstruction(out, result)
     return 0 if result.converged else 4
 
@@ -282,6 +289,9 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
         grad_v = triangle_gradients(mesh, v)
     with _keyed(str(V_path)):
         solution = ForwardSolution(u=v, U=V, grad_u=grad_v)
+    if len(V) != setup.count:
+        raise ConfigError(str(V_path), f"holds {len(V)} voltages, the setup has "
+                          f"{setup.count} electrodes")
     result = ReconstructionResult(sigma_v=sigma_v, solution=solution, log=[],
                                   converged=True, iterations=0)
     with _keyed(str(trace_path)):
@@ -301,7 +311,7 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
     write_field(out / "a.csv", "a", "A/m^2", "triangle", data.values)
     write_trace(out / "trace.csv", trace.node_ids, trace.values)
 
-    result = _reconstruct(rc, mesh, setup, currents, data)
+    result = _reconstruct(rc, mesh, setup, currents, data, out / "a.csv")
     _write_reconstruction(out, result)
 
     phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))

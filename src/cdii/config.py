@@ -4,15 +4,19 @@ The format is one ``key=value`` per line with dotted section prefixes,
 e.g. ``mesh.side_nodes=90``; blank lines and lines starting with ``#`` are
 ignored.  Electrodes are indexed: ``electrodes[0].side``,
 ``electrodes[0].interval`` (two comma-separated coordinates), and
-``electrodes[0].z``.  Errors name the offending key.  Value ranges are
-checked by the domain constructors (the CLI names the key), except the
-phantom, noise and output ones, which not every command would reach.
+``electrodes[0].z``.  ``PipelineConfig`` is the schema: each field names
+its key, and its annotation and default are the value's type and default.
+``mesh.side_nodes``, ``currents`` and two or more electrodes are required.
+Errors name the offending key.  Value ranges are checked by the domain
+constructors (the CLI names the key), except the phantom, noise and output
+ones, which not every command would reach.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+
+from .fem_cem import DEFAULT_SOLVER_TOL
+from .weighted_gradient import ReconstructionConfig
 
 
 class ConfigError(Exception):
@@ -31,22 +35,26 @@ class ElectrodeSpec:
     z: float
 
 
+def _key(key: str, default=MISSING):
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    side_nodes: int
-    electrodes: tuple[ElectrodeSpec, ...]
-    currents: tuple[float, ...]
-    epsilon: float = 0.1
-    delta: float = 1e-7
-    max_iter: int = 1000
-    solver_tol: float = 1e-10
-    phantom_center: tuple[float, float] = (0.5, 0.5)
-    phantom_amplitude: float = 0.0
-    phantom_width: float = 0.02
-    gamma_side: str = "right"
-    noise_level: float = 0.0
-    noise_seed: int = 0
-    output_dir: str = "out"
+    side_nodes: int = _key("mesh.side_nodes")
+    electrodes: tuple[ElectrodeSpec, ...]  # keys electrodes[k].side, .interval and .z
+    currents: tuple[float, ...] = _key("currents")
+    epsilon: float = _key("recon.epsilon", 0.1)
+    delta: float = _key("recon.delta", 1e-7)
+    max_iter: int = _key("recon.max_iter", ReconstructionConfig.max_iter)
+    solver_tol: float = _key("recon.solver_tol", DEFAULT_SOLVER_TOL)
+    phantom_center: tuple[float, float] = _key("phantom.center", (0.5, 0.5))
+    phantom_amplitude: float = _key("phantom.amplitude", 0.0)
+    phantom_width: float = _key("phantom.width", 0.02)
+    gamma_side: str = _key("gamma.side", "right")
+    noise_level: float = _key("noise.level", 0.0)
+    noise_seed: int = _key("noise.seed", 0)
+    output_dir: str = _key("output.dir", "out")
 
 
 def _parse_lines(text: str, source: str) -> dict[str, str]:
@@ -65,62 +73,45 @@ def _parse_lines(text: str, source: str) -> dict[str, str]:
     return mapping
 
 
-def _take_int(mapping, key, default=None):
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(","))
+
+
+def _pair(raw: str) -> tuple[float, ...]:
+    return _floats(raw)  # _take checks the count
+
+
+# The parser of each field annotation, and what its error says was expected.
+# Keyed by the annotation objects, so this module does not postpone annotations.
+_PARSERS = {int: int, float: float, str: str,
+            tuple[float, ...]: _floats, tuple[float, float]: _pair}
+_EXPECTED = {int: "an integer", float: "a number",
+             _floats: "comma-separated numbers", _pair: "comma-separated numbers"}
+
+
+def _take(mapping, key, parse, default=MISSING):
+    """Pop ``key`` and parse its value; ``default`` if absent, unless required."""
     if key not in mapping:
-        if default is None:
+        if default is MISSING:
             raise ConfigError(key, "missing required key")
         return default
     raw = mapping.pop(key)
     try:
-        return int(raw)
+        value = parse(raw)
     except ValueError:
-        raise ConfigError(key, f"expected an integer, got {raw!r}") from None
-
-
-def _take_float(mapping, key, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(key, "missing required key")
-        return default
-    raw = mapping.pop(key)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {raw!r}") from None
-
-
-def _take_floats(mapping, key, count=None, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(key, "missing required key")
-        return default
-    raw = mapping.pop(key)
-    try:
-        values = tuple(float(tok) for tok in raw.split(","))
-    except ValueError:
-        raise ConfigError(key, f"expected comma-separated numbers, got {raw!r}") from None
-    if count is not None and len(values) != count:
-        raise ConfigError(key, f"expected {count} values, got {len(values)}")
-    return values
-
-
-def _take_str(mapping, key, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(key, "missing required key")
-        return default
-    return mapping.pop(key)
+        raise ConfigError(key, f"expected {_EXPECTED[parse]}, got {raw!r}") from None
+    if parse is _pair and len(value) != 2:
+        raise ConfigError(key, f"expected 2 values, got {len(value)}")
+    return value
 
 
 def _take_electrodes(mapping) -> tuple[ElectrodeSpec, ...]:
     specs = []
     k = 0
-    while f"electrodes[{k}].side" in mapping or f"electrodes[{k}].interval" in mapping \
-            or f"electrodes[{k}].z" in mapping:
-        side = _take_str(mapping, f"electrodes[{k}].side")
-        lo, hi = _take_floats(mapping, f"electrodes[{k}].interval", count=2)
-        z = _take_float(mapping, f"electrodes[{k}].z")
-        specs.append(ElectrodeSpec(side=side, lo=lo, hi=hi, z=z))
+    while any(f"electrodes[{k}].{part}" in mapping for part in ("side", "interval", "z")):
+        specs.append(ElectrodeSpec(_take(mapping, f"electrodes[{k}].side", str),
+                                   *_take(mapping, f"electrodes[{k}].interval", _pair),
+                                   _take(mapping, f"electrodes[{k}].z", float)))
         k += 1
     if len(specs) < 2:
         raise ConfigError("electrodes[0].side",
@@ -138,57 +129,26 @@ def load_config(path) -> PipelineConfig:
 
 
 def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
+    """Parse every ``PipelineConfig`` field, in field order, from its key."""
     mapping = dict(mapping)
+    cfg = PipelineConfig(**{
+        f.name: (_take(mapping, f.metadata["key"], _PARSERS[f.type], f.default)
+                 if f.metadata else _take_electrodes(mapping))
+        for f in fields(PipelineConfig)})
 
-    side_nodes = _take_int(mapping, "mesh.side_nodes")
-    electrodes = _take_electrodes(mapping)
-
-    currents = _take_floats(mapping, "currents")
-    if len(currents) != len(electrodes):
+    if len(cfg.currents) != len(cfg.electrodes):
         raise ConfigError("currents",
-                          f"{len(currents)} currents for {len(electrodes)} electrodes")
-
-    epsilon = _take_float(mapping, "recon.epsilon", default=0.1)
-    delta = _take_float(mapping, "recon.delta", default=1e-7)
-    max_iter = _take_int(mapping, "recon.max_iter", default=1000)
-    solver_tol = _take_float(mapping, "recon.solver_tol", default=1e-10)
-
-    center = _take_floats(mapping, "phantom.center", count=2, default=(0.5, 0.5))
-    amplitude = _take_float(mapping, "phantom.amplitude", default=0.0)
-    if amplitude < 0.0:
-        raise ConfigError("phantom.amplitude", f"must be nonnegative, got {amplitude}")
-    width = _take_float(mapping, "phantom.width", default=0.02)
-    if not width > 0.0:
-        raise ConfigError("phantom.width", f"must be positive, got {width}")
-
-    gamma_side = _take_str(mapping, "gamma.side", default="right")
-
-    noise_level = _take_float(mapping, "noise.level", default=0.0)
-    if noise_level < 0.0:
-        raise ConfigError("noise.level", f"must be nonnegative, got {noise_level}")
-    noise_seed = _take_int(mapping, "noise.seed", default=0)
-
-    output_dir = _take_str(mapping, "output.dir", default="out")
-    if not output_dir:
+                          f"{len(cfg.currents)} currents for {len(cfg.electrodes)} electrodes")
+    if cfg.phantom_amplitude < 0.0:
+        raise ConfigError("phantom.amplitude",
+                          f"must be nonnegative, got {cfg.phantom_amplitude}")
+    if not cfg.phantom_width > 0.0:
+        raise ConfigError("phantom.width", f"must be positive, got {cfg.phantom_width}")
+    if cfg.noise_level < 0.0:
+        raise ConfigError("noise.level", f"must be nonnegative, got {cfg.noise_level}")
+    if not cfg.output_dir:
         raise ConfigError("output.dir", "must not be empty")
 
     if mapping:
-        key = sorted(mapping)[0]
-        raise ConfigError(key, "unknown key")
-
-    return PipelineConfig(
-        side_nodes=side_nodes,
-        electrodes=electrodes,
-        currents=currents,
-        epsilon=epsilon,
-        delta=delta,
-        max_iter=max_iter,
-        solver_tol=solver_tol,
-        phantom_center=(center[0], center[1]),
-        phantom_amplitude=amplitude,
-        phantom_width=width,
-        gamma_side=gamma_side,
-        noise_level=noise_level,
-        noise_seed=noise_seed,
-        output_dir=output_dir,
-    )
+        raise ConfigError(min(mapping), "unknown key")
+    return cfg

@@ -48,9 +48,9 @@ def _data_rows(text: str):
             yield lineno, line.split(",")
 
 
-def _malformed(path, text: str, parsers) -> ValueError | None:
-    """The error of the first row of ``text`` whose tokens ``parsers`` reject, if any."""
-    for line, tokens in _data_rows(text):
+def _malformed(path, rows, parsers) -> ValueError | None:
+    """The error of the first of ``rows`` whose tokens ``parsers`` reject, if any."""
+    for line, tokens in rows:
         if len(tokens) != len(parsers):
             return ValueError(f"{path}:{line}: {len(tokens)} columns, expected {len(parsers)}")
         for token, parse in zip(tokens, parsers):
@@ -80,7 +80,8 @@ def read_field(path) -> tuple[tuple[str, str, str], np.ndarray, np.ndarray]:
         table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
                            comments="#", ndmin=1)
     except ValueError as exc:
-        error = _malformed(path, text, [int] + [float] * k) or ValueError(f"{path}: {exc}")
+        error = (_malformed(path, _data_rows(text), [int] + [float] * k)
+                 or ValueError(f"{path}: {exc}"))
         raise error from None
     values = table["v"][:, 0] if k == 1 else table["v"]
     return header, np.ascontiguousarray(table["id"]), np.ascontiguousarray(values)
@@ -99,11 +100,11 @@ def read_trace(path) -> list[tuple[str, float]]:
     """Raw trace rows as (first-column token, value); the first column may
     hold a node id or a coordinate along the curve.  A row that is not two
     numbers raises ``ValueError`` naming the file and its 1-based line."""
-    text = Path(path).read_text()
-    error = _malformed(path, text, [float, float])
+    rows = list(_data_rows(Path(path).read_text()))
+    error = _malformed(path, rows, [float, float])
     if error:
         raise error
-    rows = [(first.strip(), float(second)) for _, (first, second) in _data_rows(text)]
+    rows = [(first.strip(), float(second)) for _, (first, second) in rows]
     if not rows:
         raise ValueError(f"trace file {path} holds no samples")
     return rows
@@ -120,9 +121,19 @@ def write_convergence(path, log) -> None:
                 [r.max_grad_diff for r in log], [r.wall_ms for r in log])
 
 
+def _read_table(path, parsers) -> list[tuple]:
+    """The rows after the header line, parsed column by column by ``parsers``.
+    A row that does not parse raises ``ValueError`` naming the file and its
+    1-based line."""
+    rows = list(islice(_data_rows(Path(path).read_text()), 1, None))
+    error = _malformed(path, rows, parsers)
+    if error:
+        raise error
+    return [tuple(parse(token) for parse, token in zip(parsers, tokens)) for _, tokens in rows]
+
+
 def read_convergence(path) -> list[tuple[int, float, float, float]]:
-    return [(int(it), float(obj), float(diff), float(ms))
-            for _, (it, obj, diff, ms) in islice(_data_rows(Path(path).read_text()), 1, None)]
+    return _read_table(path, [int, float, float, float])
 
 
 def write_metrics(path, rows: list[tuple[str, float]]) -> None:
@@ -133,8 +144,7 @@ def write_metrics(path, rows: list[tuple[str, float]]) -> None:
 
 
 def read_metrics(path) -> dict[str, float]:
-    return {name: float(value)
-            for _, (name, value) in islice(_data_rows(Path(path).read_text()), 1, None)}
+    return dict(_read_table(path, [str, float]))
 
 
 def write_mesh_csv(mesh: Mesh, nodes_path, triangles_path) -> None:

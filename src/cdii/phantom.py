@@ -10,6 +10,7 @@ from .calibration import BoundaryVoltageTrace, side_trace
 from .fem_cem import (
     ConductivityField,
     CurrentPattern,
+    DEFAULT_SOLVER_TOL,
     ForwardSolution,
     interior_current,
     solve_forward,
@@ -40,7 +41,7 @@ def gaussian_phantom(mesh: Mesh, center: tuple[float, float], amplitude: float,
 
 
 def simulate_data(mesh: Mesh, sigma_true: ConductivityField, setup: ElectrodeSetup,
-                  currents: CurrentPattern, solver_tol: float = 1e-10,
+                  currents: CurrentPattern, solver_tol: float = DEFAULT_SOLVER_TOL,
                   gamma_side: str = "right",
                   ) -> tuple[InteriorData, BoundaryVoltageTrace, ForwardSolution]:
     """Forward-solve a known conductivity and sample the measurements.

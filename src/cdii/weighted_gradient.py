@@ -22,6 +22,7 @@ from .fem_cem import (
     CemOperator,
     ConductivityField,
     CurrentPattern,
+    DEFAULT_SOLVER_TOL,
     ForwardSolution,
     SolverError,
     ZERO_SUM_TOL,
@@ -71,7 +72,7 @@ class ReconstructionConfig:
     epsilon: float
     delta: float
     max_iter: int = 1000
-    solver_tol: float = 1e-10
+    solver_tol: float = DEFAULT_SOLVER_TOL
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:

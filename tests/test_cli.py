@@ -278,6 +278,7 @@ MALFORMED_ROWS = {
     "inf": "3,inf",
     "negative": "3,-0.5",
     "fractional-id": "3.5,0.001",
+    "zero": "3,0",
 }
 
 
@@ -294,6 +295,16 @@ def test_reconstruct_malformed_data_exits_2_naming_line(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: ") and f"{a_path}:5: " in err
+
+
+def test_pipeline_zero_data_exits_2_naming_line(tmp_path, capsys):
+    # Zero currents give zero interior data: forward runs, reconstruction
+    # cannot, and the error names the a.csv the pipeline just wrote.
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", currents="0,0")
+    assert run(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: ") and f"{tmp_path / 'out' / 'a.csv'}:2: " in err
 
 
 def test_calibrate_malformed_field_exits_2_naming_line(tmp_path, capsys):
@@ -338,6 +349,8 @@ CALIBRATE_INPUTS = {
     "trace-one-row": (_keep_rows("trace.csv", 1), "trace.csv: "),
     "v-short": (_keep_rows("v.csv", 99), "v.csv: "),
     "V-one-row": (_keep_rows("V.csv", 1), "V.csv: "),
+    "V-three-voltages": (lambda out: write_field(out / "V.csv", "V", "V", "electrode",
+                                                 [-1.0, 0.5, 0.5]), "V.csv: "),
     "sigma_v-negative": (_set_row("sigma_v.csv", 4, "3,-0.5"), "sigma_v.csv: "),
     "sigma_v-short": (_keep_rows("sigma_v.csv", 100), "sigma_v.csv: "),
 }

@@ -209,6 +209,26 @@ def test_malformed_trace_row_names_file_and_line(tmp_path, row, reason):
     assert read_trace(path) == [("0", 1.5), ("1", 2.5), ("0.25", 3.5)]
 
 
+CONVERGENCE = "iteration,objective,max_grad_diff,wall_time_ms\n0,1.5,nan,2\n"
+METRICS = "metric,value\nrelative_l2,0.1\n"
+
+
+@pytest.mark.parametrize("read,prefix,row,reason", [
+    (read_convergence, CONVERGENCE, "1,x,y,z", "cannot parse 'x' as float"),
+    (read_convergence, CONVERGENCE, "1.5,1,1,1", "cannot parse '1.5' as int"),
+    (read_convergence, CONVERGENCE, "1", "1 columns, expected 4"),
+    (read_metrics, METRICS, "absolute_l2,abc", "cannot parse 'abc' as float"),
+    (read_metrics, METRICS, "absolute_l2", "1 columns, expected 2"),
+], ids=["convergence-token", "convergence-fractional", "convergence-short",
+        "metrics-token", "metrics-short"])
+def test_malformed_table_row_names_file_and_line(tmp_path, read, prefix, row, reason):
+    path = tmp_path / "table.csv"
+    path.write_text(prefix + row + "\n")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == f"{path}:3: {reason}"
+
+
 def test_data_line_skips_blank_and_comment_lines(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text(PREFIX + "2,3.5\n")
