@@ -211,7 +211,4 @@ def apply_calibration(mesh: Mesh, recon: ReconstructionResult,
     vertex potential (the centroid value of the piecewise-linear solution).
     """
     v_cent = recon.solution.u[mesh.triangles].mean(axis=1)
-    slope = phi.derivative(v_cent)
-    if np.any(slope <= 0.0):  # cannot happen after repair; defensive
-        raise RuntimeError("calibration map has a non-positive slope")
-    return ConductivityField(recon.sigma_v.values / slope)
+    return ConductivityField(recon.sigma_v.values / phi.derivative(v_cent))

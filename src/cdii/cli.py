@@ -94,7 +94,8 @@ def _keyed(key: str):
 
 def _build_problem(cfg: PipelineConfig):
     """Every domain object the config describes, built before any solve so
-    that an invalid value fails each command alike."""
+    that an invalid value fails each command alike; the noise parameters
+    are checked by noising empty data."""
     with _keyed("mesh.side_nodes"):
         mesh = build_uniform_mesh(cfg.side_nodes)
     with _keyed("electrodes"):
@@ -107,28 +108,22 @@ def _build_problem(cfg: PipelineConfig):
                                   max_iter=cfg.max_iter, solver_tol=cfg.solver_tol)
     with _keyed("gamma.side"):
         gamma_edges = mesh.edges_on_side(cfg.gamma_side)
-    return mesh, setup, currents, rc, gamma_edges
-
-
-def _check_gamma(gamma_edges: np.ndarray, setup) -> None:
-    for k, e in enumerate(setup.electrodes):
-        if np.intersect1d(gamma_edges, e.edge_ids).size:
-            raise ConfigError(
-                "gamma.side",
-                f"measurement curve overlaps electrodes[{k}]; it must join "
-                "the electrodes without covering them",
-            )
+        for k, e in enumerate(setup.electrodes):
+            if np.intersect1d(gamma_edges, e.edge_ids).size:
+                raise ValueError(f"measurement curve overlaps electrodes[{k}]; it must "
+                                 "join the electrodes without covering them")
+    with _keyed("phantom."):
+        sigma_true = gaussian_phantom(mesh, cfg.phantom_center, cfg.phantom_amplitude,
+                                      cfg.phantom_width)
+    with _keyed("noise."):
+        add_noise(InteriorData(np.empty(0)), cfg.noise_level, cfg.noise_seed)
+    return mesh, setup, currents, rc, sigma_true
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _phantom(cfg: PipelineConfig, mesh: Mesh) -> ConductivityField:
-    return gaussian_phantom(mesh, cfg.phantom_center, cfg.phantom_amplitude,
-                            cfg.phantom_width)
 
 
 def _metric_rows(reference: np.ndarray, candidate: np.ndarray) -> list[tuple[str, float]]:
@@ -146,8 +141,7 @@ def _metric_rows(reference: np.ndarray, candidate: np.ndarray) -> list[tuple[str
 
 
 def cmd_forward(cfg: PipelineConfig) -> int:
-    mesh, setup, currents, _, _ = _build_problem(cfg)
-    sigma = _phantom(cfg, mesh)
+    mesh, setup, currents, _, sigma = _build_problem(cfg)
     sol = solve_forward(mesh, sigma, setup, currents, cfg.solver_tol)
     J, a = interior_current(mesh, sigma, sol)
     out = _out_dir(cfg)
@@ -160,19 +154,18 @@ def cmd_forward(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _simulate(cfg: PipelineConfig, mesh: Mesh, setup, currents):
-    sigma_true = _phantom(cfg, mesh)
+def _simulate(cfg: PipelineConfig, mesh: Mesh, setup, currents,
+              sigma_true: ConductivityField):
     data, trace, sol = simulate_data(mesh, sigma_true, setup, currents,
                                      cfg.solver_tol, cfg.gamma_side)
     data = add_noise(data, cfg.noise_level, cfg.noise_seed)
     del sol  # generating solution stays out of the reconstruction path
-    return sigma_true, data, trace
+    return data, trace
 
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
-    mesh, setup, currents, _, gamma_edges = _build_problem(cfg)
-    _check_gamma(gamma_edges, setup)
-    sigma_true, data, trace = _simulate(cfg, mesh, setup, currents)
+    mesh, setup, currents, _, sigma_true = _build_problem(cfg)
+    data, trace = _simulate(cfg, mesh, setup, currents, sigma_true)
     out = _out_dir(cfg)
     write_field(out / "sigma_true.csv", "sigma", "S/m", "triangle", sigma_true.values)
     write_field(out / "a.csv", "a", "A/m^2", "triangle", data.values)
@@ -266,8 +259,7 @@ def _calibrate(mesh: Mesh, result: ReconstructionResult, phi: PhiMap,
 
 
 def cmd_calibrate(cfg: PipelineConfig) -> int:
-    mesh, setup, _, _, gamma_edges = _build_problem(cfg)
-    _check_gamma(gamma_edges, setup)
+    mesh, setup, _, _, _ = _build_problem(cfg)
     out = _out_dir(cfg)
     sigma_path, v_path, V_path, trace_path = (
         out / name for name in ("sigma_v.csv", "v.csv", "V.csv", "trace.csv"))
@@ -302,11 +294,10 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
 
 
 def cmd_pipeline(cfg: PipelineConfig) -> int:
-    mesh, setup, currents, rc, gamma_edges = _build_problem(cfg)
-    _check_gamma(gamma_edges, setup)
+    mesh, setup, currents, rc, sigma_true = _build_problem(cfg)
     out = _out_dir(cfg)
 
-    sigma_true, data, trace = _simulate(cfg, mesh, setup, currents)
+    data, trace = _simulate(cfg, mesh, setup, currents, sigma_true)
     write_field(out / "sigma_true.csv", "sigma", "S/m", "triangle", sigma_true.values)
     write_field(out / "a.csv", "a", "A/m^2", "triangle", data.values)
     write_trace(out / "trace.csv", trace.node_ids, trace.values)

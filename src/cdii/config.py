@@ -8,8 +8,8 @@ ignored.  Electrodes are indexed: ``electrodes[0].side``,
 its key, and its annotation and default are the value's type and default.
 ``mesh.side_nodes``, ``currents`` and two or more electrodes are required.
 Errors name the offending key.  Value ranges are checked by the domain
-constructors (the CLI names the key), except the phantom, noise and output
-ones, which not every command would reach.
+constructors (the CLI names the key); only ``output.dir`` is checked here,
+as no constructor owns it.
 """
 
 from dataclasses import MISSING, dataclass, field, fields
@@ -139,13 +139,6 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
     if len(cfg.currents) != len(cfg.electrodes):
         raise ConfigError("currents",
                           f"{len(cfg.currents)} currents for {len(cfg.electrodes)} electrodes")
-    if cfg.phantom_amplitude < 0.0:
-        raise ConfigError("phantom.amplitude",
-                          f"must be nonnegative, got {cfg.phantom_amplitude}")
-    if not cfg.phantom_width > 0.0:
-        raise ConfigError("phantom.width", f"must be positive, got {cfg.phantom_width}")
-    if cfg.noise_level < 0.0:
-        raise ConfigError("noise.level", f"must be nonnegative, got {cfg.noise_level}")
     if not cfg.output_dir:
         raise ConfigError("output.dir", "must not be empty")
 

@@ -59,7 +59,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConductivityField:
-    """Piecewise-constant conductivity, one positive value per triangle (S/m)."""
+    """Piecewise-constant conductivity, one positive finite value per triangle (S/m)."""
 
     values: np.ndarray
 
@@ -67,8 +67,8 @@ class ConductivityField:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValueError("conductivity values must be a 1-d array")
-        if not np.all(v > 0.0):
-            raise ValueError("conductivity must be positive on every triangle")
+        if not np.all((v > 0.0) & (v < np.inf)):
+            raise ValueError("conductivity must be positive and finite on every triangle")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -343,7 +343,7 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     SolverError
         If the residual contract cannot be met.
     """
-    _check_problem(mesh, sigma, setup, currents)
+    _check_setup(mesh, setup, currents)  # operator.matrix checks sigma
     if operator is None:
         operator = CemOperator(mesh, setup)
     elif operator.mesh is not mesh or operator.setup is not setup:
@@ -432,8 +432,7 @@ def electrode_flux(mesh: Mesh, setup: ElectrodeSetup, solution: ForwardSolution,
 def interior_current(mesh: Mesh, sigma: ConductivityField,
                      solution: ForwardSolution) -> tuple[np.ndarray, np.ndarray]:
     """Per-triangle current density ``J = -sigma grad u`` and magnitude ``a``."""
-    if len(sigma.values) != mesh.triangle_count:
-        raise ValueError("conductivity does not match the mesh")
+    _check_sigma(mesh, sigma)
     if solution.grad_u.shape != (mesh.triangle_count, 2):
         raise ValueError("solution gradients do not match the mesh")
     J = -sigma.values[:, None] * solution.grad_u

@@ -44,6 +44,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _side_nodes(n: int, side: str) -> np.ndarray:
+    """Node ids along one side of an ``n``-square grid, by increasing coordinate."""
+    if side == "bottom":
+        return np.arange(n)
+    if side == "top":
+        return np.arange(n) + (n - 1) * n
+    if side == "left":
+        return np.arange(n) * n
+    if side == "right":
+        return np.arange(n) * n + (n - 1)
+    raise ValueError(f"unknown side tag {side!r}")
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Uniform right-triangle mesh of the unit square.
@@ -88,16 +101,7 @@ class Mesh:
 
     def nodes_on_side(self, side: str) -> np.ndarray:
         """Node ids along one side, ordered by increasing coordinate."""
-        n = self.side_nodes
-        if side == "bottom":
-            return np.arange(n)
-        if side == "top":
-            return np.arange(n) + (n - 1) * n
-        if side == "left":
-            return np.arange(n) * n
-        if side == "right":
-            return np.arange(n) * n + (n - 1)
-        raise ValueError(f"unknown side tag {side!r}")
+        return _side_nodes(self.side_nodes, side)
 
     def edges_on_side(self, side: str) -> np.ndarray:
         """Indices into ``boundary_edges`` of the edges on one side."""
@@ -192,14 +196,8 @@ def build_uniform_mesh(side_nodes: int) -> Mesh:
 
     runs = []
     tags = []
-    side_starts = {
-        "bottom": np.arange(n),
-        "right": np.arange(n) * n + (n - 1),
-        "top": np.arange(n) + (n - 1) * n,
-        "left": np.arange(n) * n,
-    }
     for side in SIDES:
-        s = side_starts[side]
+        s = _side_nodes(n, side)
         runs.append(np.column_stack([s[:-1], s[1:]]))
         tags.extend([side] * (n - 1))
     boundary_edges = np.vstack(runs)

@@ -15,7 +15,7 @@ from .fem_cem import (
     interior_current,
     solve_forward,
 )
-from .mesh import ElectrodeSetup, Mesh, centroids, triangle_gradients
+from .mesh import ElectrodeSetup, Mesh, ParameterError, centroids, triangle_gradients
 from .weighted_gradient import GRAD_FLOOR, InteriorData
 
 #: Noisy data is clamped from below at this floor.
@@ -30,11 +30,21 @@ def gaussian_phantom(mesh: Mesh, center: tuple[float, float], amplitude: float,
     """Unit background with a Gaussian bump: ``1 + A exp(-|x - c|^2 / w)``.
 
     With amplitude 0.8 the values span (1.0, 1.8] S/m.
+
+    Raises
+    ------
+    ParameterError
+        Named ``amplitude`` unless it is finite and nonnegative, ``width``
+        unless it is finite and positive, ``center`` unless it is two finite
+        coordinates.
     """
-    if amplitude < 0.0:
-        raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
-    if not width > 0.0:
-        raise ValueError(f"width must be positive, got {width}")
+    if not 0.0 <= amplitude < np.inf:
+        raise ParameterError("amplitude",
+                             f"amplitude must be finite and nonnegative, got {amplitude}")
+    if not 0.0 < width < np.inf:
+        raise ParameterError("width", f"width must be finite and positive, got {width}")
+    if len(center) != 2 or not np.all(np.isfinite(center)):
+        raise ParameterError("center", f"center must be two finite coordinates, got {center}")
     c = centroids(mesh)
     d2 = (c[:, 0] - center[0]) ** 2 + (c[:, 1] - center[1]) ** 2
     return ConductivityField(1.0 + amplitude * np.exp(-d2 / width))
@@ -111,9 +121,17 @@ def add_noise(data: InteriorData, level: float, seed: int) -> InteriorData:
 
     Uses numpy's PCG64 generator, so identical seeds give identical data on
     every platform.  Noisy values are clamped from below at ``NOISE_FLOOR``.
+
+    Raises
+    ------
+    ParameterError
+        Named ``level`` unless it is finite and nonnegative, ``seed`` if it
+        is negative; both are checked before the data is touched.
     """
-    if level < 0.0:
-        raise ValueError(f"noise level must be nonnegative, got {level}")
+    if not 0.0 <= level < np.inf:
+        raise ParameterError("level", f"noise level must be finite and nonnegative, got {level}")
+    if seed < 0:
+        raise ParameterError("seed", f"seed must be nonnegative, got {seed}")
     if level == 0.0:
         return InteriorData(data.values.copy())
     g = np.random.default_rng(seed).standard_normal(len(data.values))

@@ -179,9 +179,13 @@ def should_stop(grad_n: np.ndarray, grad_prev: np.ndarray, delta: float,
         raise ValueError("gradient fields have different shapes")
     if not essinf_a > 0.0:
         raise ValueError("essinf of the interior data must be positive")
-    diff = np.max(np.hypot(grad_n[:, 0] - grad_prev[:, 0],
-                           grad_n[:, 1] - grad_prev[:, 1]))
-    return bool(diff <= delta * epsilon / essinf_a)
+    return bool(_max_grad_change(grad_n, grad_prev) <= delta * epsilon / essinf_a)
+
+
+def _max_grad_change(grad_n: np.ndarray, grad_prev: np.ndarray) -> float:
+    """Sup over triangles of the Euclidean norm of the gradient change."""
+    return float(np.max(np.hypot(grad_n[:, 0] - grad_prev[:, 0],
+                                 grad_n[:, 1] - grad_prev[:, 1])))
 
 
 def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
@@ -190,10 +194,11 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
 
     Starts from unit conductivity, then repeats clamp-update and forward
     solve until the gradient change drops to ``delta * epsilon / essinf(a)``
-    or ``max_iter`` is reached.  Every forward solve shares one
-    ``CemOperator``, built before the first.  The per-iteration log records
-    the weighted-gradient objective, which is non-increasing along the
-    iteration up to solver residual.
+    (``should_stop``) or ``max_iter`` is reached.  Every forward solve
+    shares one ``CemOperator``, built before the first.  The per-iteration
+    log records the weighted-gradient objective, which is non-increasing
+    along the iteration up to solver residual, and the sup-norm of the
+    gradient change that ``should_stop`` tests.
 
     Raises
     ------
@@ -209,7 +214,6 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
             f"interior data must be bounded away from zero, min is {data.essinf:.3e}"
         )
     essinf_a = data.essinf
-    threshold = config.delta * config.epsilon / essinf_a
 
     t0 = time.perf_counter()
     operator = CemOperator(mesh, setup)
@@ -234,19 +238,16 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     for n in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         sigma_n = clamp_conductivity(data, sol.grad_u, config.epsilon)
-        new_sol = solve(sigma_n, n)
-        diff = float(np.max(np.hypot(new_sol.grad_u[:, 0] - sol.grad_u[:, 0],
-                                     new_sol.grad_u[:, 1] - sol.grad_u[:, 1])))
+        prev, sol = sol, solve(sigma_n, n)
         log.append(IterationRecord(
             iteration=n,
             objective=functional_value(mesh, data, setup, currents,
-                                       (new_sol.u, new_sol.U)),
-            max_grad_diff=diff,
+                                       (sol.u, sol.U)),
+            max_grad_diff=_max_grad_change(sol.grad_u, prev.grad_u),
             wall_ms=(time.perf_counter() - t0) * 1e3,
         ))
-        sol = new_sol
         iterations = n
-        if diff <= threshold:
+        if should_stop(sol.grad_u, prev.grad_u, config.delta, config.epsilon, essinf_a):
             converged = True
             break
 

@@ -125,8 +125,9 @@ def test_overlapping_electrodes_rejected(tmp_path, capsys):
     assert "electrodes[1].interval" in capsys.readouterr().err
 
 
-# Each rule is checked once, in config parsing or in a domain constructor;
-# every command reports it as exit 2 under the key that was set.
+# Each rule is checked once, in config parsing, in a domain constructor or,
+# for the measurement curve, in _build_problem; every command reports it as
+# exit 2 under the key that was set.
 INVALID_VALUES = {
     "side_nodes=1": ({"mesh.side_nodes": "1"}, "mesh.side_nodes"),
     "side-diag": ({"electrodes[1].side": "diag"}, "electrodes[1].side"),
@@ -143,9 +144,19 @@ INVALID_VALUES = {
     "max_iter": ({"recon.max_iter": "0"}, "recon.max_iter"),
     "solver_tol": ({"recon.solver_tol": "-1e-10"}, "recon.solver_tol"),
     "gamma-diag": ({"gamma.side": "diag"}, "gamma.side"),
+    "gamma-on-electrode": ({"gamma.side": "bottom"}, "gamma.side"),
     "amplitude": ({"phantom.amplitude": "-0.1"}, "phantom.amplitude"),
+    "amplitude-nan": ({"phantom.amplitude": "nan"}, "phantom.amplitude"),
+    "amplitude-inf": ({"phantom.amplitude": "inf"}, "phantom.amplitude"),
     "width": ({"phantom.width": "0"}, "phantom.width"),
+    "width-nan": ({"phantom.width": "nan"}, "phantom.width"),
+    "width-inf": ({"phantom.width": "inf"}, "phantom.width"),
+    "center-nan": ({"phantom.center": "nan,0.5"}, "phantom.center"),
+    "center-inf": ({"phantom.center": "inf,0.5"}, "phantom.center"),
     "noise": ({"noise.level": "-0.01"}, "noise.level"),
+    "noise-nan": ({"noise.level": "nan"}, "noise.level"),
+    "noise-inf": ({"noise.level": "inf"}, "noise.level"),
+    "seed-negative": ({"noise.seed": "-1"}, "noise.seed"),
 }
 COMMANDS = ("forward", "simulate", "reconstruct", "calibrate", "pipeline")
 
@@ -170,6 +181,7 @@ def test_invalid_value_exits_2_naming_key(tmp_path, capsys, valid_outputs,
     assert err.count("\n") == 1 and err.startswith(f"config error: {key}: ")
 
 
+NEGATIVE = st.floats(max_value=-np.finfo(float).smallest_subnormal)
 OUT_OF_RANGE = {
     "recon.epsilon": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(np.nan),
     "recon.delta": st.floats(max_value=0.0) | st.just(np.nan),
@@ -177,6 +189,10 @@ OUT_OF_RANGE = {
     "recon.solver_tol": st.floats(max_value=0.0) | st.just(np.nan),
     "electrodes[0].z": st.floats(max_value=0.0) | st.just(np.nan),
     "electrodes[1].z": st.floats(max_value=0.0) | st.just(np.nan),
+    "phantom.amplitude": NEGATIVE | st.sampled_from([np.nan, np.inf]),
+    "phantom.width": st.floats(max_value=0.0) | st.sampled_from([np.nan, np.inf]),
+    "noise.level": NEGATIVE | st.sampled_from([np.nan, np.inf]),
+    "noise.seed": st.integers(max_value=-1),
 }
 
 
@@ -229,11 +245,6 @@ PARSE_FAULTS = {
                          "phantom.center", "expected 2 values, got 1"),
     "center-token": ({**BASE, "phantom.center": "mid,mid"},
                      "phantom.center", "expected comma-separated numbers, got 'mid,mid'"),
-    "amplitude-negative": ({**BASE, "phantom.amplitude": "-0.1"},
-                           "phantom.amplitude", "must be nonnegative, got -0.1"),
-    "noise-negative": ({**BASE, "noise.level": "-0.01"},
-                       "noise.level", "must be nonnegative, got -0.01"),
-    "width-zero": ({**BASE, "phantom.width": "0"}, "phantom.width", "must be positive, got 0.0"),
     "output-empty": ({**BASE, "output.dir": ""}, "output.dir", "must not be empty"),
     "two-unknown": ({**BASE, "zeta.x": "1", "alpha.y": "2"}, "alpha.y", "unknown key"),
 }
@@ -243,6 +254,32 @@ PARSE_FAULTS = {
 def test_config_fault_names_key_and_reason(mapping, key, message):
     with pytest.raises(ConfigError) as err:
         config_from_mapping(mapping)
+    assert err.value.key == key
+    assert str(err.value) == f"{key}: {message}"
+
+
+# One fault each in a value the parser accepts: the key and the message of
+# the ConfigError _build_problem raises.
+RANGE_FAULTS = {
+    "amplitude-negative": ({"phantom.amplitude": "-0.1"}, "phantom.amplitude",
+                           "amplitude must be finite and nonnegative, got -0.1"),
+    "noise-negative": ({"noise.level": "-0.01"}, "noise.level",
+                       "noise level must be finite and nonnegative, got -0.01"),
+    "width-zero": ({"phantom.width": "0"}, "phantom.width",
+                   "width must be finite and positive, got 0.0"),
+    "center-inf": ({"phantom.center": "inf,0.5"}, "phantom.center",
+                   "center must be two finite coordinates, got (inf, 0.5)"),
+    "seed-negative": ({"noise.seed": "-1"}, "noise.seed", "seed must be nonnegative, got -1"),
+    "gamma-on-electrode": ({"gamma.side": "top"}, "gamma.side",
+                           "measurement curve overlaps electrodes[1]; it must join "
+                           "the electrodes without covering them"),
+}
+
+
+@pytest.mark.parametrize("overrides,key,message", RANGE_FAULTS.values(), ids=RANGE_FAULTS.keys())
+def test_range_fault_names_key_and_reason(overrides, key, message):
+    with pytest.raises(ConfigError) as err:
+        _build_problem(config_from_mapping({**BASE, **overrides}))
     assert err.value.key == key
     assert str(err.value) == f"{key}: {message}"
 
@@ -352,6 +389,7 @@ CALIBRATE_INPUTS = {
     "V-three-voltages": (lambda out: write_field(out / "V.csv", "V", "V", "electrode",
                                                  [-1.0, 0.5, 0.5]), "V.csv: "),
     "sigma_v-negative": (_set_row("sigma_v.csv", 4, "3,-0.5"), "sigma_v.csv: "),
+    "sigma_v-inf": (_set_row("sigma_v.csv", 4, "3,inf"), "sigma_v.csv: "),
     "sigma_v-short": (_keep_rows("sigma_v.csv", 100), "sigma_v.csv: "),
 }
 
@@ -512,6 +550,13 @@ def test_seed_override_changes_noise(tmp_path):
                  "--quiet"]) == 0
     _, _, a1 = read_field(tmp_path / "out" / "a.csv")
     assert not np.array_equal(a0, a1)
+
+
+def test_negative_seed_override_exits_2_naming_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", **{"noise.level": "0.01"})
+    assert main(["simulate", "--config", str(cfg), "--seed", "-5", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: noise.seed: seed must be nonnegative, got -5\n"
 
 
 def test_stepwise_matches_pipeline_and_hides_truth(tmp_path):

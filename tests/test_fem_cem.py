@@ -47,6 +47,8 @@ def test_conductivity_must_be_positive():
         ConductivityField(np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         ConductivityField(np.array([1.0, -2.0]))
+    with pytest.raises(ValueError, match="positive and finite"):
+        ConductivityField(np.array([1.0, np.inf]))
 
 
 def test_currents_must_sum_to_zero():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdii.fem_cem import ConductivityField, interior_current, solve_forward
-from cdii.mesh import build_uniform_mesh, centroids
+from cdii.mesh import ParameterError, build_uniform_mesh, centroids
 from cdii.phantom import (
     add_noise,
     gaussian_phantom,
@@ -29,10 +29,21 @@ def test_peak_value_and_range():
 
 def test_phantom_validation():
     mesh = build_uniform_mesh(4)
-    with pytest.raises(ValueError):
-        gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.0)
-    with pytest.raises(ValueError):
-        gaussian_phantom(mesh, (0.5, 0.5), -0.1, 0.02)
+    invalid = [
+        ("width", (0.5, 0.5), 0.8, 0.0),
+        ("width", (0.5, 0.5), 0.8, np.nan),
+        ("width", (0.5, 0.5), 0.8, np.inf),
+        ("amplitude", (0.5, 0.5), -0.1, 0.02),
+        ("amplitude", (0.5, 0.5), np.nan, 0.02),
+        ("amplitude", (0.5, 0.5), np.inf, 0.02),
+        ("center", (np.nan, 0.5), 0.8, 0.02),
+        ("center", (0.5, -np.inf), 0.8, 0.02),
+        ("center", (0.5,), 0.8, 0.02),
+    ]
+    for name, center, amplitude, width in invalid:
+        with pytest.raises(ParameterError) as err:
+            gaussian_phantom(mesh, center, amplitude, width)
+        assert err.value.name == name
 
 
 # ------------------------------------------------------------ simulate_data
@@ -174,3 +185,11 @@ def test_noise_floor():
 def test_noise_rejects_negative_level():
     with pytest.raises(ValueError):
         add_noise(InteriorData(np.array([1.0])), -0.1, seed=0)
+
+
+@pytest.mark.parametrize("name,level,seed", [("level", np.nan, 0), ("level", np.inf, 0),
+                                             ("seed", 0.01, -1), ("seed", 0.0, -1)])
+def test_noise_rejects_nonfinite_level_and_negative_seed(name, level, seed):
+    with pytest.raises(ParameterError) as err:
+        add_noise(InteriorData(np.array([1.0])), level, seed)
+    assert err.value.name == name

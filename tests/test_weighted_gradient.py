@@ -238,6 +238,34 @@ def test_reconstruct_phantom_descends_and_logs():
     assert np.all(result.sigma_v.values <= 10.0)
 
 
+def test_reconstruct_stop_agrees_with_should_stop():
+    # Data and currents scaled so that essinf(a) = 1: with epsilon = 1/4 the
+    # threshold delta * epsilon / essinf(a) is exact, so delta can make it
+    # equal the gradient change of iteration k, where the loop must stop,
+    # since equality stops, and not before.
+    mesh, setup, currents = two_electrode_case(16, 8.3e-3, 8.3e-3, 3e-3)
+    sigma_true = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.02)
+    simulated, _, _ = simulate_data(mesh, sigma_true, setup, currents)
+    data = InteriorData(simulated.values / simulated.essinf)
+    currents = CurrentPattern(currents.values / simulated.essinf)
+    assert data.essinf == 1.0
+
+    def run(delta, max_iter):
+        return reconstruct(mesh, data, setup, currents,
+                           ReconstructionConfig(epsilon=0.25, delta=delta, max_iter=max_iter))
+
+    k = 3
+    before = run(1e-12, k - 1)
+    threshold = run(1e-12, k).log[k].max_grad_diff
+    delta = 4.0 * threshold
+    result = run(delta, 100)
+    assert result.converged and result.iterations == k
+    assert result.log[k].max_grad_diff == threshold
+    assert all(rec.max_grad_diff > threshold for rec in result.log[1:k])
+    assert should_stop(result.solution.grad_u, before.solution.grad_u,
+                       delta, 0.25, data.essinf)
+
+
 def test_reconstruct_honors_iteration_cap():
     mesh, setup, currents = two_electrode_case(16, 8.3e-3, 8.3e-3, 3e-3)
     sigma_true = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.02)
