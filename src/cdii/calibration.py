@@ -46,8 +46,8 @@ class PhiMap:
             raise ValueError("map needs n >= 2 breakpoints, n values, n-1 slopes")
         if np.any(np.diff(b) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
-        if np.any(s <= 0.0):
-            raise ValueError("slopes must be positive")
+        if not np.all(np.isfinite(s) & (s > 0.0)):
+            raise ValueError("slopes must be finite and positive")
         for a in (b, v, s):
             a.setflags(write=False)
         object.__setattr__(self, "breakpoints", b)
@@ -84,6 +84,8 @@ class BoundaryVoltageTrace:
             raise ValueError("trace needs matching 1-d node ids and values")
         if len(ids) == 0:
             raise ValueError("trace is empty")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("trace values must be finite")
         ids.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "node_ids", ids)

@@ -13,7 +13,11 @@ pipeline     all of the above in one process, plus metrics.csv
 metrics      compare two per-triangle fields, write metrics.csv
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 reconstruction hit the iteration cap (files are still written).
+4 reconstruction hit the iteration cap (files are still written).  A
+configuration error is one stderr line keyed by the config key or the
+file at fault: a stage input that is missing, malformed (file and line)
+or not one value per triangle, node or electrode, a trace or metrics
+field it cannot use, or an output path that cannot be written.
 
 File formats
 ------------
@@ -155,68 +159,66 @@ def cmd_forward(cfg: PipelineConfig) -> int:
 
 
 def _simulate(cfg: PipelineConfig, mesh: Mesh, setup, currents,
-              sigma_true: ConductivityField):
+              sigma_true: ConductivityField, out: Path):
+    """Simulate and noise the data; writes sigma_true.csv, a.csv, trace.csv."""
     data, trace, sol = simulate_data(mesh, sigma_true, setup, currents,
                                      cfg.solver_tol, cfg.gamma_side)
     data = add_noise(data, cfg.noise_level, cfg.noise_seed)
     del sol  # generating solution stays out of the reconstruction path
+    write_field(out / "sigma_true.csv", "sigma", "S/m", "triangle", sigma_true.values)
+    write_field(out / "a.csv", "a", "A/m^2", "triangle", data.values)
+    write_trace(out / "trace.csv", trace.node_ids, trace.values)
+    log.info("simulated data: essinf a = %.3e -> %s", data.essinf, out)
     return data, trace
 
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
     mesh, setup, currents, _, sigma_true = _build_problem(cfg)
-    data, trace = _simulate(cfg, mesh, setup, currents, sigma_true)
-    out = _out_dir(cfg)
-    write_field(out / "sigma_true.csv", "sigma", "S/m", "triangle", sigma_true.values)
-    write_field(out / "a.csv", "a", "A/m^2", "triangle", data.values)
-    write_trace(out / "trace.csv", trace.node_ids, trace.values)
-    log.info("simulated data: essinf a = %.3e -> %s", data.essinf, out)
+    _simulate(cfg, mesh, setup, currents, sigma_true, _out_dir(cfg))
     return 0
 
 
-def _write_reconstruction(out: Path, result: ReconstructionResult) -> None:
-    write_field(out / "sigma_v.csv", "sigma", "S/m", "triangle", result.sigma_v.values)
-    write_field(out / "v.csv", "v", "V", "node", result.solution.u)
-    write_field(out / "V.csv", "V", "V", "electrode", result.solution.U)
-    write_convergence(out / "convergence.csv", result.log)
+def _stage_input(path: Path, count: int, entity: str) -> np.ndarray:
+    """The ``count`` values, one per ``entity``, of the field file an
+    earlier stage wrote to ``path``; any fault is keyed by the file."""
+    with _keyed(str(path)):
+        if not path.exists():
+            raise FileNotFoundError("not found; run the earlier stages first")
+        _, _, values = read_field(path)
+        if values.shape != (count,):
+            raise ValueError(f"expected {count} {entity} values, got shape {values.shape}")
+    return values
 
 
 def _reconstruct(rc: ReconstructionConfig, mesh: Mesh, setup, currents,
-                 data: InteriorData, a_path: Path) -> ReconstructionResult:
-    """Reconstruct from ``data``, read from or written to ``a_path``; data
-    that is not bounded away from zero is an error naming the file and the
-    line of its first minimal value."""
+                 a_values: np.ndarray, out: Path) -> ReconstructionResult:
+    """Reconstruct from the values of out/a.csv; writes sigma_v.csv, v.csv,
+    V.csv, convergence.csv.  A value that is invalid, or data that is not
+    bounded away from zero, is an error naming the file and the line of the
+    first invalid or minimal value."""
+    a_path = out / "a.csv"
     try:
-        result = reconstruct(mesh, data, setup, currents, rc)
+        result = reconstruct(mesh, InteriorData(a_values), setup, currents, rc)
     except ValueError as exc:
-        line = data_line(a_path, int(np.argmin(data.values)))
-        raise ConfigError("output.dir", f"{a_path}:{line}: {exc}") from None
+        bad = InteriorData.first_invalid(a_values)
+        line = data_line(a_path, int(np.argmin(a_values)) if bad is None else bad)
+        raise ConfigError(str(a_path), f"{a_path}:{line}: {exc}") from None
     if result.converged:
         log.info("reconstruction converged in %d iterations", result.iterations)
     else:
         log.warning("reconstruction hit the iteration cap (%d)", rc.max_iter)
+    write_field(out / "sigma_v.csv", "sigma", "S/m", "triangle", result.sigma_v.values)
+    write_field(out / "v.csv", "v", "V", "node", result.solution.u)
+    write_field(out / "V.csv", "V", "V", "electrode", result.solution.U)
+    write_convergence(out / "convergence.csv", result.log)
     return result
 
 
 def cmd_reconstruct(cfg: PipelineConfig) -> int:
     mesh, setup, currents, rc, _ = _build_problem(cfg)
     out = _out_dir(cfg)
-    a_path = out / "a.csv"
-    if not a_path.exists():
-        raise ConfigError("output.dir", f"{a_path} not found; run simulate first")
-    with _keyed("output.dir"):
-        _, _, a_values = read_field(a_path)
-    if a_values.ndim != 1 or len(a_values) != mesh.triangle_count:
-        raise ConfigError("output.dir",
-                          f"{a_path} holds {len(a_values)} triangles, the mesh has "
-                          f"{mesh.triangle_count}")
-    try:
-        data = InteriorData(a_values)
-    except ValueError as exc:
-        line = data_line(a_path, InteriorData.first_invalid(a_values))
-        raise ConfigError("output.dir", f"{a_path}:{line}: {exc}") from None
-    result = _reconstruct(rc, mesh, setup, currents, data, a_path)
-    _write_reconstruction(out, result)
+    a_values = _stage_input(out / "a.csv", mesh.triangle_count, "triangle")
+    result = _reconstruct(rc, mesh, setup, currents, a_values, out)
     return 0 if result.converged else 4
 
 
@@ -263,31 +265,17 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
     out = _out_dir(cfg)
     sigma_path, v_path, V_path, trace_path = (
         out / name for name in ("sigma_v.csv", "v.csv", "V.csv", "trace.csv"))
-    for path in (sigma_path, v_path, V_path, trace_path):
-        if not path.exists():
-            raise ConfigError("output.dir", f"{path} not found; run the "
-                              "earlier pipeline stages first")
-    with _keyed("output.dir"):
-        _, _, sigma_v = read_field(sigma_path)
-        _, _, v = read_field(v_path)
-        _, _, V = read_field(V_path)
-        rows = read_trace(trace_path)
+    sigma_v = _stage_input(sigma_path, mesh.triangle_count, "triangle")
+    v = _stage_input(v_path, mesh.node_count, "node")
+    V = _stage_input(V_path, setup.count, "electrode")
     with _keyed(str(sigma_path)):
         sigma_v = ConductivityField(sigma_v)
-    if len(sigma_v.values) != mesh.triangle_count:
-        raise ConfigError(str(sigma_path), f"holds {len(sigma_v.values)} triangles, "
-                          f"the mesh has {mesh.triangle_count}")
-    with _keyed(str(v_path)):
-        grad_v = triangle_gradients(mesh, v)
     with _keyed(str(V_path)):
-        solution = ForwardSolution(u=v, U=V, grad_u=grad_v)
-    if len(V) != setup.count:
-        raise ConfigError(str(V_path), f"holds {len(V)} voltages, the setup has "
-                          f"{setup.count} electrodes")
+        solution = ForwardSolution(u=v, U=V, grad_u=triangle_gradients(mesh, v))
     result = ReconstructionResult(sigma_v=sigma_v, solution=solution, log=[],
                                   converged=True, iterations=0)
     with _keyed(str(trace_path)):
-        trace = _trace_from_rows(mesh, cfg.gamma_side, rows)
+        trace = _trace_from_rows(mesh, cfg.gamma_side, read_trace(trace_path))
         phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
     _calibrate(mesh, result, phi, out)
     return 0
@@ -296,15 +284,8 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
 def cmd_pipeline(cfg: PipelineConfig) -> int:
     mesh, setup, currents, rc, sigma_true = _build_problem(cfg)
     out = _out_dir(cfg)
-
-    data, trace = _simulate(cfg, mesh, setup, currents, sigma_true)
-    write_field(out / "sigma_true.csv", "sigma", "S/m", "triangle", sigma_true.values)
-    write_field(out / "a.csv", "a", "A/m^2", "triangle", data.values)
-    write_trace(out / "trace.csv", trace.node_ids, trace.values)
-
-    result = _reconstruct(rc, mesh, setup, currents, data, out / "a.csv")
-    _write_reconstruction(out, result)
-
+    data, trace = _simulate(cfg, mesh, setup, currents, sigma_true, out)
+    result = _reconstruct(rc, mesh, setup, currents, data.values, out)
     phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
     sigma_final = _calibrate(mesh, result, phi, out)
 
@@ -320,7 +301,11 @@ def cmd_metrics(reference: str, candidate: str, out_dir: str) -> int:
     with _keyed("metrics"):
         _, _, ref = read_field(reference)
         _, _, cand = read_field(candidate)
-    if ref.shape != cand.shape or ref.ndim != 1:
+    for path, values in ((reference, ref), (candidate, cand)):
+        if values.ndim != 1 or not len(values):
+            raise ConfigError("metrics", f"{path}: expected one value per row and at "
+                              f"least one row, got shape {values.shape}")
+    if ref.shape != cand.shape:
         raise ConfigError("metrics",
                           f"field shapes differ: {ref.shape} vs {cand.shape}")
     out = Path(out_dir)
@@ -383,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output directory or file that cannot be written
+        print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -217,44 +217,34 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
 
     t0 = time.perf_counter()
     operator = CemOperator(mesh, setup)
-
-    def solve(sigma: ConductivityField, n: int) -> ForwardSolution:
+    sigma = ConductivityField(np.ones(mesh.triangle_count))
+    prev = None
+    log = []
+    for n in range(config.max_iter + 1):
         try:
-            return solve_forward(mesh, sigma, setup, currents, config.solver_tol,
-                                 operator=operator)
+            sol = solve_forward(mesh, sigma, setup, currents, config.solver_tol,
+                                operator=operator)
         except SolverError as exc:
             raise SolverError(f"iteration {n}: {exc}") from exc
-
-    sol = solve(ConductivityField(np.ones(mesh.triangle_count)), 0)
-    log = [IterationRecord(
-        iteration=0,
-        objective=functional_value(mesh, data, setup, currents, (sol.u, sol.U)),
-        max_grad_diff=float("nan"),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )]
-
-    converged = False
-    iterations = 0
-    for n in range(1, config.max_iter + 1):
-        t0 = time.perf_counter()
-        sigma_n = clamp_conductivity(data, sol.grad_u, config.epsilon)
-        prev, sol = sol, solve(sigma_n, n)
         log.append(IterationRecord(
             iteration=n,
-            objective=functional_value(mesh, data, setup, currents,
-                                       (sol.u, sol.U)),
-            max_grad_diff=_max_grad_change(sol.grad_u, prev.grad_u),
+            objective=functional_value(mesh, data, setup, currents, (sol.u, sol.U)),
+            max_grad_diff=(float("nan") if prev is None
+                           else _max_grad_change(sol.grad_u, prev.grad_u)),
             wall_ms=(time.perf_counter() - t0) * 1e3,
         ))
-        iterations = n
-        if should_stop(sol.grad_u, prev.grad_u, config.delta, config.epsilon, essinf_a):
-            converged = True
+        t0 = time.perf_counter()
+        sigma = clamp_conductivity(data, sol.grad_u, config.epsilon)
+        converged = prev is not None and should_stop(sol.grad_u, prev.grad_u, config.delta,
+                                                     config.epsilon, essinf_a)
+        if converged:
             break
+        prev = sol
 
     return ReconstructionResult(
-        sigma_v=clamp_conductivity(data, sol.grad_u, config.epsilon),
+        sigma_v=sigma,
         solution=sol,
         log=log,
         converged=converged,
-        iterations=iterations,
+        iterations=n,
     )

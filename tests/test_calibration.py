@@ -178,9 +178,16 @@ def test_phimap_validates():
     with pytest.raises(ValueError):
         PhiMap(breakpoints=np.array([0.0, 0.0]), values=np.array([0.0, 1.0]),
                slopes=np.array([1.0]))
-    with pytest.raises(ValueError):
-        PhiMap(breakpoints=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]),
-               slopes=np.array([-1.0]))
+    for slope in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="slopes"):
+            PhiMap(breakpoints=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]),
+                   slopes=np.array([slope]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_nonfinite_values(value):
+    with pytest.raises(ValueError, match="finite"):
+        BoundaryVoltageTrace(node_ids=np.array([3, 7]), values=np.array([0.5, value]))
 
 
 # --------------------------------------------------------- apply_calibration

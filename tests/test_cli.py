@@ -391,6 +391,8 @@ CALIBRATE_INPUTS = {
     "sigma_v-negative": (_set_row("sigma_v.csv", 4, "3,-0.5"), "sigma_v.csv: "),
     "sigma_v-inf": (_set_row("sigma_v.csv", 4, "3,inf"), "sigma_v.csv: "),
     "sigma_v-short": (_keep_rows("sigma_v.csv", 100), "sigma_v.csv: "),
+    "trace-nan": (_set_row("trace.csv", 2, "23,nan"), "trace.csv: "),
+    "trace-inf": (_set_row("trace.csv", 2, "23,inf"), "trace.csv: "),
 }
 
 
@@ -407,6 +409,44 @@ def test_calibrate_bad_input_file_exits_2_naming_file(tmp_path, capsys, valid_ou
     assert err.startswith("config error: ") and f"{out}/{named}" in err
 
 
+def test_reconstruct_short_data_exits_2_naming_file(tmp_path, capsys, valid_outputs):
+    out = tmp_path / "out"
+    shutil.copytree(valid_outputs, out)
+    _keep_rows("a.csv", 100)(out)
+    cfg = write_config(tmp_path / "run.cfg", out)
+    assert run(["reconstruct", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {out / 'a.csv'}: expected 242 triangle values, got shape (100,)\n"
+
+
+# The first file each command writes, to be blocked by a directory.
+FIRST_OUTPUT = {"forward": "u.csv", "simulate": "sigma_true.csv",
+                "reconstruct": "sigma_v.csv", "calibrate": "phi.csv",
+                "pipeline": "sigma_true.csv", "metrics": "metrics.csv"}
+
+
+@pytest.mark.parametrize("blocked", ["dir-under-file", "file-is-dir"])
+@pytest.mark.parametrize("command", FIRST_OUTPUT)
+def test_unwritable_output_exits_2_naming_path(tmp_path, capsys, valid_outputs,
+                                              command, blocked):
+    out = tmp_path / "out"
+    shutil.copytree(valid_outputs, out)
+    if blocked == "dir-under-file":
+        out = path = out / "a.csv" / "out"
+    else:
+        path = out / FIRST_OUTPUT[command]
+        path.unlink(missing_ok=True)
+        path.mkdir()
+    if command == "metrics":
+        args = ["metrics", str(valid_outputs / "sigma_true.csv"),
+                str(valid_outputs / "sigma_final.csv"), "--out", str(out)]
+    else:
+        args = [command, "--config", str(write_config(tmp_path / "run.cfg", out))]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {path}: ")
+
+
 # ----------------------------------------------------------------- metrics
 
 def test_metrics_malformed_or_missing_file_exits_2(tmp_path, capsys):
@@ -419,6 +459,24 @@ def test_metrics_malformed_or_missing_file_exits_2(tmp_path, capsys):
     assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "none.csv"), *out]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "none.csv" in err
+
+
+# Both files hold the same field; it is not one value per row, or it is empty.
+METRICS_FIELDS = {
+    "empty": ("# sigma,S/m,triangle\n", "(0,)"),
+    "two-columns": ("# J,A/m^2,triangle\n0,1,2\n", "(1, 2)"),
+}
+
+
+@pytest.mark.parametrize("text,shape", METRICS_FIELDS.values(), ids=METRICS_FIELDS.keys())
+def test_metrics_rejects_field_not_one_value_per_row(tmp_path, capsys, text, shape):
+    for name in ("r.csv", "c.csv"):
+        (tmp_path / name).write_text(text)
+    assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "c.csv"),
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: metrics: {tmp_path / 'r.csv'}: expected one value per row and "
+        f"at least one row, got shape {shape}\n")
 
 
 def test_metrics_identical(tmp_path):

@@ -277,6 +277,18 @@ def test_reconstruct_honors_iteration_cap():
     assert_objective_descent(result)
 
 
+@pytest.mark.parametrize("max_iter,converged", [(1000, True), (1, False)])
+def test_sigma_v_is_the_clamp_of_the_final_solution(max_iter, converged):
+    mesh, setup, currents = two_electrode_case(16, 8.3e-3, 8.3e-3, 3e-3)
+    sigma_true = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.02)
+    data, _, _ = simulate_data(mesh, sigma_true, setup, currents)
+    result = reconstruct(mesh, data, setup, currents,
+                         ReconstructionConfig(epsilon=0.1, delta=1e-7, max_iter=max_iter))
+    assert result.converged == converged
+    clamped = clamp_conductivity(data, result.solution.grad_u, 0.1)
+    assert result.sigma_v.values.tobytes() == clamped.values.tobytes()
+
+
 def test_reconstruct_assembles_once(monkeypatch):
     calls = {"assemble": 0, "solve": 0}
 
