@@ -20,6 +20,7 @@ from .fem_cem import (
     ConductivityField,
     CurrentPattern,
     ForwardSolution,
+    LastFactor,
     SolverError,
     assemble_system,
     electrode_flux,
@@ -74,6 +75,7 @@ __all__ = [
     "ForwardSolution",
     "InteriorData",
     "IterationRecord",
+    "LastFactor",
     "Mesh",
     "ParameterError",
     "PhiMap",

@@ -71,7 +71,13 @@ from .fem_cem import (
     interior_current,
     solve_forward,
 )
-from .mesh import Mesh, build_uniform_mesh, locate_electrodes, triangle_gradients
+from .mesh import (
+    Mesh,
+    ParameterError,
+    build_uniform_mesh,
+    locate_electrodes,
+    triangle_gradients,
+)
 from .phantom import add_noise, gaussian_phantom, simulate_data
 from .weighted_gradient import (
     InteriorData,
@@ -204,7 +210,9 @@ def _reconstruct(rc: ReconstructionConfig, mesh: Mesh, setup, currents,
         line = data_line(a_path, int(np.argmin(a_values)) if bad is None else bad)
         raise ConfigError(str(a_path), f"{a_path}:{line}: {exc}") from None
     if result.converged:
-        log.info("reconstruction converged in %d iterations", result.iterations)
+        log.info("reconstruction converged in %d iterations (%d factorizations, "
+                 "%d PCG iterations)", result.iterations, result.factorizations,
+                 result.pcg_iterations)
     else:
         log.warning("reconstruction hit the iteration cap (%d)", rc.max_iter)
     write_field(out / "sigma_v.csv", "sigma", "S/m", "triangle", result.sigma_v.values)
@@ -270,8 +278,13 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
     V = _stage_input(V_path, setup.count, "electrode")
     with _keyed(str(sigma_path)):
         sigma_v = ConductivityField(sigma_v)
-    with _keyed(str(V_path)):
-        solution = ForwardSolution(u=v, U=V, grad_u=triangle_gradients(mesh, v))
+    with np.errstate(invalid="ignore"):  # ForwardSolution rejects a non-finite v
+        grad_v = triangle_gradients(mesh, v)
+    try:
+        solution = ForwardSolution(u=v, U=V, grad_u=grad_v)
+    except ParameterError as exc:  # named by the field: u and grad_u come from v
+        path = V_path if exc.name == "U" else v_path
+        raise ConfigError(str(path), str(exc)) from None
     result = ReconstructionResult(sigma_v=sigma_v, solution=solution, log=[],
                                   converged=True, iterations=0)
     with _keyed(str(trace_path)):

@@ -24,6 +24,15 @@ conductivity into those slots and factorizes in that order with SuperLU's
 symmetric mode.  ``assemble_system`` is the reference assembly: the
 operator takes its pattern and electrode blocks from one call to it, and
 the tests compare the operator's matrix against it.
+
+Successive conductivities of a reconstruction are close, so a
+``LastFactor`` lets a sequence of solves share one factorization: each
+solve after the first runs conjugate gradients preconditioned with the
+last SuperLU factor, warm-started from the last solution, and the
+sequence refactorizes only after a solve that needed more than
+``PCG_REFACTOR_CAP`` iterations.  Every solve, direct or PCG, meets the
+same true relative residual ``solver_tol``; a PCG solve that does not
+falls back, in the same call, to the direct factorization.
 """
 
 from __future__ import annotations
@@ -34,13 +43,33 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import ElectrodeSetup, Mesh, nested_dissection_order, triangle_gradients
+from .mesh import (
+    ElectrodeSetup,
+    Mesh,
+    ParameterError,
+    nested_dissection_order,
+    triangle_gradients,
+)
 
 #: Default relative-residual tolerance of the linear solve.
 DEFAULT_SOLVER_TOL = 1e-10
 
 #: Relative tolerance for the zero-sum current / voltage invariants.
 ZERO_SUM_TOL = 1e-12
+
+#: A sequence of solves sharing a ``LastFactor`` refactorizes after a solve
+#: that needed more PCG iterations than this.  Caps of 5, 6 and 7 gave the
+#: same counts (2 factorizations and 351 PCG iterations reconstructing at
+#: 60² with delta 1e-9, 2 and 77 at 90² with delta 1e-7).  A cap of 3 took
+#: 5 and 4 factorizations; a cap of 8 spent 51 more PCG iterations at 90²
+#: to save one factorization, which costs about 16 of them.
+PCG_REFACTOR_CAP = 6
+
+#: Iteration limit of one PCG solve before it falls back to the direct
+#: factorization.  A PCG iteration costs 1/16 to 1/25 of a factorization
+#: (1.5 against 23 ms at 90², 7.2 against 123 ms at 180², 29 against
+#: 743 ms at 360²), so 25 iterations cost about as much as refactorizing.
+PCG_MAX_ITER = 25
 
 # Element stiffness pattern: area * (grad_i . grad_j) is h-independent and
 # identical for lower and upper triangles in their local vertex orders.
@@ -95,7 +124,8 @@ class CurrentPattern:
 @dataclass(frozen=True)
 class ForwardSolution:
     """Nodal potential, electrode voltages on the zero-sum hyperplane, and
-    the derived per-triangle potential gradient."""
+    the derived per-triangle potential gradient, all finite.  A broken rule
+    raises a ``ParameterError`` named by the field (``u``, ``U``, ``grad_u``)."""
 
     u: np.ndarray
     U: np.ndarray
@@ -104,11 +134,16 @@ class ForwardSolution:
     def __post_init__(self):
         for name in ("u", "U", "grad_u"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                row = int(bad[0][0])
+                raise ParameterError(name, f"{name} must be finite; entry {row} "
+                                     f"holds {arr[row]}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         scale = np.max(np.abs(self.U)) if len(self.U) else 0.0
         if scale > 0.0 and abs(self.U.sum()) > ZERO_SUM_TOL * scale:
-            raise ValueError("electrode voltages must sum to zero")
+            raise ParameterError("U", "electrode voltages must sum to zero")
 
 
 @dataclass(frozen=True)
@@ -315,41 +350,54 @@ class CemOperator:
                               self._indices, self._indptr), shape=(size, size))
 
 
-def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
-                  currents: CurrentPattern,
-                  solver_tol: float = DEFAULT_SOLVER_TOL, *,
-                  operator: CemOperator | None = None) -> ForwardSolution:
-    """Solve the forward problem for the nodal potential and electrode voltages.
+class LastFactor:
+    """The factor a sequence of ``solve_forward`` calls on one operator shares.
 
-    The conductivity is scattered into ``operator``'s fixed pattern, and
-    the matrix is factorized directly in the operator's nested-dissection
-    order with SuperLU's symmetric mode and no pivoting (the matrix is
-    symmetric positive definite).  The solution is accepted only if the
-    relative residual is at most ``solver_tol``; one step of iterative
-    refinement is attempted before giving up.  Deterministic for identical
-    inputs.
-
-    Parameters
-    ----------
-    operator : CemOperator, optional
-        Built for these ``mesh`` and ``setup`` objects; callers that solve
-        many times pass one so it is built once.  Without it, one is built
-        for this solve.
-
-    Raises
-    ------
-    ValueError
-        If ``operator`` was built for another mesh or electrode setup.
-    SolverError
-        If the residual contract cannot be met.
+    Holds the last SuperLU factor, the last solution (in the operator's
+    order) and how many PCG iterations the last solve took, and counts the
+    factorizations and PCG iterations of the sequence.  Its owner drops it
+    when the sequence ends, and the factor with it.
     """
-    _check_setup(mesh, setup, currents)  # operator.matrix checks sigma
-    if operator is None:
-        operator = CemOperator(mesh, setup)
-    elif operator.mesh is not mesh or operator.setup is not setup:
-        raise ValueError("operator was built for a different mesh or electrode setup")
-    M = operator.matrix(sigma)
-    b = _load_vector(mesh.node_count, currents)[operator.perm]
+
+    def __init__(self, operator: CemOperator):
+        self.operator = operator
+        self.factorizations = 0
+        self.pcg_iterations = 0
+        self._lu = None
+        self._x = None
+        self._last_pcg = 0
+
+    def _pcg(self, M: sp.csc_matrix, b: np.ndarray, solver_tol: float) -> np.ndarray | None:
+        """Solve by PCG from the last factor and solution, or return None:
+        without a factor, after a solve that needed more than
+        ``PCG_REFACTOR_CAP`` iterations, or when PCG misses the contract."""
+        if self._lu is None or self._last_pcg > PCG_REFACTOR_CAP:
+            self._lu = None  # one factor alive at a time while refactorizing
+            return None
+        steps = 0
+
+        def count(_):
+            nonlocal steps
+            steps += 1
+
+        x, info = spla.cg(M, b, self._x, rtol=solver_tol, maxiter=PCG_MAX_ITER,
+                          M=spla.LinearOperator(M.shape, matvec=self._lu.solve),
+                          callback=count)
+        self.pcg_iterations += steps
+        self._last_pcg = steps
+        if info != 0 or np.linalg.norm(M @ x - b) > solver_tol * np.linalg.norm(b):
+            self._lu = None
+            return None
+        self._x = x
+        return x
+
+    def _keep(self, lu, x: np.ndarray) -> None:
+        self._lu, self._x, self._last_pcg = lu, x, 0
+        self.factorizations += 1
+
+
+def _factor_solve(M: sp.csc_matrix, b: np.ndarray, solver_tol: float):
+    """Factorize ``M`` and solve, refining once; the factor and solution."""
     lu = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     x = lu.solve(b)
@@ -364,6 +412,61 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
                 f"linear solve stalled at relative residual {res / b_norm:.3e} "
                 f"(tolerance {solver_tol:.1e})"
             )
+    return lu, x
+
+
+def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
+                  currents: CurrentPattern,
+                  solver_tol: float = DEFAULT_SOLVER_TOL, *,
+                  operator: CemOperator | None = None,
+                  factor: LastFactor | None = None) -> ForwardSolution:
+    """Solve the forward problem for the nodal potential and electrode voltages.
+
+    The conductivity is scattered into ``operator``'s fixed pattern, and
+    the matrix is factorized directly in the operator's nested-dissection
+    order with SuperLU's symmetric mode and no pivoting (the matrix is
+    symmetric positive definite).  The solution is accepted only if the
+    relative residual ``||M x - b|| / ||b||`` is at most ``solver_tol``;
+    one step of iterative refinement is attempted before giving up.
+    Deterministic for identical inputs.
+
+    Parameters
+    ----------
+    operator : CemOperator, optional
+        Built for these ``mesh`` and ``setup`` objects; callers that solve
+        many times pass one so it is built once.  Without it, one is built
+        for this solve.
+    factor : LastFactor, optional
+        Shared by a sequence of solves on ``operator``.  Once it holds a
+        factor, the solve runs conjugate gradients preconditioned with it
+        and warm-started from its last solution, unless the previous solve
+        needed more than ``PCG_REFACTOR_CAP`` iterations.  The PCG result
+        must meet the same residual contract, checked as ``M @ x - b``;
+        otherwise the solve factorizes directly as without ``factor``, and
+        the new factor replaces the old.
+
+    Raises
+    ------
+    ValueError
+        If ``operator`` was built for another mesh or electrode setup, or
+        ``factor`` for another operator.
+    SolverError
+        If the residual contract cannot be met.
+    """
+    _check_setup(mesh, setup, currents)  # operator.matrix checks sigma
+    if operator is None:
+        operator = CemOperator(mesh, setup)
+    elif operator.mesh is not mesh or operator.setup is not setup:
+        raise ValueError("operator was built for a different mesh or electrode setup")
+    if factor is not None and factor.operator is not operator:
+        raise ValueError("factor was built for a different operator")
+    M = operator.matrix(sigma)
+    b = _load_vector(mesh.node_count, currents)[operator.perm]
+    x = None if factor is None else factor._pcg(M, b, solver_tol)
+    if x is None:
+        lu, x = _factor_solve(M, b, solver_tol)
+        if factor is not None:
+            factor._keep(lu, x)
 
     m = mesh.node_count
     N = setup.count - 1

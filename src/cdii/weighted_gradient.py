@@ -8,7 +8,8 @@ forward solution minimizes
 over candidates with zero-sum electrode voltages.  The reconstruction loop
 alternates a conductivity update ``a / |grad u|`` (clamped to
 ``[eps, 1/eps]``) with a forward solve, and stops once the per-triangle
-gradients settle.
+gradients settle.  Its forward solves share one operator and, through a
+``fem_cem.LastFactor``, one factorization where PCG allows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .fem_cem import (
     CurrentPattern,
     DEFAULT_SOLVER_TOL,
     ForwardSolution,
+    LastFactor,
     SolverError,
     ZERO_SUM_TOL,
     _check_candidate,
@@ -102,6 +104,8 @@ class ReconstructionResult:
     built from the final solution ``solution``; it is determined only up to
     a monotone reparameterization of the potential and generally needs the
     boundary-curve calibration step to match the true conductivity.
+    ``factorizations`` and ``pcg_iterations`` count the linear-solver work
+    of all the forward solves.
     """
 
     sigma_v: ConductivityField
@@ -109,6 +113,8 @@ class ReconstructionResult:
     log: list[IterationRecord] = field(repr=False)
     converged: bool
     iterations: int
+    factorizations: int = 0
+    pcg_iterations: int = 0
 
 
 def functional_value(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
@@ -195,10 +201,17 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     Starts from unit conductivity, then repeats clamp-update and forward
     solve until the gradient change drops to ``delta * epsilon / essinf(a)``
     (``should_stop``) or ``max_iter`` is reached.  Every forward solve
-    shares one ``CemOperator``, built before the first.  The per-iteration
-    log records the weighted-gradient objective, which is non-increasing
-    along the iteration up to solver residual, and the sup-norm of the
-    gradient change that ``should_stop`` tests.
+    shares one ``CemOperator``, built before the first, and one
+    ``LastFactor``: the first solve factorizes, and each later one runs PCG
+    preconditioned with the last factor.  A solve refactorizes when the
+    previous one needed more than ``fem_cem.PCG_REFACTOR_CAP`` PCG
+    iterations, or when its own PCG misses the residual contract.  Every
+    solve meets the relative residual ``config.solver_tol``.  The factor
+    is dropped when this returns; the result counts the factorizations and
+    PCG iterations.  The per-iteration log records the weighted-gradient
+    objective, which is non-increasing along the iteration up to solver
+    residual, and the sup-norm of the gradient change that ``should_stop``
+    tests.
 
     Raises
     ------
@@ -217,13 +230,14 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
 
     t0 = time.perf_counter()
     operator = CemOperator(mesh, setup)
+    factor = LastFactor(operator)
     sigma = ConductivityField(np.ones(mesh.triangle_count))
     prev = None
     log = []
     for n in range(config.max_iter + 1):
         try:
             sol = solve_forward(mesh, sigma, setup, currents, config.solver_tol,
-                                operator=operator)
+                                operator=operator, factor=factor)
         except SolverError as exc:
             raise SolverError(f"iteration {n}: {exc}") from exc
         log.append(IterationRecord(
@@ -247,4 +261,6 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
         log=log,
         converged=converged,
         iterations=n,
+        factorizations=factor.factorizations,
+        pcg_iterations=factor.pcg_iterations,
     )

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cdii
 from cdii.calibration import (
@@ -164,6 +165,26 @@ def test_map_rejects_degenerate_input():
         build_monotone_map(np.array([[0.0, 0.3], [1e-15, 0.7]]))  # one s value
     with pytest.raises(ValueError, match="no increase"):
         build_monotone_map(np.array([[0.0, 0.5], [0.5, 0.5], [1.0, 0.5]]))
+
+
+# Potentials on a 1e-6 V grid within +-1 V, so that draws repeat and merge.
+_potential = st.integers(-10**6, 10**6).map(lambda k: k * 1e-6)
+
+
+@given(st.lists(st.tuples(_potential, _potential), min_size=2, max_size=40))
+def test_built_map_is_strictly_monotone(pairs):
+    try:
+        phi = build_monotone_map(np.array(pairs))
+    except ValueError as exc:  # one computed value, or no measured increase
+        assert "distinct" in str(exc) or "no increase" in str(exc)
+        return
+    b = phi.breakpoints
+    assert np.all(np.diff(b) > 0.0)
+    assert np.all(np.diff(phi.values) > 0.0)
+    assert np.all(phi.slopes > 0.0)
+    # Each breakpoint, each segment's midpoint, and a point beyond each end.
+    points = np.sort(np.concatenate([b, 0.5 * (b[1:] + b[:-1]), [b[0] - 1.0, b[-1] + 1.0]]))
+    assert np.all(np.diff(phi(points)) > 0.0)
 
 
 def test_map_extends_with_end_slopes():

@@ -1,3 +1,5 @@
+import logging
+import re
 import shutil
 
 import numpy as np
@@ -393,6 +395,9 @@ CALIBRATE_INPUTS = {
     "sigma_v-short": (_keep_rows("sigma_v.csv", 100), "sigma_v.csv: "),
     "trace-nan": (_set_row("trace.csv", 2, "23,nan"), "trace.csv: "),
     "trace-inf": (_set_row("trace.csv", 2, "23,inf"), "trace.csv: "),
+    "v-nan": (_set_row("v.csv", 2, "1,nan"), "v.csv: "),
+    "v-inf": (_set_row("v.csv", 2, "1,inf"), "v.csv: "),
+    "V-nan": (_set_row("V.csv", 2, "1,nan"), "V.csv: "),
 }
 
 
@@ -545,14 +550,20 @@ def test_pipeline_flat_phantom(tmp_path):
     assert np.max(np.abs(sigma_final - 1.0)) < 1e-6
 
 
-def test_pipeline_gaussian_phantom(tmp_path):
+def test_pipeline_gaussian_phantom(tmp_path, caplog):
     cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
                        **{"mesh.side_nodes": "24",
                           "phantom.amplitude": "0.8",
                           "phantom.width": "0.02"})
+    caplog.set_level(logging.INFO, logger="cdii")
     assert run(["pipeline", "--config", str(cfg)]) == 0
     metrics = read_metrics(tmp_path / "out" / "metrics.csv")
     assert metrics["converged"] == 1
+    counts = re.search(r"converged in (\d+) iterations \((\d+) factorizations, "
+                       r"(\d+) PCG iterations\)", caplog.text)
+    iterations, factorizations, pcg_iterations = map(int, counts.groups())
+    assert iterations == metrics["iterations"]
+    assert 1 <= factorizations <= iterations and pcg_iterations > 0
     assert metrics["relative_l2"] < 0.05
     rows = read_convergence(tmp_path / "out" / "convergence.csv")
     objectives = [r[1] for r in rows]

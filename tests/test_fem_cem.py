@@ -3,12 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
+import cdii.fem_cem
 from cdii.fem_cem import (
     CemOperator,
     ConductivityField,
     CurrentPattern,
+    DEFAULT_SOLVER_TOL,
     ForwardSolution,
+    LastFactor,
     SolverError,
+    _load_vector,
     assemble_system,
     electrode_flux,
     energy_derivative,
@@ -61,6 +65,16 @@ def test_voltages_must_sum_to_zero():
     with pytest.raises(ValueError):
         ForwardSolution(u=np.zeros(4), U=np.array([1.0, 1.0]),
                         grad_u=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("name", ["u", "U", "grad_u"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solution_must_be_finite(name, bad):
+    fields = {"u": np.zeros(4), "U": np.zeros(2), "grad_u": np.zeros((2, 2))}
+    fields[name][1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite; entry 1 ") as info:
+        ForwardSolution(**fields)
+    assert info.value.name == name
 
 
 # ------------------------------------------------------------- assembly
@@ -333,6 +347,77 @@ def test_solve_enforces_residual_contract(equal_z_case):
     with pytest.raises(SolverError,
                        match=r"relative residual \d\.\d{3}e-\d+ \(tolerance 1\.0e-30\)"):
         solve_forward(mesh, ones(mesh), setup, currents, solver_tol=1e-30)
+
+
+# ----------------------------------------------------------- factor reuse
+
+def _relative_residual(operator, sigma, currents, sol):
+    """``||M x - b|| / ||b||`` of a solution in the operator's order."""
+    m = operator.mesh.node_count
+    x = np.concatenate([sol.u, sol.U[:-1]])[operator.perm]
+    b = _load_vector(m, currents)[operator.perm]
+    return np.linalg.norm(operator.matrix(sigma) @ x - b) / np.linalg.norm(b)
+
+
+@pytest.fixture()
+def reuse_case():
+    """A 20x20 problem, its operator, and two conductivities 10% apart."""
+    mesh, setup, currents = two_electrode_case(20, Z, Z, ALPHA)
+    rng = np.random.default_rng(3)
+    first = ConductivityField(rng.uniform(0.5, 2.0, mesh.triangle_count))
+    second = ConductivityField(first.values * rng.uniform(0.9, 1.1, mesh.triangle_count))
+    return mesh, setup, currents, CemOperator(mesh, setup), first, second
+
+
+def test_reused_factor_solves_to_the_contract(reuse_case):
+    mesh, setup, currents, operator, first, second = reuse_case
+    factor = LastFactor(operator)
+    solve_forward(mesh, first, setup, currents, operator=operator, factor=factor)
+    assert (factor.factorizations, factor.pcg_iterations) == (1, 0)
+    sol = solve_forward(mesh, second, setup, currents, operator=operator, factor=factor)
+    assert factor.factorizations == 1 and factor.pcg_iterations > 0  # PCG solved it
+    direct = solve_forward(mesh, second, setup, currents)
+    assert np.linalg.norm(sol.u - direct.u) <= 1e-8 * np.linalg.norm(direct.u)
+    assert np.linalg.norm(sol.U - direct.U) <= 1e-8 * np.linalg.norm(direct.U)
+    assert _relative_residual(operator, second, currents, sol) <= DEFAULT_SOLVER_TOL
+
+
+def test_failed_pcg_falls_back_to_the_direct_solve(reuse_case, monkeypatch):
+    mesh, setup, currents, operator, first, second = reuse_case
+    monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", 1)
+    factor = LastFactor(operator)
+    solve_forward(mesh, first, setup, currents, operator=operator, factor=factor)
+    sol = solve_forward(mesh, second, setup, currents, operator=operator, factor=factor)
+    assert (factor.factorizations, factor.pcg_iterations) == (2, 1)
+    # The fallback is the direct path itself: the same bytes as a plain solve.
+    direct = solve_forward(mesh, second, setup, currents)
+    assert sol.u.tobytes() == direct.u.tobytes() and sol.U.tobytes() == direct.U.tobytes()
+    assert _relative_residual(operator, second, currents, sol) <= DEFAULT_SOLVER_TOL
+
+
+def test_refactorizes_after_a_solve_over_the_cap(reuse_case, monkeypatch):
+    # With the cap at 0 every PCG solve that iterates at all is over it, so
+    # each solve after one refactorizes, and the one after that runs PCG.
+    mesh, setup, currents, operator, first, second = reuse_case
+    monkeypatch.setattr(cdii.fem_cem, "PCG_REFACTOR_CAP", 0)
+    factor = LastFactor(operator)
+    factorizations, pcg_steps = [], []
+    for sigma in (first, second, first, second):
+        before = factor.pcg_iterations
+        solve_forward(mesh, sigma, setup, currents, operator=operator, factor=factor)
+        factorizations.append(factor.factorizations)
+        pcg_steps.append(factor.pcg_iterations - before)
+    assert factorizations == [1, 1, 2, 2]
+    assert pcg_steps[0] == pcg_steps[2] == 0 and pcg_steps[1] > 0 and pcg_steps[3] > 0
+
+
+def test_solve_rejects_foreign_factor(reuse_case):
+    mesh, setup, currents, operator, first, _ = reuse_case
+    with pytest.raises(ValueError, match="different operator"):
+        solve_forward(mesh, first, setup, currents, operator=operator,
+                      factor=LastFactor(CemOperator(mesh, setup)))
+    with pytest.raises(ValueError, match="different operator"):
+        solve_forward(mesh, first, setup, currents, factor=LastFactor(operator))
 
 
 # ----------------------------------------------------------------- flux

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import cdii.fem_cem
 import cdii.weighted_gradient
@@ -19,6 +20,7 @@ from cdii.weighted_gradient import (
     reconstruct,
     should_stop,
 )
+from cdii.calibration import apply_calibration, build_monotone_map, collect_pairs
 from cdii.phantom import gaussian_phantom, simulate_data
 
 from helpers import (
@@ -318,6 +320,71 @@ def test_reconstruct_solver_error_names_iteration_0():
     config = ReconstructionConfig(epsilon=0.1, delta=1e-7, solver_tol=1e-30)
     with pytest.raises(SolverError, match=r"^iteration 0: linear solve stalled"):
         reconstruct(mesh, data, setup, currents, config)
+
+
+def _phantom_case(side_nodes):
+    mesh, setup, currents = two_electrode_case(side_nodes, 8.3e-3, 8.3e-3, 3e-3)
+    sigma_true = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.02)
+    data, trace, _ = simulate_data(mesh, sigma_true, setup, currents)
+    return mesh, setup, currents, sigma_true, data, trace
+
+
+def test_acceptance_reconstruction_shares_its_factorizations():
+    # Acceptance criterion 8's configuration through the library.
+    mesh, setup, currents, sigma_true, data, trace = _phantom_case(90)
+    result = reconstruct(mesh, data, setup, currents,
+                         ReconstructionConfig(epsilon=0.1, delta=1e-7))
+    sigma = apply_calibration(mesh, result, build_monotone_map(
+        collect_pairs(mesh, setup, result, trace))).values
+    rel = np.linalg.norm(sigma - sigma_true.values) / np.linalg.norm(sigma_true.values)
+    assert result.converged and result.iterations == 16 and len(result.log) == 17
+    assert f"{rel:.5g}" == "0.0063911"
+    assert 1 <= result.factorizations <= 4 and result.pcg_iterations > 0
+
+
+def test_reconstruct_is_bitwise_repeatable():
+    mesh, setup, currents, _, data, _ = _phantom_case(30)
+    config = ReconstructionConfig(epsilon=0.1, delta=1e-8)
+    first, second = (reconstruct(mesh, data, setup, currents, config) for _ in range(2))
+    assert first.pcg_iterations > 0
+    assert first.sigma_v.values.tobytes() == second.sigma_v.values.tobytes()
+    assert (first.factorizations, first.pcg_iterations) == \
+        (second.factorizations, second.pcg_iterations)
+
+
+class _InexactFactor:
+    """A factor whose solves are 0.1% too large: refinement cannot reach 1e-10."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, b):
+        return 1.001 * self._lu.solve(b)
+
+
+def test_reconstruct_solver_error_names_iteration_after_pcg_fallback(monkeypatch):
+    # The first factorization is exact; PCG at iteration 1 stops at its one
+    # allowed step, and the direct fallback's factor fails the contract.
+    splu = scipy.sparse.linalg.splu
+    factors = []
+
+    def inexact_after_first(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1] if len(factors) == 1 else _InexactFactor(factors[-1])
+
+    class Linalg:
+        def __getattr__(self, name):
+            return getattr(scipy.sparse.linalg, name)
+
+        splu = staticmethod(inexact_after_first)
+
+    mesh, setup, currents, _, data, _ = _phantom_case(12)
+    monkeypatch.setattr(cdii.fem_cem, "spla", Linalg())
+    monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", 1)
+    with pytest.raises(SolverError, match=r"^iteration 1: linear solve stalled"):
+        reconstruct(mesh, data, setup, currents,
+                    ReconstructionConfig(epsilon=0.1, delta=1e-7))
+    assert len(factors) == 2
 
 
 def test_reconstruct_rejects_vanishing_data():
