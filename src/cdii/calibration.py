@@ -21,6 +21,11 @@ from .weighted_gradient import ReconstructionResult
 #: Pairs whose computed potentials differ by less than this are merged.
 MERGE_TOL = 1e-12
 
+#: Adjacent measured values of the map that differ by at most this, relative
+#: to the largest magnitude, differ only by the rounding of their averages;
+#: they count as equal and are pooled.
+VALUE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PhiMap:
@@ -46,6 +51,8 @@ class PhiMap:
             raise ValueError("map needs n >= 2 breakpoints, n values, n-1 slopes")
         if np.any(np.diff(b) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
+        if np.any(np.diff(v) <= 0.0):
+            raise ValueError("values must be strictly increasing")
         if not np.all(np.isfinite(s) & (s > 0.0)):
             raise ValueError("slopes must be finite and positive")
         for a in (b, v, s):
@@ -157,8 +164,9 @@ def collect_pairs(mesh: Mesh, setup: ElectrodeSetup, recon: ReconstructionResult
     return np.column_stack([s_m, t_m])
 
 
-def _pool_adjacent_violators(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest non-decreasing sequence by pooling; returns (pooled t, block ids)."""
+def _pool_adjacent_violators(t: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pool adjacent values until each exceeds the one before by more than
+    ``tol``; returns (pooled t, block ids)."""
     vals: list[float] = []
     weights: list[int] = []
     sizes: list[int] = []
@@ -166,7 +174,7 @@ def _pool_adjacent_violators(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals.append(float(y))
         weights.append(1)
         sizes.append(1)
-        while len(vals) > 1 and vals[-1] <= vals[-2]:
+        while len(vals) > 1 and vals[-1] <= vals[-2] + tol:
             w = weights[-2] + weights[-1]
             vals[-2] = (vals[-2] * weights[-2] + vals[-1] * weights[-1]) / w
             weights[-2] = w
@@ -182,8 +190,10 @@ def build_monotone_map(pairs: np.ndarray) -> PhiMap:
     Consecutive slopes must be positive; when the measured values violate
     that (noise, discretization), adjacent violators are averaged and each
     pooled block collapses to a single breakpoint at its mean computed
-    potential, which restores strict monotonicity.  The result interpolates
-    the (possibly repaired) pairs and extends with constant end slopes.
+    potential, which restores strict monotonicity.  Values within
+    ``VALUE_RTOL`` of each other count as equal, so each increase of the
+    map exceeds rounding.  The result interpolates the (possibly repaired)
+    pairs and extends with constant end slopes.
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 2:
@@ -192,9 +202,10 @@ def build_monotone_map(pairs: np.ndarray) -> PhiMap:
     if len(s) < 2:
         raise ValueError("need at least 2 distinct computed-potential values")
 
-    repaired = bool(np.any(np.diff(t) <= 0.0))
+    tol = VALUE_RTOL * float(np.max(np.abs(t)))
+    repaired = bool(np.any(np.diff(t) <= tol))
     if repaired:
-        pooled, block = _pool_adjacent_violators(t)
+        pooled, block = _pool_adjacent_violators(t, tol)
         counts = np.bincount(block)
         s = np.bincount(block, weights=s) / counts
         t = pooled

@@ -132,7 +132,13 @@ def functional_value(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     scale = np.max(np.abs(V)) if len(V) else 0.0
     if abs(V.sum()) > ZERO_SUM_TOL * max(scale, 1e-300):
         raise ValueError("candidate voltages must sum to zero")
-    g = triangle_gradients(mesh, v)
+    return _functional(mesh, data, setup, currents, v, V, triangle_gradients(mesh, v))
+
+
+def _functional(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
+                currents: CurrentPattern, v: np.ndarray, V: np.ndarray,
+                g: np.ndarray) -> float:
+    """``functional_value`` at ``(v, V)`` with ``g`` the gradient of ``v``."""
     val = float(np.sum(data.values * np.hypot(g[:, 0], g[:, 1]))) * mesh.triangle_area
     for k, e in enumerate(setup.electrodes):
         val += _edge_square_integral(v, V[k], e.edges, mesh.h) / (2.0 * e.impedance)
@@ -183,9 +189,15 @@ def should_stop(grad_n: np.ndarray, grad_prev: np.ndarray, delta: float,
     grad_prev = np.asarray(grad_prev, dtype=float)
     if grad_n.shape != grad_prev.shape:
         raise ValueError("gradient fields have different shapes")
+    return bool(_max_grad_change(grad_n, grad_prev)
+                <= _stop_threshold(delta, epsilon, essinf_a))
+
+
+def _stop_threshold(delta: float, epsilon: float, essinf_a: float) -> float:
+    """The gradient change ``delta * epsilon / essinf_a`` at which to stop."""
     if not essinf_a > 0.0:
         raise ValueError("essinf of the interior data must be positive")
-    return bool(_max_grad_change(grad_n, grad_prev) <= delta * epsilon / essinf_a)
+    return delta * epsilon / essinf_a
 
 
 def _max_grad_change(grad_n: np.ndarray, grad_prev: np.ndarray) -> float:
@@ -200,17 +212,20 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
 
     Starts from unit conductivity, then repeats clamp-update and forward
     solve until the gradient change drops to ``delta * epsilon / essinf(a)``
-    (``should_stop``) or ``max_iter`` is reached.  Every forward solve
-    shares one ``CemOperator``, built before the first, and one
+    (the rule of ``should_stop``) or ``max_iter`` is reached.  Every forward
+    solve shares one ``CemOperator``, built before the first, and one
     ``LastFactor``: the first solve factorizes, and each later one runs PCG
-    preconditioned with the last factor.  A solve refactorizes when the
-    previous one needed more than ``fem_cem.PCG_REFACTOR_CAP`` PCG
-    iterations, or when its own PCG misses the residual contract.  Every
-    solve meets the relative residual ``config.solver_tol``.  The factor
-    is dropped when this returns; the result counts the factorizations and
-    PCG iterations.  The per-iteration log records the weighted-gradient
-    objective, which is non-increasing along the iteration up to solver
-    residual, and the sup-norm of the gradient change that ``should_stop``
+    preconditioned with the last factor, started from the energy-optimal
+    combination of the last ``fem_cem.PCG_RECENT`` solutions.  A solve
+    refactorizes when the previous one needed more than
+    ``fem_cem.PCG_REFACTOR_CAP`` PCG iterations, or when its own PCG misses
+    the residual contract.  Every solve meets the relative residual
+    ``config.solver_tol``.  The factor and the recent solutions are dropped
+    when this returns; the result counts the factorizations and PCG
+    iterations.  The per-iteration log records the weighted-gradient
+    objective (``functional_value``, from the solve's own gradient), which
+    is non-increasing along the iteration up to solver residual, and the
+    sup-norm of the gradient change, which is the value the stop rule
     tests.
 
     Raises
@@ -226,7 +241,7 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
         raise ValueError(
             f"interior data must be bounded away from zero, min is {data.essinf:.3e}"
         )
-    essinf_a = data.essinf
+    threshold = _stop_threshold(config.delta, config.epsilon, data.essinf)
 
     t0 = time.perf_counter()
     operator = CemOperator(mesh, setup)
@@ -240,17 +255,16 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
                                 operator=operator, factor=factor)
         except SolverError as exc:
             raise SolverError(f"iteration {n}: {exc}") from exc
+        change = float("nan") if prev is None else _max_grad_change(sol.grad_u, prev.grad_u)
         log.append(IterationRecord(
             iteration=n,
-            objective=functional_value(mesh, data, setup, currents, (sol.u, sol.U)),
-            max_grad_diff=(float("nan") if prev is None
-                           else _max_grad_change(sol.grad_u, prev.grad_u)),
+            objective=_functional(mesh, data, setup, currents, sol.u, sol.U, sol.grad_u),
+            max_grad_diff=change,
             wall_ms=(time.perf_counter() - t0) * 1e3,
         ))
         t0 = time.perf_counter()
         sigma = clamp_conductivity(data, sol.grad_u, config.epsilon)
-        converged = prev is not None and should_stop(sol.grad_u, prev.grad_u, config.delta,
-                                                     config.epsilon, essinf_a)
+        converged = change <= threshold  # false after the first solve (NaN)
         if converged:
             break
         prev = sol

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import cdii
 from cdii.calibration import (
@@ -172,6 +172,9 @@ _potential = st.integers(-10**6, 10**6).map(lambda k: k * 1e-6)
 
 
 @given(st.lists(st.tuples(_potential, _potential), min_size=2, max_size=40))
+# Three measured values at one computed potential average to the value at the
+# other, up to one ulp: a map with a rounding-sized increase is no increase.
+@example([(0.0, -0.000365), (-1e-06, 0.0), (-1e-06, -0.000363), (-1e-06, -0.000732)])
 def test_built_map_is_strictly_monotone(pairs):
     try:
         phi = build_monotone_map(np.array(pairs))
@@ -199,6 +202,10 @@ def test_phimap_validates():
     with pytest.raises(ValueError):
         PhiMap(breakpoints=np.array([0.0, 0.0]), values=np.array([0.0, 1.0]),
                slopes=np.array([1.0]))
+    for values in ([0.0, 0.0], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="values must be strictly increasing"):
+            PhiMap(breakpoints=np.array([0.0, 1.0]), values=np.array(values),
+                   slopes=np.array([1.0]))
     for slope in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="slopes"):
             PhiMap(breakpoints=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]),

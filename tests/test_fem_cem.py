@@ -190,6 +190,30 @@ def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
     assert np.max(np.abs(actual.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES + [
+    (60, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)])])
+def test_operator_stiffness_is_bitwise_a_bincount(side_nodes, electrodes):
+    # The one sparse product adds the same products in the same order as a
+    # bincount of each triangle's weighted entries into their slots.
+    mesh = build_uniform_mesh(side_nodes)
+    setup = locate_electrodes(mesh, [(side, span) for side, span, _ in electrodes],
+                              [z for _, _, z in electrodes])
+    operator = CemOperator(mesh, setup)
+    sigma = ConductivityField(np.random.default_rng(side_nodes).uniform(
+        0.1, 10.0, mesh.triangle_count))
+    M = operator.matrix(sigma)
+    size = M.shape[0]
+    # Slot of entry (row, col): the rank of col * size + row in the pattern.
+    keys = np.repeat(np.arange(size), np.diff(M.indptr)) * size + M.indices
+    assert np.all(np.diff(keys) > 0)
+    rows, cols = np.nonzero(cdii.fem_cem._STIFF)
+    tri = operator.position[mesh.triangles]
+    slots = np.searchsorted(keys, (tri[:, cols] * size + tri[:, rows]).reshape(-1))
+    weights = (sigma.values[:, None] * cdii.fem_cem._STIFF[rows, cols]).reshape(-1)
+    expected = operator._fixed + np.bincount(slots, weights=weights, minlength=M.nnz)
+    assert M.data.tobytes() == expected.tobytes()
+
+
 def test_operator_rejects_mismatched_sigma(equal_z_case):
     mesh, setup, _ = equal_z_case
     with pytest.raises(ValueError, match="conductivity"):
@@ -398,17 +422,42 @@ def test_failed_pcg_falls_back_to_the_direct_solve(reuse_case, monkeypatch):
 def test_refactorizes_after_a_solve_over_the_cap(reuse_case, monkeypatch):
     # With the cap at 0 every PCG solve that iterates at all is over it, so
     # each solve after one refactorizes, and the one after that runs PCG.
+    # The last conductivity is a new one: PCG starts from the recent
+    # solutions, so it would solve a recent conductivity without a step.
     mesh, setup, currents, operator, first, second = reuse_case
+    third = ConductivityField(first.values * np.random.default_rng(4).uniform(
+        0.9, 1.1, mesh.triangle_count))
     monkeypatch.setattr(cdii.fem_cem, "PCG_REFACTOR_CAP", 0)
     factor = LastFactor(operator)
     factorizations, pcg_steps = [], []
-    for sigma in (first, second, first, second):
+    for sigma in (first, second, first, third):
         before = factor.pcg_iterations
         solve_forward(mesh, sigma, setup, currents, operator=operator, factor=factor)
         factorizations.append(factor.factorizations)
         pcg_steps.append(factor.pcg_iterations - before)
     assert factorizations == [1, 1, 2, 2]
     assert pcg_steps[0] == pcg_steps[2] == 0 and pcg_steps[1] > 0 and pcg_steps[3] > 0
+
+
+@pytest.mark.parametrize("again", range(4))
+def test_resolving_a_recent_conductivity_takes_no_pcg_step(reuse_case, again):
+    # The PCG start is the energy-optimal combination of the last four
+    # solutions, so a conductivity among them is solved before any step.
+    # The later conductivities are 1% apart, so no solve goes over the cap.
+    mesh, setup, currents, operator, first, second = reuse_case
+    rng = np.random.default_rng(5)
+    third = ConductivityField(second.values * rng.uniform(0.99, 1.01, mesh.triangle_count))
+    fourth = ConductivityField(third.values * rng.uniform(0.99, 1.01, mesh.triangle_count))
+    sigmas = (first, second, third, fourth)
+    factor = LastFactor(operator)
+    for sigma in sigmas:
+        solve_forward(mesh, sigma, setup, currents, operator=operator, factor=factor)
+    assert factor.pcg_iterations > 0
+    before = (factor.factorizations, factor.pcg_iterations)
+    sol = solve_forward(mesh, sigmas[again], setup, currents, operator=operator,
+                        factor=factor)
+    assert (factor.factorizations, factor.pcg_iterations) == before
+    assert _relative_residual(operator, sigmas[again], currents, sol) <= DEFAULT_SOLVER_TOL
 
 
 def test_solve_rejects_foreign_factor(reuse_case):

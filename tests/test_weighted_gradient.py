@@ -314,6 +314,25 @@ def test_reconstruct_assembles_once(monkeypatch):
     assert calls == {"assemble": 1, "solve": result.iterations + 1}
 
 
+def test_logged_objective_is_bitwise_the_functional_value(monkeypatch):
+    solutions = []
+
+    def recorded(*args, **kwargs):
+        solutions.append(solve_forward(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(cdii.weighted_gradient, "solve_forward", recorded)
+    mesh, setup, currents = two_electrode_case(16, 8.3e-3, 8.3e-3, 3e-3)
+    sigma_true = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.02)
+    data, _, _ = simulate_data(mesh, sigma_true, setup, currents)
+    result = reconstruct(mesh, data, setup, currents,
+                         ReconstructionConfig(epsilon=0.1, delta=1e-7))
+    assert result.iterations > 1 and len(solutions) == len(result.log)
+    for rec, sol in zip(result.log, solutions):
+        assert rec.objective == functional_value(mesh, data, setup, currents,
+                                                 (sol.u, sol.U))
+
+
 def test_reconstruct_solver_error_names_iteration_0():
     mesh, setup, currents = two_electrode_case(12, 8.3e-3, 8.3e-3, 3e-3)
     data = InteriorData(np.full(mesh.triangle_count, 3e-3))
@@ -339,7 +358,7 @@ def test_acceptance_reconstruction_shares_its_factorizations():
     rel = np.linalg.norm(sigma - sigma_true.values) / np.linalg.norm(sigma_true.values)
     assert result.converged and result.iterations == 16 and len(result.log) == 17
     assert f"{rel:.5g}" == "0.0063911"
-    assert 1 <= result.factorizations <= 4 and result.pcg_iterations > 0
+    assert result.factorizations == 2 and 0 < result.pcg_iterations <= 55
 
 
 def test_reconstruct_is_bitwise_repeatable():
