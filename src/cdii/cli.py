@@ -214,7 +214,10 @@ def _reconstruct(rc: ReconstructionConfig, mesh: Mesh, setup, currents,
                  "%d PCG iterations)", result.iterations, result.factorizations,
                  result.pcg_iterations)
     else:
-        log.warning("reconstruction hit the iteration cap (%d)", rc.max_iter)
+        log.warning("reconstruction hit the iteration cap (%d): the last gradient "
+                    "change %.3e is above the stop threshold delta*epsilon/essinf(a) "
+                    "= %.3e", rc.max_iter, result.log[-1].max_grad_diff,
+                    result.stop_threshold)
     write_field(out / "sigma_v.csv", "sigma", "S/m", "triangle", result.sigma_v.values)
     write_field(out / "v.csv", "v", "V", "node", result.solution.u)
     write_field(out / "V.csv", "V", "V", "electrode", result.solution.U)

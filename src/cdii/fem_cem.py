@@ -145,9 +145,8 @@ class ForwardSolution:
     def __post_init__(self):
         for name in ("u", "U", "grad_u"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            bad = np.argwhere(~np.isfinite(arr))
-            if len(bad):
-                row = int(bad[0][0])
+            if not np.isfinite(arr).all():
+                row = int(np.argwhere(~np.isfinite(arr))[0][0])
                 raise ParameterError(name, f"{name} must be finite; entry {row} "
                                      f"holds {arr[row]}")
             arr.setflags(write=False)
@@ -391,11 +390,15 @@ class LastFactor:
         the span, so the start is no worse than it.
         """
         x = self._recent[::-1]
-        W = np.column_stack([x[0]] + [x[i] - x[i + 1] for i in range(len(x) - 1)])
-        norms = np.linalg.norm(W, axis=0)
-        W /= np.where(norms > 0.0, norms, 1.0)
-        c = np.linalg.lstsq(W.T @ (M @ W), W.T @ b, rcond=1e-14)[0]
-        return W @ c
+        W = np.empty((len(x), len(b)))  # the columns of W, as rows
+        W[0] = x[0]
+        for i in range(len(x) - 1):
+            np.subtract(x[i], x[i + 1], out=W[i + 1])
+        norms = np.sqrt(np.einsum("ij,ij->i", W, W))
+        W /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        MW = M @ np.ascontiguousarray(W.T)  # scipy multiplies C-order blocks fastest
+        c = np.linalg.lstsq(W @ MW, W @ b, rcond=1e-14)[0]
+        return c @ W
 
     def _pcg(self, M: sp.csc_matrix, b: np.ndarray, solver_tol: float) -> np.ndarray | None:
         """Solve by PCG from the last factor and the recent solutions, or
@@ -410,8 +413,11 @@ class LastFactor:
             nonlocal steps
             steps += 1
 
+        # With its dtype given, the preconditioner is not probed by a solve
+        # of a zero vector.
         x, info = spla.cg(M, b, self._start(M, b), rtol=solver_tol, maxiter=PCG_MAX_ITER,
-                          M=spla.LinearOperator(M.shape, matvec=self._lu.solve),
+                          M=spla.LinearOperator(M.shape, matvec=self._lu.solve,
+                                                dtype=float),
                           callback=count)
         self.pcg_iterations += steps
         self._last_pcg = steps

@@ -265,16 +265,30 @@ def basis_gradients(mesh: Mesh, triangle_id: int) -> np.ndarray:
 
 
 def triangle_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Per-triangle gradient of the piecewise-linear function with given nodal values."""
+    """Per-triangle gradient of the piecewise-linear function with given nodal values.
+
+    Each gradient is a difference of two corners of its cell over ``h``:
+    ``((SE - SW)/h, (NW - SW)/h)`` on a lower triangle and
+    ``((NE - NW)/h, (NE - SE)/h)`` on an upper one, the sums of
+    ``basis_gradients`` weighted by the nodal values, taken from four
+    slices of the node grid.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.node_count,):
         raise ValueError(
             f"expected {mesh.node_count} nodal values, got shape {values.shape}"
         )
-    grads = np.empty((mesh.triangle_count, 2))
-    grads[0::2] = values[mesh.triangles[0::2]] @ (_LOWER_GRADS / mesh.h)
-    grads[1::2] = values[mesh.triangles[1::2]] @ (_UPPER_GRADS / mesh.h)
-    return grads
+    n = mesh.side_nodes
+    grid = values.reshape(n, n)
+    sw, se, nw, ne = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+    # (cell row, cell column, lower/upper, component): triangle order, reshaped
+    grads = np.empty((n - 1, n - 1, 2, 2))
+    np.subtract(se, sw, out=grads[:, :, 0, 0])
+    np.subtract(nw, sw, out=grads[:, :, 0, 1])
+    np.subtract(ne, nw, out=grads[:, :, 1, 0])
+    np.subtract(ne, se, out=grads[:, :, 1, 1])
+    grads /= mesh.h
+    return grads.reshape(-1, 2)
 
 
 def centroids(mesh: Mesh) -> np.ndarray:

@@ -105,7 +105,9 @@ class ReconstructionResult:
     a monotone reparameterization of the potential and generally needs the
     boundary-curve calibration step to match the true conductivity.
     ``factorizations`` and ``pcg_iterations`` count the linear-solver work
-    of all the forward solves.
+    of all the forward solves.  ``stop_threshold`` is the gradient change
+    ``delta * epsilon / essinf(a)`` the loop stopped at or did not reach
+    (NaN where no loop ran).
     """
 
     sigma_v: ConductivityField
@@ -115,6 +117,7 @@ class ReconstructionResult:
     iterations: int
     factorizations: int = 0
     pcg_iterations: int = 0
+    stop_threshold: float = float("nan")
 
 
 def functional_value(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
@@ -132,14 +135,21 @@ def functional_value(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     scale = np.max(np.abs(V)) if len(V) else 0.0
     if abs(V.sum()) > ZERO_SUM_TOL * max(scale, 1e-300):
         raise ValueError("candidate voltages must sum to zero")
-    return _functional(mesh, data, setup, currents, v, V, triangle_gradients(mesh, v))
+    return _functional(mesh, data, setup, currents, v, V,
+                       _magnitude(triangle_gradients(mesh, v)))
+
+
+def _magnitude(grad: np.ndarray) -> np.ndarray:
+    """Per-triangle Euclidean norm of a gradient field."""
+    return np.hypot(grad[:, 0], grad[:, 1])
 
 
 def _functional(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
                 currents: CurrentPattern, v: np.ndarray, V: np.ndarray,
-                g: np.ndarray) -> float:
-    """``functional_value`` at ``(v, V)`` with ``g`` the gradient of ``v``."""
-    val = float(np.sum(data.values * np.hypot(g[:, 0], g[:, 1]))) * mesh.triangle_area
+                grad_norm: np.ndarray) -> float:
+    """``functional_value`` at ``(v, V)`` with ``grad_norm`` the magnitude of
+    the gradient of ``v``."""
+    val = float(np.sum(data.values * grad_norm)) * mesh.triangle_area
     for k, e in enumerate(setup.electrodes):
         val += _edge_square_integral(v, V[k], e.edges, mesh.h) / (2.0 * e.impedance)
     val -= float(np.dot(currents.values, V))
@@ -169,10 +179,14 @@ def clamp_conductivity(data: InteriorData, grad: np.ndarray,
     grad = np.asarray(grad, dtype=float)
     if grad.shape != (len(data.values), 2):
         raise ValueError("gradient field does not match the interior data")
-    norm = np.hypot(grad[:, 0], grad[:, 1])
-    ratio = data.values / np.maximum(norm, GRAD_FLOOR)
+    return _clamp(data, _magnitude(grad), epsilon)
+
+
+def _clamp(data: InteriorData, grad_norm: np.ndarray, epsilon: float) -> ConductivityField:
+    """``clamp_conductivity`` with ``grad_norm`` the gradient magnitude."""
+    ratio = data.values / np.maximum(grad_norm, GRAD_FLOOR)
     values = np.clip(ratio, epsilon, 1.0 / epsilon)
-    values[norm < GRAD_FLOOR] = 1.0 / epsilon
+    values[grad_norm < GRAD_FLOOR] = 1.0 / epsilon
     return ConductivityField(values)
 
 
@@ -222,11 +236,12 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     the residual contract.  Every solve meets the relative residual
     ``config.solver_tol``.  The factor and the recent solutions are dropped
     when this returns; the result counts the factorizations and PCG
-    iterations.  The per-iteration log records the weighted-gradient
-    objective (``functional_value``, from the solve's own gradient), which
-    is non-increasing along the iteration up to solver residual, and the
-    sup-norm of the gradient change, which is the value the stop rule
-    tests.
+    iterations and carries the stop threshold.  Each iterate's gradient
+    magnitude is computed once, for the log and the clamp update.  The
+    per-iteration log records the weighted-gradient objective
+    (``functional_value``), which is non-increasing along the iteration up
+    to solver residual, and the sup-norm of the gradient change, which is
+    the value the stop rule tests.
 
     Raises
     ------
@@ -256,14 +271,15 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
         except SolverError as exc:
             raise SolverError(f"iteration {n}: {exc}") from exc
         change = float("nan") if prev is None else _max_grad_change(sol.grad_u, prev.grad_u)
+        grad_norm = _magnitude(sol.grad_u)
         log.append(IterationRecord(
             iteration=n,
-            objective=_functional(mesh, data, setup, currents, sol.u, sol.U, sol.grad_u),
+            objective=_functional(mesh, data, setup, currents, sol.u, sol.U, grad_norm),
             max_grad_diff=change,
             wall_ms=(time.perf_counter() - t0) * 1e3,
         ))
         t0 = time.perf_counter()
-        sigma = clamp_conductivity(data, sol.grad_u, config.epsilon)
+        sigma = _clamp(data, grad_norm, config.epsilon)
         converged = change <= threshold  # false after the first solve (NaN)
         if converged:
             break
@@ -277,4 +293,5 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
         iterations=n,
         factorizations=factor.factorizations,
         pcg_iterations=factor.pcg_iterations,
+        stop_threshold=threshold,
     )

@@ -584,6 +584,46 @@ def test_pipeline_exit_4_on_iteration_cap(tmp_path):
     assert metrics["iterations"] == 1
 
 
+def test_iteration_cap_warning_names_change_and_threshold(tmp_path, caplog):
+    # At 20² with delta 1e-9 the stop rule is out of reach (the run would
+    # go on to the default cap); the warning says how far the last step was.
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
+                       **{"mesh.side_nodes": "20", "phantom.amplitude": "0.8",
+                          "recon.delta": "1e-9", "recon.max_iter": "5"})
+    caplog.set_level(logging.WARNING, logger="cdii")
+    assert run(["pipeline", "--config", str(cfg)]) == 4
+    found = re.search(r"iteration cap \(5\): the last gradient change (\S+) is above "
+                      r"the stop threshold delta\*epsilon/essinf\(a\) = (\S+)$",
+                      caplog.text, re.MULTILINE)
+    change, threshold = map(float, found.groups())
+    rows = read_convergence(tmp_path / "out" / "convergence.csv")
+    assert len(rows) == 6
+    assert change == pytest.approx(rows[-1][2], rel=1e-3)
+    _, _, a = read_field(tmp_path / "out" / "a.csv")
+    assert threshold == pytest.approx(1e-9 * 0.1 / a.min(), rel=1e-3)
+    assert change > threshold
+
+
+def test_pipeline_three_electrodes(tmp_path):
+    # The top electrode split in two, fed unequal currents: the flow is no
+    # longer symmetric, and the calibration curve still joins the electrodes.
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
+                       **{"mesh.side_nodes": "61",
+                          "electrodes[1].interval": "0,0.5",
+                          "electrodes[2].side": "top",
+                          "electrodes[2].interval": "0.5,1",
+                          "electrodes[2].z": "0.0083",
+                          "currents": "-0.003,0.001,0.002",
+                          "phantom.amplitude": "0.8",
+                          "phantom.width": "0.02",
+                          "recon.delta": "1e-8",
+                          "gamma.side": "right"})
+    assert run(["pipeline", "--config", str(cfg)]) == 0
+    metrics = read_metrics(tmp_path / "out" / "metrics.csv")
+    assert metrics["converged"] == 1
+    assert metrics["relative_l2"] < 0.01
+
+
 def test_pipeline_determinism(tmp_path):
     # Identical config and seed give byte-identical outputs; the wall-time
     # column of the convergence log is the one machine-dependent value.

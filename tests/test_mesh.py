@@ -11,6 +11,7 @@ from cdii.mesh import (
     centroids,
     locate_electrodes,
     nested_dissection_order,
+    triangle_gradients,
 )
 
 
@@ -102,6 +103,31 @@ def test_partition_of_unity():
         for j in range(3):
             vals = plane_values(verts[j])
             assert np.allclose(vals, np.eye(3)[j], atol=1e-12)
+
+
+@pytest.mark.parametrize("side_nodes", [2, 3, 7, 60])
+def test_triangle_gradients_match_the_basis_sum(side_nodes):
+    m = build_uniform_mesh(side_nodes)
+    values = np.random.default_rng(side_nodes).normal(size=m.node_count)
+    reference = np.array([values[m.triangles[t]] @ basis_gradients(m, t)
+                          for t in range(m.triangle_count)])
+    grads = triangle_gradients(m, values)
+    assert grads.shape == (m.triangle_count, 2)
+    assert np.max(np.abs(grads - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("side_nodes", [2, 3, 7, 60])
+def test_triangle_gradients_of_an_affine_function_are_its_slope(side_nodes):
+    m = build_uniform_mesh(side_nodes)
+    slope = np.array([0.7, -1.3])
+    grads = triangle_gradients(m, 2.5 + m.nodes @ slope)
+    assert np.max(np.abs(grads - slope)) <= 1e-12
+
+
+def test_triangle_gradients_reject_wrong_count():
+    m = build_uniform_mesh(4)
+    with pytest.raises(ValueError, match="expected 16 nodal values"):
+        triangle_gradients(m, np.zeros(15))
 
 
 def test_boundary_edges():

@@ -348,11 +348,37 @@ def _phantom_case(side_nodes):
     return mesh, setup, currents, sigma_true, data, trace
 
 
-def test_acceptance_reconstruction_shares_its_factorizations():
-    # Acceptance criterion 8's configuration through the library.
+class _CountedFactor:
+    """A SuperLU factor that counts its triangular solves."""
+
+    def __init__(self, lu, counts):
+        self._lu, self._counts = lu, counts
+
+    def solve(self, b):
+        self._counts["solve"] += 1
+        return self._lu.solve(b)
+
+
+def test_acceptance_reconstruction_shares_its_factorizations(monkeypatch):
+    # Acceptance criterion 8's configuration through the library.  Every
+    # triangular solve does solver work: one per factorization (no
+    # refinement step is needed here) and one per PCG iteration, none to
+    # probe the preconditioner.
     mesh, setup, currents, sigma_true, data, trace = _phantom_case(90)
+    counts = {"solve": 0}
+
+    class Linalg:
+        def __getattr__(self, name):
+            return getattr(scipy.sparse.linalg, name)
+
+        @staticmethod
+        def splu(*args, **kwargs):
+            return _CountedFactor(scipy.sparse.linalg.splu(*args, **kwargs), counts)
+
+    monkeypatch.setattr(cdii.fem_cem, "spla", Linalg())
     result = reconstruct(mesh, data, setup, currents,
                          ReconstructionConfig(epsilon=0.1, delta=1e-7))
+    assert counts["solve"] == result.pcg_iterations + result.factorizations
     sigma = apply_calibration(mesh, result, build_monotone_map(
         collect_pairs(mesh, setup, result, trace))).values
     rel = np.linalg.norm(sigma - sigma_true.values) / np.linalg.norm(sigma_true.values)
