@@ -36,7 +36,6 @@ from .mesh import (
     Mesh,
     ParameterError,
     SIDES,
-    basis_gradients,
     build_uniform_mesh,
     centroids,
     locate_electrodes,
@@ -87,7 +86,6 @@ __all__ = [
     "add_noise",
     "apply_calibration",
     "assemble_system",
-    "basis_gradients",
     "build_monotone_map",
     "build_uniform_mesh",
     "centroids",

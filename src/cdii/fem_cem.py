@@ -26,15 +26,9 @@ SuperLU's symmetric mode.  ``assemble_system`` is the reference assembly:
 the operator takes its pattern and electrode blocks from one call to it,
 and the tests compare the operator's matrix against it.
 
-Successive conductivities of a reconstruction are close, so a
-``LastFactor`` lets a sequence of solves share one factorization: each
-solve after the first runs conjugate gradients preconditioned with the
-last SuperLU factor.  It starts from the combination of the last
-``PCG_RECENT`` solutions that is best in the new matrix's energy norm, and
-the sequence refactorizes only after a solve that needed more than
-``PCG_REFACTOR_CAP`` iterations.  Every solve, direct or PCG, meets the
-same true relative residual ``solver_tol``; a PCG solve that does not
-falls back, in the same call, to the direct factorization.
+Every solve goes through a ``LastFactor``, which holds the last
+factorization; the solves that pass the same one share it.  Its docstring
+holds the design.
 """
 
 from __future__ import annotations
@@ -60,26 +54,17 @@ DEFAULT_SOLVER_TOL = 1e-10
 ZERO_SUM_TOL = 1e-12
 
 #: A sequence of solves sharing a ``LastFactor`` refactorizes after a solve
-#: that needed more PCG iterations than this.  Caps of 5, 6 and 7 gave the
-#: same counts (2 factorizations and 351 PCG iterations reconstructing at
-#: 60² with delta 1e-9, 2 and 77 at 90² with delta 1e-7).  A cap of 3 took
-#: 5 and 4 factorizations; a cap of 8 spent 51 more PCG iterations at 90²
-#: to save one factorization, which costs about 16 of them.
+#: that needed more PCG iterations than this: a lower cap refactorizes more
+#: often, and a higher one spends more PCG iterations than the
+#: factorizations it saves cost.
 PCG_REFACTOR_CAP = 6
 
 #: Iteration limit of one PCG solve before it falls back to the direct
-#: factorization.  A PCG iteration costs 1/16 to 1/25 of a factorization
-#: (1.5 against 23 ms at 90², 7.2 against 123 ms at 180², 29 against
-#: 743 ms at 360²), so 25 iterations cost about as much as refactorizing.
+#: factorization: about as many iterations as one factorization costs.
 PCG_MAX_ITER = 25
 
 #: A solve on a ``LastFactor`` starts PCG from the Galerkin combination of
-#: this many last solutions.  Reconstructing at 60² with delta 1e-9 took 351
-#: PCG iterations from the last solution alone, then 230, 163, 113, 99, 90
-#: and 79 at depths 2, 3, 4, 5, 6 and 8 (77, 64, 57, 47, 45, 39 and 36 at
-#: 90² with delta 1e-7).  Its benchmark wall time (two 10 s runs each on a
-#: 2-core host) was 0.258-0.261 s at depth 3, 0.238-0.245 s at depth 4 and
-#: 0.228-0.243 s at depths 6 and 8: deeper saves iterations, not time.
+#: this many last solutions; a deeper history saves iterations, not time.
 PCG_RECENT = 4
 
 # Element stiffness pattern: area * (grad_i . grad_j) is h-independent and
@@ -363,11 +348,23 @@ class CemOperator:
 
 
 class LastFactor:
-    """The factor a sequence of ``solve_forward`` calls on one operator shares.
+    """The factor a sequence of forward solves on one operator shares.
 
-    Holds the last SuperLU factor, the last ``PCG_RECENT`` solutions (in
-    the operator's order) and how many PCG iterations the last solve took,
-    and counts the factorizations and PCG iterations of the sequence.  Its
+    Successive conductivities of a reconstruction are close, so one
+    factorization preconditions the solves that follow it.  The first
+    solve factorizes directly.  Each later one runs conjugate gradients
+    preconditioned with the last SuperLU factor, started from the
+    combination of the last ``PCG_RECENT`` solutions that is best in the
+    new matrix's energy norm, unless the previous solve needed more than
+    ``PCG_REFACTOR_CAP`` iterations.  Every solve, direct or PCG, meets the
+    same true relative residual ``||M x - b|| / ||b|| <= solver_tol``,
+    checked as ``M @ x - b``.  A PCG solve that does not, or that takes more
+    than ``PCG_MAX_ITER`` iterations, falls back in the same call to the
+    direct factorization, and the new factor replaces the old.
+
+    Holds the last factor, the last ``PCG_RECENT`` solutions (in the
+    operator's order) and how many PCG iterations the last solve took, and
+    counts the factorizations and PCG iterations of the sequence.  Its
     owner drops it when the sequence ends, and the factor and solutions
     with it.
     """
@@ -379,6 +376,24 @@ class LastFactor:
         self._lu = None
         self._recent = []  # oldest first
         self._last_pcg = 0
+
+    def solve(self, M: sp.csc_matrix, b: np.ndarray, solver_tol: float) -> np.ndarray:
+        """``M⁻¹b`` to the relative residual ``solver_tol``, in the
+        operator's order: by PCG where it can, otherwise by a new
+        factorization.
+
+        Raises
+        ------
+        SolverError
+            If the direct factorization misses ``solver_tol``.
+        """
+        x = self._pcg(M, b, solver_tol)
+        if x is None:
+            self._lu, x = _factor_solve(M, b, solver_tol)
+            self._last_pcg = 0
+            self.factorizations += 1
+        self._recent = (self._recent + [x])[-PCG_RECENT:]
+        return x
 
     def _start(self, M: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
         """The combination of the recent solutions closest to ``M⁻¹b`` in
@@ -424,16 +439,7 @@ class LastFactor:
         if info != 0 or np.linalg.norm(M @ x - b) > solver_tol * np.linalg.norm(b):
             self._lu = None
             return None
-        self._remember(x)
         return x
-
-    def _keep(self, lu, x: np.ndarray) -> None:
-        self._lu, self._last_pcg = lu, 0
-        self.factorizations += 1
-        self._remember(x)
-
-    def _remember(self, x: np.ndarray) -> None:
-        self._recent = (self._recent + [x])[-PCG_RECENT:]
 
 
 def _factor_solve(M: sp.csc_matrix, b: np.ndarray, solver_tol: float):
@@ -458,60 +464,45 @@ def _factor_solve(M: sp.csc_matrix, b: np.ndarray, solver_tol: float):
 def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
                   currents: CurrentPattern,
                   solver_tol: float = DEFAULT_SOLVER_TOL, *,
-                  operator: CemOperator | None = None,
                   factor: LastFactor | None = None) -> ForwardSolution:
     """Solve the forward problem for the nodal potential and electrode voltages.
 
-    The conductivity is scattered into ``operator``'s fixed pattern, and
-    the matrix is factorized directly in the operator's nested-dissection
-    order with SuperLU's symmetric mode and no pivoting (the matrix is
-    symmetric positive definite).  The solution is accepted only if the
-    relative residual ``||M x - b|| / ||b||`` is at most ``solver_tol``;
-    one step of iterative refinement is attempted before giving up.
+    The conductivity is scattered into the fixed pattern of the factor's
+    operator, and ``LastFactor.solve`` chooses between PCG and a new
+    factorization, as the ``LastFactor`` docstring describes.  A
+    factorization is SuperLU's, in the operator's nested-dissection order,
+    in symmetric mode without pivoting (the matrix is symmetric positive
+    definite), and is refined once before giving up.  The solution meets
+    the relative residual ``||M x - b|| / ||b|| <= solver_tol``.
     Deterministic for identical inputs.
 
     Parameters
     ----------
-    operator : CemOperator, optional
-        Built for these ``mesh`` and ``setup`` objects; callers that solve
-        many times pass one so it is built once.  Without it, one is built
-        for this solve.
     factor : LastFactor, optional
-        Shared by a sequence of solves on ``operator``.  Once it holds a
-        factor, the solve runs conjugate gradients preconditioned with it,
-        started from the energy-optimal combination of its last
-        ``PCG_RECENT`` solutions, unless the previous solve needed more
-        than ``PCG_REFACTOR_CAP`` iterations.  The PCG result must meet the
-        same residual contract, checked as ``M @ x - b``; otherwise the
-        solve factorizes directly as without ``factor``, and the new factor
-        replaces the old.
+        On a ``CemOperator`` of these ``mesh`` and ``setup`` objects.
+        Callers that solve many times pass one, so the operator is built
+        once and the solves share a factorization.  Without it, one is
+        built for this solve.
 
     Raises
     ------
     ValueError
-        If ``operator`` was built for another mesh or electrode setup, or
-        ``factor`` for another operator.
+        If ``factor``'s operator was built for a different mesh or
+        electrode setup.
     SolverError
         If the residual contract cannot be met.
     """
     _check_setup(mesh, setup, currents)  # operator.matrix checks sigma
-    if operator is None:
-        operator = CemOperator(mesh, setup)
-    elif operator.mesh is not mesh or operator.setup is not setup:
-        raise ValueError("operator was built for a different mesh or electrode setup")
-    if factor is not None and factor.operator is not operator:
-        raise ValueError("factor was built for a different operator")
-    M = operator.matrix(sigma)
+    if factor is None:
+        factor = LastFactor(CemOperator(mesh, setup))
+    operator = factor.operator
+    if operator.mesh is not mesh or operator.setup is not setup:
+        raise ValueError("factor was built for a different mesh or electrode setup")
     b = _load_vector(mesh.node_count, currents)[operator.perm]
-    x = None if factor is None else factor._pcg(M, b, solver_tol)
-    if x is None:
-        lu, x = _factor_solve(M, b, solver_tol)
-        if factor is not None:
-            factor._keep(lu, x)
+    x = factor.solve(operator.matrix(sigma), b, solver_tol)[operator.position]
 
     m = mesh.node_count
     N = setup.count - 1
-    x = x[operator.position]
     u = x[:m]
     U = np.empty(N + 1)
     U[:N] = x[m:]

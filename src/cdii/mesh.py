@@ -33,12 +33,6 @@ class ParameterError(ValueError):
         super().__init__(message)
 
 
-# Constant basis-function gradients, times h, in local vertex order.
-# Lower triangles list vertices (SW, SE, NW); upper triangles (NE, SE, NW).
-_LOWER_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-_UPPER_GRADS = np.array([[1.0, 1.0], [0.0, -1.0], [-1.0, 0.0]])
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -135,7 +129,7 @@ class Electrode:
 @dataclass(frozen=True)
 class ElectrodeSetup:
     """The full electrode configuration; holds N+1 disjoint electrodes, each
-    with a positive contact impedance."""
+    with a positive, finite contact impedance whose reciprocal is finite."""
 
     electrodes: tuple[Electrode, ...]
 
@@ -144,9 +138,11 @@ class ElectrodeSetup:
             raise ValueError("at least two electrodes are required")
         seen: set[int] = set()
         for k, e in enumerate(self.electrodes):
-            if not e.impedance > 0.0:
+            z = float(e.impedance)
+            if not (0.0 < z < np.inf and 1.0 / z < np.inf):
                 raise ParameterError(
-                    f"[{k}].z", f"electrode {k}: impedance must be positive, got {e.impedance}")
+                    f"[{k}].z", f"electrode {k}: impedance must be positive and finite, "
+                    f"with a finite reciprocal, got {e.impedance}")
             ids = set(int(i) for i in e.edge_ids)
             if seen & ids:
                 raise ParameterError(f"[{k}].interval",
@@ -252,26 +248,14 @@ def _dissect(block: np.ndarray, parts: list[np.ndarray]) -> None:
         parts.append(block[:, mid])
 
 
-def basis_gradients(mesh: Mesh, triangle_id: int) -> np.ndarray:
-    """Constant gradients of the three plane functions of one triangle.
-
-    Returned in the triangle's local vertex order; they sum to zero since
-    the plane functions partition unity.
-    """
-    if not 0 <= triangle_id < mesh.triangle_count:
-        raise ValueError(f"triangle index {triangle_id} out of range")
-    pattern = _LOWER_GRADS if triangle_id % 2 == 0 else _UPPER_GRADS
-    return pattern / mesh.h
-
-
 def triangle_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """Per-triangle gradient of the piecewise-linear function with given nodal values.
 
     Each gradient is a difference of two corners of its cell over ``h``:
     ``((SE - SW)/h, (NW - SW)/h)`` on a lower triangle and
-    ``((NE - NW)/h, (NE - SE)/h)`` on an upper one, the sums of
-    ``basis_gradients`` weighted by the nodal values, taken from four
-    slices of the node grid.
+    ``((NE - NW)/h, (NE - SE)/h)`` on an upper one, the sums of the plane
+    basis functions' gradients weighted by the nodal values, taken from
+    four slices of the node grid.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.node_count,):
@@ -310,7 +294,8 @@ def locate_electrodes(
         with grid nodes to within ``ALIGN_TOL`` so boundary integrals of
         piecewise-linear traces stay exact.
     impedances : iterable of float
-        Contact impedance of each electrode, positive.
+        Contact impedance of each electrode, positive and finite with a
+        finite reciprocal (the rule of ``ElectrodeSetup``).
 
     Raises
     ------

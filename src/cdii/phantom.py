@@ -80,10 +80,14 @@ def transform_conductivity(mesh: Mesh, sigma: ConductivityField,
     invisible to the interior magnitude.
 
     Per triangle the new conductivity is ``sigma * |grad u| / |grad(phi(u))|``
-    with ``phi(u)`` composed nodewise; this divided-difference slope (rather
-    than a pointwise ``phi'`` sample) makes the transformed pair satisfy the
-    discrete problem exactly, so paired forward solves agree to solver
-    precision.
+    with ``phi(u)`` composed nodewise.  Where ``grad(phi(u))`` is parallel to
+    ``grad u`` on every triangle, as when the potential varies in one
+    direction only, this divided-difference slope (rather than a pointwise
+    ``phi'`` sample) makes the transformed pair satisfy the discrete problem
+    exactly, so paired forward solves agree to solver precision.  Elsewhere
+    ``phi(u)`` turns its gradient against ``grad u`` inside a triangle on
+    which ``phi`` is not affine, and the pair agrees to discretization
+    error.
     """
     u = solution.u
     lo, hi = float(u.min()), float(u.max())

@@ -8,8 +8,7 @@ forward solution minimizes
 over candidates with zero-sum electrode voltages.  The reconstruction loop
 alternates a conductivity update ``a / |grad u|`` (clamped to
 ``[eps, 1/eps]``) with a forward solve, and stops once the per-triangle
-gradients settle.  Its forward solves share one operator and, through a
-``fem_cem.LastFactor``, one factorization where PCG allows.
+gradients settle.  Its forward solves share one ``fem_cem.LastFactor``.
 """
 
 from __future__ import annotations
@@ -227,16 +226,11 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     Starts from unit conductivity, then repeats clamp-update and forward
     solve until the gradient change drops to ``delta * epsilon / essinf(a)``
     (the rule of ``should_stop``) or ``max_iter`` is reached.  Every forward
-    solve shares one ``CemOperator``, built before the first, and one
-    ``LastFactor``: the first solve factorizes, and each later one runs PCG
-    preconditioned with the last factor, started from the energy-optimal
-    combination of the last ``fem_cem.PCG_RECENT`` solutions.  A solve
-    refactorizes when the previous one needed more than
-    ``fem_cem.PCG_REFACTOR_CAP`` PCG iterations, or when its own PCG misses
-    the residual contract.  Every solve meets the relative residual
-    ``config.solver_tol``.  The factor and the recent solutions are dropped
-    when this returns; the result counts the factorizations and PCG
-    iterations and carries the stop threshold.  Each iterate's gradient
+    solve shares one ``fem_cem.LastFactor``, built before the first, whose
+    docstring describes when a solve runs PCG and when it refactorizes;
+    each meets the relative residual ``config.solver_tol``.  The factor is
+    dropped when this returns; the result counts its factorizations and
+    PCG iterations and carries the stop threshold.  Each iterate's gradient
     magnitude is computed once, for the log and the clamp update.  The
     per-iteration log records the weighted-gradient objective
     (``functional_value``), which is non-increasing along the iteration up
@@ -259,15 +253,14 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     threshold = _stop_threshold(config.delta, config.epsilon, data.essinf)
 
     t0 = time.perf_counter()
-    operator = CemOperator(mesh, setup)
-    factor = LastFactor(operator)
+    factor = LastFactor(CemOperator(mesh, setup))
     sigma = ConductivityField(np.ones(mesh.triangle_count))
     prev = None
     log = []
     for n in range(config.max_iter + 1):
         try:
             sol = solve_forward(mesh, sigma, setup, currents, config.solver_tol,
-                                operator=operator, factor=factor)
+                                factor=factor)
         except SolverError as exc:
             raise SolverError(f"iteration {n}: {exc}") from exc
         change = float("nan") if prev is None else _max_grad_change(sol.grad_u, prev.grad_u)

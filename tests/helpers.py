@@ -7,6 +7,25 @@ import numpy as np
 import cdii
 
 
+# Constant basis-function gradients, times h, in local vertex order.
+# Lower triangles list vertices (SW, SE, NW); upper triangles (NE, SE, NW).
+_LOWER_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+_UPPER_GRADS = np.array([[1.0, 1.0], [0.0, -1.0], [-1.0, 0.0]])
+
+
+def basis_gradients(mesh: cdii.Mesh, triangle_id: int) -> np.ndarray:
+    """Constant gradients of the three plane functions of one triangle.
+
+    Returned in the triangle's local vertex order; they sum to zero since
+    the plane functions partition unity.  The reference that
+    ``triangle_gradients`` is checked against.
+    """
+    if not 0 <= triangle_id < mesh.triangle_count:
+        raise ValueError(f"triangle index {triangle_id} out of range")
+    pattern = _LOWER_GRADS if triangle_id % 2 == 0 else _UPPER_GRADS
+    return pattern / mesh.h
+
+
 def two_electrode_case(side_nodes: int, z0: float, z1: float, alpha: float):
     """Full bottom/top electrodes, current alpha extracted below, injected above."""
     mesh = cdii.build_uniform_mesh(side_nodes)

@@ -355,14 +355,14 @@ def test_candidate_dimensions_checked(equal_z_case):
 
 def test_solve_rejects_foreign_operator(equal_z_case):
     mesh, setup, currents = equal_z_case
-    operator = CemOperator(mesh, setup)
-    sol = solve_forward(mesh, ones(mesh), setup, currents, operator=operator)
+    factor = LastFactor(CemOperator(mesh, setup))
+    sol = solve_forward(mesh, ones(mesh), setup, currents, factor=factor)
     assert np.array_equal(sol.u, solve_forward(mesh, ones(mesh), setup, currents).u)
     other_mesh, other_setup, _ = two_electrode_case(10, Z, Z, ALPHA)
-    with pytest.raises(ValueError, match="different mesh"):
-        solve_forward(other_mesh, ones(other_mesh), setup, currents, operator=operator)
-    with pytest.raises(ValueError, match="different mesh"):
-        solve_forward(mesh, ones(mesh), other_setup, currents, operator=operator)
+    with pytest.raises(ValueError, match="different mesh or electrode setup"):
+        solve_forward(other_mesh, ones(other_mesh), setup, currents, factor=factor)
+    with pytest.raises(ValueError, match="different mesh or electrode setup"):
+        solve_forward(mesh, ones(mesh), other_setup, currents, factor=factor)
 
 
 def test_solve_enforces_residual_contract(equal_z_case):
@@ -396,9 +396,9 @@ def reuse_case():
 def test_reused_factor_solves_to_the_contract(reuse_case):
     mesh, setup, currents, operator, first, second = reuse_case
     factor = LastFactor(operator)
-    solve_forward(mesh, first, setup, currents, operator=operator, factor=factor)
+    solve_forward(mesh, first, setup, currents, factor=factor)
     assert (factor.factorizations, factor.pcg_iterations) == (1, 0)
-    sol = solve_forward(mesh, second, setup, currents, operator=operator, factor=factor)
+    sol = solve_forward(mesh, second, setup, currents, factor=factor)
     assert factor.factorizations == 1 and factor.pcg_iterations > 0  # PCG solved it
     direct = solve_forward(mesh, second, setup, currents)
     assert np.linalg.norm(sol.u - direct.u) <= 1e-8 * np.linalg.norm(direct.u)
@@ -410,8 +410,8 @@ def test_failed_pcg_falls_back_to_the_direct_solve(reuse_case, monkeypatch):
     mesh, setup, currents, operator, first, second = reuse_case
     monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", 1)
     factor = LastFactor(operator)
-    solve_forward(mesh, first, setup, currents, operator=operator, factor=factor)
-    sol = solve_forward(mesh, second, setup, currents, operator=operator, factor=factor)
+    solve_forward(mesh, first, setup, currents, factor=factor)
+    sol = solve_forward(mesh, second, setup, currents, factor=factor)
     assert (factor.factorizations, factor.pcg_iterations) == (2, 1)
     # The fallback is the direct path itself: the same bytes as a plain solve.
     direct = solve_forward(mesh, second, setup, currents)
@@ -432,7 +432,7 @@ def test_refactorizes_after_a_solve_over_the_cap(reuse_case, monkeypatch):
     factorizations, pcg_steps = [], []
     for sigma in (first, second, first, third):
         before = factor.pcg_iterations
-        solve_forward(mesh, sigma, setup, currents, operator=operator, factor=factor)
+        solve_forward(mesh, sigma, setup, currents, factor=factor)
         factorizations.append(factor.factorizations)
         pcg_steps.append(factor.pcg_iterations - before)
     assert factorizations == [1, 1, 2, 2]
@@ -451,22 +451,12 @@ def test_resolving_a_recent_conductivity_takes_no_pcg_step(reuse_case, again):
     sigmas = (first, second, third, fourth)
     factor = LastFactor(operator)
     for sigma in sigmas:
-        solve_forward(mesh, sigma, setup, currents, operator=operator, factor=factor)
+        solve_forward(mesh, sigma, setup, currents, factor=factor)
     assert factor.pcg_iterations > 0
     before = (factor.factorizations, factor.pcg_iterations)
-    sol = solve_forward(mesh, sigmas[again], setup, currents, operator=operator,
-                        factor=factor)
+    sol = solve_forward(mesh, sigmas[again], setup, currents, factor=factor)
     assert (factor.factorizations, factor.pcg_iterations) == before
     assert _relative_residual(operator, sigmas[again], currents, sol) <= DEFAULT_SOLVER_TOL
-
-
-def test_solve_rejects_foreign_factor(reuse_case):
-    mesh, setup, currents, operator, first, _ = reuse_case
-    with pytest.raises(ValueError, match="different operator"):
-        solve_forward(mesh, first, setup, currents, operator=operator,
-                      factor=LastFactor(CemOperator(mesh, setup)))
-    with pytest.raises(ValueError, match="different operator"):
-        solve_forward(mesh, first, setup, currents, factor=LastFactor(operator))
 
 
 # ----------------------------------------------------------------- flux

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import cdii
 from cdii.mesh import (
-    basis_gradients,
     build_uniform_mesh,
     centroids,
     locate_electrodes,
     nested_dissection_order,
     triangle_gradients,
 )
+from helpers import basis_gradients
 
 
 def signed_area(nodes, tri):
