@@ -64,9 +64,11 @@ from .csvio import (
     write_trace,
 )
 from .fem_cem import (
+    CemOperator,
     ConductivityField,
     CurrentPattern,
     ForwardSolution,
+    LastFactor,
     SolverError,
     interior_current,
     solve_forward,
@@ -165,10 +167,11 @@ def cmd_forward(cfg: PipelineConfig) -> int:
 
 
 def _simulate(cfg: PipelineConfig, mesh: Mesh, setup, currents,
-              sigma_true: ConductivityField, out: Path):
+              sigma_true: ConductivityField, out: Path,
+              factor: LastFactor | None = None):
     """Simulate and noise the data; writes sigma_true.csv, a.csv, trace.csv."""
     data, trace, sol = simulate_data(mesh, sigma_true, setup, currents,
-                                     cfg.solver_tol, cfg.gamma_side)
+                                     cfg.solver_tol, cfg.gamma_side, factor=factor)
     data = add_noise(data, cfg.noise_level, cfg.noise_seed)
     del sol  # generating solution stays out of the reconstruction path
     write_field(out / "sigma_true.csv", "sigma", "S/m", "triangle", sigma_true.values)
@@ -197,14 +200,16 @@ def _stage_input(path: Path, count: int, entity: str) -> np.ndarray:
 
 
 def _reconstruct(rc: ReconstructionConfig, mesh: Mesh, setup, currents,
-                 a_values: np.ndarray, out: Path) -> ReconstructionResult:
+                 a_values: np.ndarray, out: Path,
+                 factor: LastFactor | None = None) -> ReconstructionResult:
     """Reconstruct from the values of out/a.csv; writes sigma_v.csv, v.csv,
     V.csv, convergence.csv.  A value that is invalid, or data that is not
     bounded away from zero, is an error naming the file and the line of the
     first invalid or minimal value."""
     a_path = out / "a.csv"
     try:
-        result = reconstruct(mesh, InteriorData(a_values), setup, currents, rc)
+        result = reconstruct(mesh, InteriorData(a_values), setup, currents, rc,
+                             factor=factor)
     except ValueError as exc:
         bad = InteriorData.first_invalid(a_values)
         line = data_line(a_path, int(np.argmin(a_values)) if bad is None else bad)
@@ -300,8 +305,13 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
 def cmd_pipeline(cfg: PipelineConfig) -> int:
     mesh, setup, currents, rc, sigma_true = _build_problem(cfg)
     out = _out_dir(cfg)
-    data, trace = _simulate(cfg, mesh, setup, currents, sigma_true, out)
-    result = _reconstruct(rc, mesh, setup, currents, data.values, out)
+    # One operator for both stages, each with a factor of its own, so each
+    # stage solves exactly as its own command does.
+    operator = CemOperator(mesh, setup)
+    data, trace = _simulate(cfg, mesh, setup, currents, sigma_true, out,
+                            LastFactor(operator))
+    result = _reconstruct(rc, mesh, setup, currents, data.values, out,
+                          LastFactor(operator))
     phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
     sigma_final = _calibrate(mesh, result, phi, out)
 

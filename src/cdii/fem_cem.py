@@ -22,9 +22,12 @@ fixed electrode entries, and a sparse map from the triangles'
 conductivities to the pattern's slots, holding each triangle's seven
 nonzero stiffness entries.  A solve scatters the conductivity into the
 pattern with one product by that map and factorizes in that order with
-SuperLU's symmetric mode.  ``assemble_system`` is the reference assembly:
-the operator takes its pattern and electrode blocks from one call to it,
-and the tests compare the operator's matrix against it.
+SuperLU's symmetric mode.  ``assemble_system`` is the reference assembly.
+It stores only those seven stiffness entries per triangle, never the
+coupling of a cell's SE and NW corners, which is zero for every
+conductivity; the operator takes its pattern, permuted, and its
+electrode blocks from one call to it, with nothing to drop, and the
+tests compare the operator's matrix against it.
 
 Every solve goes through a ``LastFactor``, which holds the last
 factorization; the solves that pass the same one share it.  Its docstring
@@ -243,12 +246,13 @@ def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     tri = mesh.triangles
     h = mesh.h
 
+    # The seven nonzero stiffness entries of each triangle, in the order of
+    # the 3x3 element matrix, so that no entry zero for every sigma is stored.
     rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(tri[:, i])
-            cols.append(tri[:, j])
-            vals.append(sigma.values * _STIFF[i, j])
+    for i, j, s in zip(_STIFF_ROWS, _STIFF_COLS, _STIFF_NZ):
+        rows.append(tri[:, i])
+        cols.append(tri[:, j])
+        vals.append(sigma.values * s)
     for e in setup.electrodes:
         p, q = e.edges[:, 0], e.edges[:, 1]
         c = h / (6.0 * e.impedance)
@@ -290,10 +294,12 @@ class CemOperator:
     """The CEM block matrix of one mesh and electrode setup, for any conductivity.
 
     Built from one call to ``assemble_system`` at unit conductivity, which
-    validates the setup and checks symmetry.  Unknowns are permuted into
-    ``perm`` order: mesh nodes in nested-dissection order, then the
-    electrode voltages.  Row ``i`` of ``matrix(sigma)`` is row ``perm[i]``
-    of the reference matrix, and ``position`` is the inverse permutation.
+    validates the setup and checks symmetry; its pattern, permuted, is the
+    operator's, entries zero at unit conductivity included.  Unknowns are
+    permuted into ``perm`` order: mesh nodes in nested-dissection order,
+    then the electrode voltages.  Row ``i`` of ``matrix(sigma)`` is row
+    ``perm[i]`` of the reference matrix, and ``position`` is the inverse
+    permutation.
     """
 
     def __init__(self, mesh: Mesh, setup: ElectrodeSetup):
@@ -310,6 +316,7 @@ class CemOperator:
 
         M = unit.full_matrix()[self.perm][:, self.perm]
         M.sort_indices()
+        self._indices, self._indptr = M.indices, M.indptr
 
         # Slot of each triangle's nonzero (row, col) entries: index a copy of
         # the pattern that stores slot + 1 (a missing entry would read 0).
@@ -319,25 +326,17 @@ class CemOperator:
         rows = tri[:, _STIFF_ROWS].reshape(-1)
         cols = tri[:, _STIFF_COLS].reshape(-1)
         slots = np.asarray(slots[rows, cols]).reshape(-1) - 1
-
-        # Drop the entries that are zero for every conductivity: zero at
-        # unit conductivity (the assembly stores the SE-NW couplings as
-        # explicit zeros) and reached by no nonzero stiffness entry.
-        keep = M.data != 0.0
-        keep[slots] = True
-        kept_before = np.cumsum(np.concatenate([[False], keep]), dtype=np.int32)
-        self._indices, self._indptr = M.indices[keep], kept_before[M.indptr]
         # Column t holds triangle t's stiffness entries in their slots, so
         # the stiffness at sigma is one product, summed in slot order.
         T = mesh.triangle_count
         self._scatter = sp.csc_matrix(
-            (np.tile(_STIFF_NZ, T), kept_before[slots],
+            (np.tile(_STIFF_NZ, T), slots,
              np.arange(0, len(_STIFF_NZ) * T + 1, len(_STIFF_NZ))),
-            shape=(len(self._indices), T))
+            shape=(M.nnz, T))
 
         # What is left after the unit stiffness: the electrode trace mass,
         # Psi and Upsilon as assemble_system built them, up to rounding.
-        self._fixed = M.data[keep] - self._scatter @ np.ones(T)
+        self._fixed = M.data - self._scatter @ np.ones(T)
 
     def matrix(self, sigma: ConductivityField) -> sp.csc_matrix:
         """The permuted block matrix at conductivity ``sigma``."""

@@ -218,34 +218,43 @@ def nested_dissection_order(side_nodes: int) -> np.ndarray:
     separator; blocks under three nodes a side are taken row-major.
     Eliminating in this order keeps the sparse factor fill near the
     optimum for a regular grid (George, SIAM J. Numer. Anal. 10, 1973).
+    A block's order depends only on its shape, so each shape is ordered
+    once.
     """
     if not isinstance(side_nodes, (int, np.integer)) or side_nodes < 2:
         raise ValueError(f"side_nodes must be an integer >= 2, got {side_nodes!r}")
     n = int(side_nodes)
-    parts: list[np.ndarray] = []
-    _dissect(np.arange(n * n).reshape(n, n), parts)
-    return np.concatenate(parts)
+    return _dissection_offsets(n, n, n, {})
 
 
-def _dissect(block: np.ndarray, parts: list[np.ndarray]) -> None:
-    # Module level rather than a closure: a recursive closure forms a
-    # reference cycle, which keeps every block alive until the cyclic
-    # collector runs.
-    rows, cols = block.shape
-    if rows == 0 or cols == 0:
-        return
+def _dissection_offsets(rows: int, cols: int, n: int,
+                        memo: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """Nested-dissection order of a ``rows`` x ``cols`` block of an
+    ``n``-wide grid, as offsets ``row*n + col`` from its first node.
+
+    ``memo`` holds the orders of the shapes met so far in one call.  Module
+    level rather than a closure: a recursive closure forms a reference
+    cycle, which keeps every order alive until the cyclic collector runs.
+    """
+    order = memo.get((rows, cols))
+    if order is not None:
+        return order
     if max(rows, cols) < 3:
-        parts.append(block.ravel())
+        order = (np.arange(rows)[:, None] * n + np.arange(cols)).ravel()
     elif rows >= cols:
         mid = rows // 2
-        _dissect(block[:mid], parts)
-        _dissect(block[mid + 1:], parts)
-        parts.append(block[mid])
+        order = np.concatenate([
+            _dissection_offsets(mid, cols, n, memo),
+            _dissection_offsets(rows - mid - 1, cols, n, memo) + (mid + 1) * n,
+            mid * n + np.arange(cols)])
     else:
         mid = cols // 2
-        _dissect(block[:, :mid], parts)
-        _dissect(block[:, mid + 1:], parts)
-        parts.append(block[:, mid])
+        order = np.concatenate([
+            _dissection_offsets(rows, mid, n, memo),
+            _dissection_offsets(rows, cols - mid - 1, n, memo) + (mid + 1),
+            np.arange(rows) * n + mid])
+    memo[rows, cols] = order
+    return order
 
 
 def triangle_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -276,8 +285,23 @@ def triangle_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 
 
 def centroids(mesh: Mesh) -> np.ndarray:
-    """Triangle centroids, shape (n_tri, 2)."""
-    return mesh.nodes[mesh.triangles].mean(axis=1)
+    """Triangle centroids, shape (n_tri, 2).
+
+    Each is the mean of its vertices in local order, ``(SW + SE + NW)/3``
+    on a lower triangle and ``(NE + SE + NW)/3`` on an upper one, summed
+    left to right from four slices of the node grid.
+    """
+    n = mesh.side_nodes
+    grid = mesh.nodes.reshape(n, n, 2)
+    sw, se, nw, ne = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+    # (cell row, cell column, lower/upper, coordinate): triangle order, reshaped
+    c = np.empty((n - 1, n - 1, 2, 2))
+    np.add(sw, se, out=c[:, :, 0])
+    np.add(ne, se, out=c[:, :, 1])
+    c[:, :, 0] += nw
+    c[:, :, 1] += nw
+    c /= 3.0
+    return c.reshape(-1, 2)
 
 
 def locate_electrodes(

@@ -12,6 +12,7 @@ from .fem_cem import (
     CurrentPattern,
     DEFAULT_SOLVER_TOL,
     ForwardSolution,
+    LastFactor,
     interior_current,
     solve_forward,
 )
@@ -52,16 +53,18 @@ def gaussian_phantom(mesh: Mesh, center: tuple[float, float], amplitude: float,
 
 def simulate_data(mesh: Mesh, sigma_true: ConductivityField, setup: ElectrodeSetup,
                   currents: CurrentPattern, solver_tol: float = DEFAULT_SOLVER_TOL,
-                  gamma_side: str = "right",
+                  gamma_side: str = "right", *, factor: LastFactor | None = None,
                   ) -> tuple[InteriorData, BoundaryVoltageTrace, ForwardSolution]:
     """Forward-solve a known conductivity and sample the measurements.
 
     Returns the per-triangle current-density magnitude, the potential trace
     along the named boundary side, and the generating solution.  The
     solution is returned for verification only; reconstruction must see
-    nothing but the magnitude and the trace.
+    nothing but the magnitude and the trace.  ``factor`` is passed on to
+    ``solve_forward``, so a caller that holds the operator does not build
+    it again.
     """
-    sol = solve_forward(mesh, sigma_true, setup, currents, solver_tol)
+    sol = solve_forward(mesh, sigma_true, setup, currents, solver_tol, factor=factor)
     _, a = interior_current(mesh, sigma_true, sol)
     trace = side_trace(mesh, gamma_side, sol.u[mesh.nodes_on_side(gamma_side)])
     return InteriorData(a), trace, sol

@@ -220,27 +220,36 @@ def _max_grad_change(grad_n: np.ndarray, grad_prev: np.ndarray) -> float:
 
 
 def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
-                currents: CurrentPattern, config: ReconstructionConfig) -> ReconstructionResult:
+                currents: CurrentPattern, config: ReconstructionConfig, *,
+                factor: LastFactor | None = None) -> ReconstructionResult:
     """Run the fixed-point reconstruction from interior data.
 
     Starts from unit conductivity, then repeats clamp-update and forward
     solve until the gradient change drops to ``delta * epsilon / essinf(a)``
     (the rule of ``should_stop``) or ``max_iter`` is reached.  Every forward
-    solve shares one ``fem_cem.LastFactor``, built before the first, whose
-    docstring describes when a solve runs PCG and when it refactorizes;
-    each meets the relative residual ``config.solver_tol``.  The factor is
-    dropped when this returns; the result counts its factorizations and
-    PCG iterations and carries the stop threshold.  Each iterate's gradient
-    magnitude is computed once, for the log and the clamp update.  The
-    per-iteration log records the weighted-gradient objective
-    (``functional_value``), which is non-increasing along the iteration up
-    to solver residual, and the sup-norm of the gradient change, which is
-    the value the stop rule tests.
+    solve shares one ``fem_cem.LastFactor``, whose docstring describes when
+    a solve runs PCG and when it refactorizes; each meets the relative
+    residual ``config.solver_tol``.  The result counts the factorizations
+    and PCG iterations of this reconstruction's solves and carries the stop
+    threshold.  Each iterate's gradient magnitude is computed once, for the
+    log and the clamp update.  The per-iteration log records the
+    weighted-gradient objective (``functional_value``), which is
+    non-increasing along the iteration up to solver residual, and the
+    sup-norm of the gradient change, which is the value the stop rule tests.
+
+    Parameters
+    ----------
+    factor : LastFactor, optional
+        On a ``CemOperator`` of these ``mesh`` and ``setup`` objects, so a
+        caller that already built the operator does not build it again.  A
+        fresh one gives the same result as the default, which builds one
+        before the first solve and drops it when this returns.
 
     Raises
     ------
     ValueError
-        If the interior data is not bounded away from zero.
+        If the interior data is not bounded away from zero, or ``factor``
+        was built for a different mesh or electrode setup.
     SolverError
         If a forward solve fails; the message names the iteration.
     """
@@ -253,7 +262,9 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     threshold = _stop_threshold(config.delta, config.epsilon, data.essinf)
 
     t0 = time.perf_counter()
-    factor = LastFactor(CemOperator(mesh, setup))
+    if factor is None:
+        factor = LastFactor(CemOperator(mesh, setup))
+    factorizations, pcg_iterations = factor.factorizations, factor.pcg_iterations
     sigma = ConductivityField(np.ones(mesh.triangle_count))
     prev = None
     log = []
@@ -284,7 +295,7 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
         log=log,
         converged=converged,
         iterations=n,
-        factorizations=factor.factorizations,
-        pcg_iterations=factor.pcg_iterations,
+        factorizations=factor.factorizations - factorizations,
+        pcg_iterations=factor.pcg_iterations - pcg_iterations,
         stop_threshold=threshold,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 import cdii
@@ -24,6 +26,39 @@ def basis_gradients(mesh: cdii.Mesh, triangle_id: int) -> np.ndarray:
         raise ValueError(f"triangle index {triangle_id} out of range")
     pattern = _LOWER_GRADS if triangle_id % 2 == 0 else _UPPER_GRADS
     return pattern / mesh.h
+
+
+def centroids_reference(mesh: cdii.Mesh) -> np.ndarray:
+    """Triangle centroids as the mean of the gathered vertex coordinates;
+    the reference that ``centroids`` is checked against."""
+    return mesh.nodes[mesh.triangles].mean(axis=1)
+
+
+def dissection_order_reference(side_nodes: int) -> np.ndarray:
+    """Nested-dissection order of a ``side_nodes``-square grid, by recursion
+    on views of the node-id grid; the reference that
+    ``nested_dissection_order`` is checked against."""
+    parts: list[np.ndarray] = []
+    _dissect(np.arange(side_nodes ** 2).reshape(side_nodes, side_nodes), parts)
+    return np.concatenate(parts)
+
+
+def _dissect(block: np.ndarray, parts: list[np.ndarray]) -> None:
+    rows, cols = block.shape
+    if rows == 0 or cols == 0:
+        return
+    if max(rows, cols) < 3:
+        parts.append(block.ravel())
+    elif rows >= cols:
+        mid = rows // 2
+        _dissect(block[:mid], parts)
+        _dissect(block[mid + 1:], parts)
+        parts.append(block[mid])
+    else:
+        mid = cols // 2
+        _dissect(block[:, :mid], parts)
+        _dissect(block[:, mid + 1:], parts)
+        parts.append(block[:, mid])
 
 
 def two_electrode_case(side_nodes: int, z0: float, z1: float, alpha: float):
@@ -129,3 +164,15 @@ def assert_objective_descent(result: cdii.ReconstructionResult, slack: float = 1
 
 def rel_l2(candidate: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(candidate - reference) / np.linalg.norm(reference))
+
+
+def output_bytes(out_dir: Path, names) -> dict[str, bytes]:
+    """The bytes of each named output file, with the wall-time column (the
+    last) of convergence.csv left out: the one machine-dependent value."""
+    contents = {}
+    for name in names:
+        data = (Path(out_dir) / name).read_bytes()
+        if name == "convergence.csv":
+            data = b"\n".join(line.rsplit(b",", 1)[0] for line in data.splitlines())
+        contents[name] = data
+    return contents

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdii.fem_cem
 from cdii.cli import _build_problem, main
 from cdii.config import ConfigError, PipelineConfig, config_from_mapping
 from cdii.csvio import (
@@ -18,6 +19,8 @@ from cdii.csvio import (
 from cdii.fem_cem import DEFAULT_SOLVER_TOL
 from cdii.mesh import build_uniform_mesh
 from cdii.weighted_gradient import ReconstructionConfig
+
+from helpers import output_bytes
 
 
 BASE = {
@@ -650,18 +653,8 @@ def test_pipeline_determinism(tmp_path):
     cfg_b = write_config(tmp_path / "b.cfg", tmp_path / "out_b", **overrides)
     assert run(["pipeline", "--config", str(cfg_a)]) == 0
     assert run(["pipeline", "--config", str(cfg_b)]) == 0
-    def without_wall_time(path):
-        return [line.rsplit(",", 1)[0]
-                for line in path.read_text().splitlines()]
-
-    for name in PIPELINE_FILES:
-        if name == "convergence.csv":
-            assert without_wall_time(tmp_path / "out_a" / name) == \
-                without_wall_time(tmp_path / "out_b" / name)
-        else:
-            bytes_a = (tmp_path / "out_a" / name).read_bytes()
-            bytes_b = (tmp_path / "out_b" / name).read_bytes()
-            assert bytes_a == bytes_b, f"{name} differs between runs"
+    assert output_bytes(tmp_path / "out_a", PIPELINE_FILES) == \
+        output_bytes(tmp_path / "out_b", PIPELINE_FILES)
 
 
 def test_seed_override_changes_noise(tmp_path):
@@ -697,11 +690,31 @@ def test_stepwise_matches_pipeline_and_hides_truth(tmp_path):
     assert run(["reconstruct", "--config", str(cfg_step)]) == 0
     assert run(["calibrate", "--config", str(cfg_step)]) == 0
 
-    for name in ("sigma_v.csv", "sigma_final.csv", "phi.csv"):
-        step = (tmp_path / "out_step" / name).read_bytes()
-        pipe = (tmp_path / "out_pipe" / name).read_bytes()
-        assert step == pipe, f"{name} differs between staged and single-shot"
+    names = ("a.csv", "trace.csv", "sigma_v.csv", "v.csv", "V.csv",
+             "convergence.csv", "phi.csv", "sigma_final.csv")
+    assert output_bytes(tmp_path / "out_step", names) == \
+        output_bytes(tmp_path / "out_pipe", names)
     assert (tmp_path / "out_pipe" / "sigma_true.csv").read_bytes() == sigma_true
+
+
+def test_each_command_builds_one_operator(tmp_path, monkeypatch):
+    # A command builds the CEM operator of its mesh and electrodes once:
+    # the pipeline shares one between its stages, and calibrate solves
+    # nothing.
+    built = []
+    init = cdii.fem_cem.CemOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cdii.fem_cem.CemOperator, "__init__", counted)
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
+    for command, operators in (("forward", 1), ("simulate", 1), ("reconstruct", 1),
+                               ("calibrate", 0), ("pipeline", 1)):
+        built.clear()
+        assert run([command, "--config", str(cfg)]) == 0
+        assert len(built) == operators, command
 
 
 def test_calibrate_accepts_coordinate_trace(tmp_path):

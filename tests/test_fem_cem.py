@@ -168,25 +168,40 @@ def test_operator_matches_reference_assembly(side_nodes, electrodes):
 
 
 def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
-    # z = h/3 makes the electrode trace mass cancel the unit stiffness along
-    # each bottom edge, so those entries are zero at unit sigma but not in
-    # general; the SE-NW coupling of every cell is zero for every sigma.
+    # The SE-NW coupling of every cell is zero for every sigma, and the
+    # assembly stores none.  z = h/3 makes the electrode trace mass cancel
+    # the unit stiffness along each bottom edge, so those entries are zero
+    # at unit sigma but not in general: they stay in the pattern.
     mesh = build_uniform_mesh(6)
+    n = mesh.side_nodes
     setup = locate_electrodes(mesh, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))],
                               [mesh.h / 3.0, 0.1])
     currents = CurrentPattern(np.array([-1.0, 1.0]))
-    unit = assemble_system(mesh, ConductivityField(np.ones(mesh.triangle_count)),
-                           setup, currents).full_matrix()
-    cells = (mesh.side_nodes - 1) ** 2
-    assert np.count_nonzero(unit.data == 0.0) == 2 * cells + 2 * (mesh.side_nodes - 1)
+    unit = assemble_system(mesh, ones(mesh), setup, currents).full_matrix().tocoo()
+    bottom_edges = {(i, i + 1) for i in range(n - 1)} | {(i + 1, i) for i in range(n - 1)}
+    zero = unit.data == 0.0
+    assert np.count_nonzero(zero) == 2 * (n - 1)
+    assert set(zip(unit.row[zero].tolist(), unit.col[zero].tolist())) == bottom_edges
+    stored = set(zip(unit.row.tolist(), unit.col.tolist()))
+    sw = (np.arange(n - 1)[:, None] * n + np.arange(n - 1)).ravel()
+    for se, nw in zip(sw + 1, sw + n):
+        assert (se, nw) not in stored and (nw, se) not in stored
+
     operator = CemOperator(mesh, setup)
-    assert len(operator.matrix(ConductivityField(np.ones(mesh.triangle_count))).data) \
-        == unit.nnz - 2 * cells
+    at_unit = operator.matrix(ones(mesh)).tocoo()
+    zero = at_unit.data == 0.0
+    assert set(zip(operator.perm[at_unit.row[zero]].tolist(),
+                   operator.perm[at_unit.col[zero]].tolist())) == bottom_edges
     sigma = ConductivityField(np.random.default_rng(6).uniform(0.1, 10.0, mesh.triangle_count))
-    reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
-    expected = reference[operator.perm][:, operator.perm].toarray()
     actual = operator.matrix(sigma)
     assert np.all(actual.data != 0.0)
+
+    reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
+    permuted = reference[operator.perm][:, operator.perm]
+    permuted.sort_indices()
+    assert np.array_equal(actual.indptr, permuted.indptr)
+    assert np.array_equal(actual.indices, permuted.indices)
+    expected = permuted.toarray()
     assert np.max(np.abs(actual.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 

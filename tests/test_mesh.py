@@ -12,7 +12,7 @@ from cdii.mesh import (
     nested_dissection_order,
     triangle_gradients,
 )
-from helpers import basis_gradients
+from helpers import basis_gradients, centroids_reference, dissection_order_reference
 
 
 def signed_area(nodes, tri):
@@ -103,6 +103,12 @@ def test_partition_of_unity():
         for j in range(3):
             vals = plane_values(verts[j])
             assert np.allclose(vals, np.eye(3)[j], atol=1e-12)
+
+
+@pytest.mark.parametrize("side_nodes", [2, 3, 4, 7, 60, 180])
+def test_centroids_are_bitwise_the_mean_of_the_vertices(side_nodes):
+    m = build_uniform_mesh(side_nodes)
+    assert centroids(m).tobytes() == centroids_reference(m).tobytes()
 
 
 @pytest.mark.parametrize("side_nodes", [2, 3, 7, 60])
@@ -223,6 +229,14 @@ def test_nodes_on_side_order():
 def test_nested_dissection_order_is_a_permutation(side_nodes):
     order = nested_dissection_order(side_nodes)
     assert np.array_equal(np.sort(order), np.arange(side_nodes ** 2))
+
+
+def test_nested_dissection_order_matches_the_recursive_reference():
+    for side_nodes in [*range(2, 81), 90, 180]:
+        order = nested_dissection_order(side_nodes)
+        reference = dissection_order_reference(side_nodes)
+        assert order.dtype == reference.dtype
+        assert np.array_equal(order, reference), side_nodes
 
 
 def test_nested_dissection_order_puts_separator_last():

@@ -5,8 +5,10 @@ import scipy.sparse.linalg
 import cdii.fem_cem
 import cdii.weighted_gradient
 from cdii.fem_cem import (
+    CemOperator,
     ConductivityField,
     CurrentPattern,
+    LastFactor,
     SolverError,
     interior_current,
     solve_forward,
@@ -395,6 +397,47 @@ def test_reconstruct_is_bitwise_repeatable():
     assert first.sigma_v.values.tobytes() == second.sigma_v.values.tobytes()
     assert (first.factorizations, first.pcg_iterations) == \
         (second.factorizations, second.pcg_iterations)
+
+
+def test_reconstruct_on_a_given_factor_is_bitwise_the_default():
+    # A fresh factor on the caller's operator solves exactly as the one
+    # reconstruct builds, and the result counts only its own solves.
+    mesh, setup, currents, _, data, _ = _phantom_case(30)
+    config = ReconstructionConfig(epsilon=0.1, delta=1e-8)
+    default = reconstruct(mesh, data, setup, currents, config)
+    operator = CemOperator(mesh, setup)
+    given = reconstruct(mesh, data, setup, currents, config,
+                        factor=LastFactor(operator))
+    assert given.sigma_v.values.tobytes() == default.sigma_v.values.tobytes()
+    assert given.solution.u.tobytes() == default.solution.u.tobytes()
+    assert given.solution.U.tobytes() == default.solution.U.tobytes()
+
+    def logged(result):  # the first change is NaN, so compare the bytes
+        return np.array([(r.objective, r.max_grad_diff) for r in result.log]).tobytes()
+
+    assert logged(given) == logged(default)
+    assert (given.iterations, given.factorizations, given.pcg_iterations) == \
+        (default.iterations, default.factorizations, default.pcg_iterations)
+
+    used = LastFactor(operator)
+    simulate_data(mesh, ConductivityField(np.ones(mesh.triangle_count)), setup,
+                  currents, factor=used)
+    before = (used.factorizations, used.pcg_iterations)
+    again = reconstruct(mesh, data, setup, currents, config, factor=used)
+    assert before == (1, 0)
+    assert (again.factorizations, again.pcg_iterations) == \
+        (used.factorizations - 1, used.pcg_iterations)
+
+
+def test_reconstruct_and_simulate_reject_a_foreign_factor():
+    mesh, setup, currents, sigma_true, data, _ = _phantom_case(12)
+    other_mesh, other_setup, _ = two_electrode_case(12, 8.3e-3, 8.3e-3, 3e-3)
+    config = ReconstructionConfig(epsilon=0.1, delta=1e-7)
+    for foreign in (CemOperator(other_mesh, setup), CemOperator(mesh, other_setup)):
+        with pytest.raises(ValueError, match="different mesh or electrode setup"):
+            reconstruct(mesh, data, setup, currents, config, factor=LastFactor(foreign))
+        with pytest.raises(ValueError, match="different mesh or electrode setup"):
+            simulate_data(mesh, sigma_true, setup, currents, factor=LastFactor(foreign))
 
 
 class _InexactFactor:
