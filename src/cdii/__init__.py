@@ -39,7 +39,6 @@ from .mesh import (
     build_uniform_mesh,
     centroids,
     locate_electrodes,
-    nested_dissection_order,
     triangle_gradients,
 )
 from .phantom import (
@@ -101,7 +100,6 @@ __all__ = [
     "locate_electrodes",
     "max_principle_excess",
     "minimum_value",
-    "nested_dissection_order",
     "reconstruct",
     "should_stop",
     "side_trace",

@@ -97,11 +97,17 @@ TRACE_COORD_TOL = 1e-9
 @contextlib.contextmanager
 def _keyed(key: str):
     """Raise a ValueError or OSError as a ConfigError under ``key`` plus the
-    name a ``ParameterError`` carries (``"recon."`` + ``"epsilon"``)."""
+    name a ``ParameterError`` carries (``"recon."`` + ``"epsilon"``).  A
+    message that already starts with ``key``, as a file's ``path:line: ``
+    does, keeps its own location as the key, so the key is named once."""
     try:
         yield
     except (OSError, ValueError) as exc:
-        raise ConfigError(key + getattr(exc, "name", ""), str(exc)) from None
+        message = str(exc)
+        if message.startswith(f"{key}:"):
+            at = message.index(": ", len(key))
+            raise ConfigError(message[:at], message[at + 2:]) from None
+        raise ConfigError(key + getattr(exc, "name", ""), message) from None
 
 
 def _build_problem(cfg: PipelineConfig):
@@ -187,13 +193,25 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _field_values(path) -> np.ndarray:
+    """The values of the field file ``path``, whose rows must carry the ids
+    0, 1, 2, ... in order, so that no value is taken for another entity's;
+    a row that does not is an error naming its line."""
+    _, ids, values = read_field(path)
+    wrong = np.flatnonzero(ids != np.arange(len(ids)))
+    if wrong.size:
+        row = int(wrong[0])
+        raise ValueError(f"{path}:{data_line(path, row)}: id {ids[row]}, expected {row}")
+    return values
+
+
 def _stage_input(path: Path, count: int, entity: str) -> np.ndarray:
     """The ``count`` values, one per ``entity``, of the field file an
     earlier stage wrote to ``path``; any fault is keyed by the file."""
     with _keyed(str(path)):
         if not path.exists():
             raise FileNotFoundError("not found; run the earlier stages first")
-        _, _, values = read_field(path)
+        values = _field_values(path)
         if values.shape != (count,):
             raise ValueError(f"expected {count} {entity} values, got shape {values.shape}")
     return values
@@ -213,7 +231,7 @@ def _reconstruct(rc: ReconstructionConfig, mesh: Mesh, setup, currents,
     except ValueError as exc:
         bad = InteriorData.first_invalid(a_values)
         line = data_line(a_path, int(np.argmin(a_values)) if bad is None else bad)
-        raise ConfigError(str(a_path), f"{a_path}:{line}: {exc}") from None
+        raise ConfigError(f"{a_path}:{line}", str(exc)) from None
     if result.converged:
         log.info("reconstruction converged in %d iterations (%d factorizations, "
                  "%d PCG iterations)", result.iterations, result.factorizations,
@@ -325,8 +343,8 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
 
 def cmd_metrics(reference: str, candidate: str, out_dir: str) -> int:
     with _keyed("metrics"):
-        _, _, ref = read_field(reference)
-        _, _, cand = read_field(candidate)
+        ref = _field_values(reference)
+        cand = _field_values(candidate)
     for path, values in ((reference, ref), (candidate, cand)):
         if values.ndim != 1 or not len(values):
             raise ConfigError("metrics", f"{path}: expected one value per row and at "

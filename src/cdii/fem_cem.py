@@ -17,17 +17,17 @@ error enters the electrode terms.
 Only the conductivity changes between the forward solves of a
 reconstruction.  A ``CemOperator`` is therefore built once per mesh and
 electrode setup: it holds the block matrix's sparsity pattern with the
-nodes in nested-dissection order and the electrode voltages last, the
-fixed electrode entries, and a sparse map from the triangles'
-conductivities to the pattern's slots, holding each triangle's seven
-nonzero stiffness entries.  A solve scatters the conductivity into the
-pattern with one product by that map and factorizes in that order with
-SuperLU's symmetric mode.  ``assemble_system`` is the reference assembly.
-It stores only those seven stiffness entries per triangle, never the
-coupling of a cell's SE and NW corners, which is zero for every
-conductivity; the operator takes its pattern, permuted, and its
-electrode blocks from one call to it, with nothing to drop, and the
-tests compare the operator's matrix against it.
+nodes in mesh order and the electrode voltages last, the fixed electrode
+entries, and a sparse map from the triangles' conductivities to the
+pattern's slots, holding each triangle's seven nonzero stiffness entries.
+A solve scatters the conductivity into the pattern with one product by
+that map and factorizes with SuperLU's symmetric mode, in the multiple
+minimum-degree order SuperLU computes for each factorization.
+``assemble_system`` is the reference assembly.  It stores only those
+seven stiffness entries per triangle, never the coupling of a cell's SE
+and NW corners, which is zero for every conductivity; the operator takes
+its pattern and its electrode blocks from one call to it, with nothing
+to drop, and the tests compare the operator's matrix against it.
 
 Every solve goes through a ``LastFactor``, which holds the last
 factorization; the solves that pass the same one share it.  Its docstring
@@ -42,13 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import (
-    ElectrodeSetup,
-    Mesh,
-    ParameterError,
-    nested_dissection_order,
-    triangle_gradients,
-)
+from .mesh import ElectrodeSetup, Mesh, ParameterError, triangle_gradients
 
 #: Default relative-residual tolerance of the linear solve.
 DEFAULT_SOLVER_TOL = 1e-10
@@ -69,6 +63,11 @@ PCG_MAX_ITER = 25
 #: A solve on a ``LastFactor`` starts PCG from the Galerkin combination of
 #: this many last solutions; a deeper history saves iterations, not time.
 PCG_RECENT = 4
+
+#: Columns SuperLU updates together in a factorization: the minimum-degree
+#: order leaves narrow supernodes, which one column factors faster than
+#: SuperLU's default panel (and as fast as 2; 4 is slower).
+LU_PANEL_SIZE = 1
 
 # Element stiffness pattern: area * (grad_i . grad_j) is h-independent and
 # identical for lower and upper triangles in their local vertex orders.
@@ -163,8 +162,7 @@ class BlockSystem:
         """The symmetric block matrix of the eliminated-voltage system.
 
         Unknowns are in mesh node order, then the electrode voltages.
-        ``CemOperator`` takes its sparsity pattern from this matrix once;
-        the forward solves factorize the operator's permuted copy.
+        ``CemOperator`` takes its sparsity pattern from this matrix once.
         """
         return sp.bmat(
             [
@@ -294,35 +292,26 @@ class CemOperator:
     """The CEM block matrix of one mesh and electrode setup, for any conductivity.
 
     Built from one call to ``assemble_system`` at unit conductivity, which
-    validates the setup and checks symmetry; its pattern, permuted, is the
-    operator's, entries zero at unit conductivity included.  Unknowns are
-    permuted into ``perm`` order: mesh nodes in nested-dissection order,
-    then the electrode voltages.  Row ``i`` of ``matrix(sigma)`` is row
-    ``perm[i]`` of the reference matrix, and ``position`` is the inverse
-    permutation.
+    validates the setup and checks symmetry; its pattern is the operator's,
+    entries zero at unit conductivity included.  Unknowns are in the
+    reference order: mesh nodes, then the electrode voltages.
     """
 
     def __init__(self, mesh: Mesh, setup: ElectrodeSetup):
-        m = mesh.node_count
-        size = m + setup.count - 1
         unit = assemble_system(mesh, ConductivityField(np.ones(mesh.triangle_count)),
                                setup, CurrentPattern(np.zeros(setup.count)))
         self.mesh = mesh
         self.setup = setup
-        self.perm = np.concatenate([nested_dissection_order(mesh.side_nodes),
-                                    np.arange(m, size)])
-        self.position = np.empty_like(self.perm)
-        self.position[self.perm] = np.arange(size)
 
-        M = unit.full_matrix()[self.perm][:, self.perm]
+        M = unit.full_matrix()
         M.sort_indices()
-        self._indices, self._indptr = M.indices, M.indptr
+        self._indices, self._indptr, self._shape = M.indices, M.indptr, M.shape
 
         # Slot of each triangle's nonzero (row, col) entries: index a copy of
         # the pattern that stores slot + 1 (a missing entry would read 0).
         slots = sp.csc_matrix((np.arange(1, M.nnz + 1, dtype=np.int32),
                                M.indices, M.indptr), shape=M.shape)
-        tri = self.position[mesh.triangles]
+        tri = mesh.triangles
         rows = tri[:, _STIFF_ROWS].reshape(-1)
         cols = tri[:, _STIFF_COLS].reshape(-1)
         slots = np.asarray(slots[rows, cols]).reshape(-1) - 1
@@ -339,11 +328,10 @@ class CemOperator:
         self._fixed = M.data - self._scatter @ np.ones(T)
 
     def matrix(self, sigma: ConductivityField) -> sp.csc_matrix:
-        """The permuted block matrix at conductivity ``sigma``."""
+        """The block matrix at conductivity ``sigma``."""
         _check_sigma(self.mesh, sigma)
-        size = len(self.perm)
         return sp.csc_matrix((self._fixed + self._scatter @ sigma.values,
-                              self._indices, self._indptr), shape=(size, size))
+                              self._indices, self._indptr), shape=self._shape)
 
 
 class LastFactor:
@@ -361,11 +349,10 @@ class LastFactor:
     than ``PCG_MAX_ITER`` iterations, falls back in the same call to the
     direct factorization, and the new factor replaces the old.
 
-    Holds the last factor, the last ``PCG_RECENT`` solutions (in the
-    operator's order) and how many PCG iterations the last solve took, and
-    counts the factorizations and PCG iterations of the sequence.  Its
-    owner drops it when the sequence ends, and the factor and solutions
-    with it.
+    Holds the last factor, the last ``PCG_RECENT`` solutions and how many
+    PCG iterations the last solve took, and counts the factorizations and
+    PCG iterations of the sequence.  Its owner drops it when the sequence
+    ends, and the factor and solutions with it.
     """
 
     def __init__(self, operator: CemOperator):
@@ -377,9 +364,8 @@ class LastFactor:
         self._last_pcg = 0
 
     def solve(self, M: sp.csc_matrix, b: np.ndarray, solver_tol: float) -> np.ndarray:
-        """``M⁻¹b`` to the relative residual ``solver_tol``, in the
-        operator's order: by PCG where it can, otherwise by a new
-        factorization.
+        """``M⁻¹b`` to the relative residual ``solver_tol``: by PCG where
+        it can, otherwise by a new factorization.
 
         Raises
         ------
@@ -443,8 +429,8 @@ class LastFactor:
 
 def _factor_solve(M: sp.csc_matrix, b: np.ndarray, solver_tol: float):
     """Factorize ``M`` and solve, refining once; the factor and solution."""
-    lu = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   panel_size=LU_PANEL_SIZE, options={"SymmetricMode": True})
     x = lu.solve(b)
 
     b_norm = np.linalg.norm(b)
@@ -469,11 +455,12 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     The conductivity is scattered into the fixed pattern of the factor's
     operator, and ``LastFactor.solve`` chooses between PCG and a new
     factorization, as the ``LastFactor`` docstring describes.  A
-    factorization is SuperLU's, in the operator's nested-dissection order,
-    in symmetric mode without pivoting (the matrix is symmetric positive
-    definite), and is refined once before giving up.  The solution meets
-    the relative residual ``||M x - b|| / ||b|| <= solver_tol``.
-    Deterministic for identical inputs.
+    factorization is SuperLU's, in its multiple minimum-degree order of
+    ``M + Mᵀ`` (Liu, ACM TOMS 11(2), 1985), in symmetric mode without
+    pivoting (the matrix is symmetric positive definite), and is refined
+    once before giving up.  The solution meets the relative residual
+    ``||M x - b|| / ||b|| <= solver_tol``.  Deterministic for identical
+    inputs.
 
     Parameters
     ----------
@@ -497,8 +484,8 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     operator = factor.operator
     if operator.mesh is not mesh or operator.setup is not setup:
         raise ValueError("factor was built for a different mesh or electrode setup")
-    b = _load_vector(mesh.node_count, currents)[operator.perm]
-    x = factor.solve(operator.matrix(sigma), b, solver_tol)[operator.position]
+    b = _load_vector(mesh.node_count, currents)
+    x = factor.solve(operator.matrix(sigma), b, solver_tol)
 
     m = mesh.node_count
     N = setup.count - 1

@@ -5,8 +5,8 @@ lower triangle anchored at the cell's southwest corner and an upper triangle
 anchored at the northeast corner.  Node numbering is row-major from the
 southwest corner of the box; triangles are numbered cell by cell, west to
 east then south to north, lower triangle before upper.  The order in which
-a sparse factorization eliminates the nodes is a separate, nested-dissection
-numbering (``nested_dissection_order``).
+a sparse factorization eliminates the nodes is the solver's to choose
+(``fem_cem``), not the mesh's.
 
 All geometry is exact: spacing is ``h = 1/(side_nodes - 1)``, every triangle
 has area ``h**2 / 2``, every boundary edge has length ``h``.
@@ -207,54 +207,6 @@ def build_uniform_mesh(side_nodes: int) -> Mesh:
         boundary_edges=_frozen(boundary_edges),
         edge_sides=_frozen(edge_sides),
     )
-
-
-def nested_dissection_order(side_nodes: int) -> np.ndarray:
-    """Node ids of a ``side_nodes``-square grid in nested-dissection order.
-
-    A grid line across the middle of the longer side of a block of nodes
-    separates the block, since every mesh edge joins nodes at most one row
-    and one column apart.  The two halves are ordered recursively, then the
-    separator; blocks under three nodes a side are taken row-major.
-    Eliminating in this order keeps the sparse factor fill near the
-    optimum for a regular grid (George, SIAM J. Numer. Anal. 10, 1973).
-    A block's order depends only on its shape, so each shape is ordered
-    once.
-    """
-    if not isinstance(side_nodes, (int, np.integer)) or side_nodes < 2:
-        raise ValueError(f"side_nodes must be an integer >= 2, got {side_nodes!r}")
-    n = int(side_nodes)
-    return _dissection_offsets(n, n, n, {})
-
-
-def _dissection_offsets(rows: int, cols: int, n: int,
-                        memo: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """Nested-dissection order of a ``rows`` x ``cols`` block of an
-    ``n``-wide grid, as offsets ``row*n + col`` from its first node.
-
-    ``memo`` holds the orders of the shapes met so far in one call.  Module
-    level rather than a closure: a recursive closure forms a reference
-    cycle, which keeps every order alive until the cyclic collector runs.
-    """
-    order = memo.get((rows, cols))
-    if order is not None:
-        return order
-    if max(rows, cols) < 3:
-        order = (np.arange(rows)[:, None] * n + np.arange(cols)).ravel()
-    elif rows >= cols:
-        mid = rows // 2
-        order = np.concatenate([
-            _dissection_offsets(mid, cols, n, memo),
-            _dissection_offsets(rows - mid - 1, cols, n, memo) + (mid + 1) * n,
-            mid * n + np.arange(cols)])
-    else:
-        mid = cols // 2
-        order = np.concatenate([
-            _dissection_offsets(rows, mid, n, memo),
-            _dissection_offsets(rows, cols - mid - 1, n, memo) + (mid + 1),
-            np.arange(rows) * n + mid])
-    memo[rows, cols] = order
-    return order
 
 
 def triangle_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:

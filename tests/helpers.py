@@ -36,8 +36,11 @@ def centroids_reference(mesh: cdii.Mesh) -> np.ndarray:
 
 def dissection_order_reference(side_nodes: int) -> np.ndarray:
     """Nested-dissection order of a ``side_nodes``-square grid, by recursion
-    on views of the node-id grid; the reference that
-    ``nested_dissection_order`` is checked against."""
+    on views of the node-id grid: a grid line across the middle of a
+    block's longer side separates it, the halves come first and the
+    separator last, and blocks under three nodes a side are taken
+    row-major (George, SIAM J. Numer. Anal. 10, 1973).  The fill bar that
+    the solver's own elimination order is checked against."""
     parts: list[np.ndarray] = []
     _dissect(np.arange(side_nodes ** 2).reshape(side_nodes, side_nodes), parts)
     return np.concatenate(parts)

@@ -327,6 +327,7 @@ MALFORMED_ROWS = {
     "negative": "3,-0.5",
     "fractional-id": "3.5,0.001",
     "zero": "3,0",
+    "wrong-id": "7,0.001",
 }
 
 
@@ -343,6 +344,7 @@ def test_reconstruct_malformed_data_exits_2_naming_line(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: ") and f"{a_path}:5: " in err
+    assert err.count(str(a_path)) == 1
 
 
 def test_pipeline_zero_data_exits_2_naming_line(tmp_path, capsys):
@@ -353,6 +355,7 @@ def test_pipeline_zero_data_exits_2_naming_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: ") and f"{tmp_path / 'out' / 'a.csv'}:2: " in err
+    assert err.count(str(tmp_path / "out" / "a.csv")) == 1
 
 
 def test_calibrate_malformed_field_exits_2_naming_line(tmp_path, capsys):
@@ -364,6 +367,7 @@ def test_calibrate_malformed_field_exits_2_naming_line(tmp_path, capsys):
     assert run(["calibrate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{v_path}:9: " in err
+    assert err.count(str(v_path)) == 1
 
 
 def _set_row(name, index, row):
@@ -378,6 +382,15 @@ def _keep_rows(name, count):
     def edit(out):
         lines = (out / name).read_text().splitlines()
         (out / name).write_text("\n".join(lines[:1 + count]) + "\n")
+    return edit
+
+
+def _reversed_ids(name):
+    def edit(out):
+        header, *rows = (out / name).read_text().splitlines()
+        ids = [row.split(",", 1)[0] for row in rows][::-1]
+        rows = [f"{i},{row.split(',', 1)[1]}" for i, row in zip(ids, rows)]
+        (out / name).write_text("\n".join([header, *rows]) + "\n")
     return edit
 
 
@@ -407,6 +420,7 @@ CALIBRATE_INPUTS = {
     "v-nan": (_set_row("v.csv", 2, "1,nan"), "v.csv: "),
     "v-inf": (_set_row("v.csv", 2, "1,inf"), "v.csv: "),
     "V-nan": (_set_row("V.csv", 2, "1,nan"), "V.csv: "),
+    "v-reversed-ids": (_reversed_ids("v.csv"), "v.csv:2: id 143, expected 0"),
 }
 
 
@@ -421,6 +435,7 @@ def test_calibrate_bad_input_file_exits_2_naming_file(tmp_path, capsys, valid_ou
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: ") and f"{out}/{named}" in err
+    assert err.count(str(out / named.split(":")[0])) == 1
 
 
 def test_reconstruct_short_data_exits_2_naming_file(tmp_path, capsys, valid_outputs):
@@ -473,6 +488,10 @@ def test_metrics_malformed_or_missing_file_exits_2(tmp_path, capsys):
     assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "none.csv"), *out]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "none.csv" in err
+    (tmp_path / "c.csv").write_text("# sigma,S/m,triangle\n0,1\n1,1\n3,1\n2,1\n")
+    assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "c.csv"), *out]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: metrics: {tmp_path / 'c.csv'}:4: id 3, expected 2\n"
 
 
 # Both files hold the same field; it is not one value per row, or it is empty.

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import cdii.fem_cem
 from cdii.fem_cem import (
@@ -24,6 +25,7 @@ from cdii.fem_cem import (
 from cdii.mesh import build_uniform_mesh, locate_electrodes, triangle_gradients
 
 from helpers import (
+    dissection_order_reference,
     exact_linear_solution,
     pi_vector,
     quadratic_minimizer_oracle,
@@ -156,15 +158,16 @@ def test_operator_matches_reference_assembly(side_nodes, electrodes):
     currents = CurrentPattern(I - I.mean())
     operator = CemOperator(mesh, setup)
     size = mesh.node_count + setup.count - 1
-    assert np.array_equal(np.sort(operator.perm), np.arange(size))
-    assert np.array_equal(operator.perm[mesh.node_count:],
-                          np.arange(mesh.node_count, size))
     for _ in range(3):
         sigma = ConductivityField(rng.uniform(0.1, 10.0, mesh.triangle_count))
         reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
-        expected = reference[operator.perm][:, operator.perm].toarray()
-        actual = operator.matrix(sigma).toarray()
-        assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
+        reference.sort_indices()
+        actual = operator.matrix(sigma)
+        assert actual.shape == (size, size)
+        assert np.array_equal(actual.indptr, reference.indptr)
+        assert np.array_equal(actual.indices, reference.indices)
+        expected = reference.toarray()
+        assert np.max(np.abs(actual.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
@@ -190,18 +193,16 @@ def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
     operator = CemOperator(mesh, setup)
     at_unit = operator.matrix(ones(mesh)).tocoo()
     zero = at_unit.data == 0.0
-    assert set(zip(operator.perm[at_unit.row[zero]].tolist(),
-                   operator.perm[at_unit.col[zero]].tolist())) == bottom_edges
+    assert set(zip(at_unit.row[zero].tolist(), at_unit.col[zero].tolist())) == bottom_edges
     sigma = ConductivityField(np.random.default_rng(6).uniform(0.1, 10.0, mesh.triangle_count))
     actual = operator.matrix(sigma)
     assert np.all(actual.data != 0.0)
 
     reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
-    permuted = reference[operator.perm][:, operator.perm]
-    permuted.sort_indices()
-    assert np.array_equal(actual.indptr, permuted.indptr)
-    assert np.array_equal(actual.indices, permuted.indices)
-    expected = permuted.toarray()
+    reference.sort_indices()
+    assert np.array_equal(actual.indptr, reference.indptr)
+    assert np.array_equal(actual.indices, reference.indices)
+    expected = reference.toarray()
     assert np.max(np.abs(actual.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -222,7 +223,7 @@ def test_operator_stiffness_is_bitwise_a_bincount(side_nodes, electrodes):
     keys = np.repeat(np.arange(size), np.diff(M.indptr)) * size + M.indices
     assert np.all(np.diff(keys) > 0)
     rows, cols = np.nonzero(cdii.fem_cem._STIFF)
-    tri = operator.position[mesh.triangles]
+    tri = mesh.triangles
     slots = np.searchsorted(keys, (tri[:, cols] * size + tri[:, rows]).reshape(-1))
     weights = (sigma.values[:, None] * cdii.fem_cem._STIFF[rows, cols]).reshape(-1)
     expected = operator._fixed + np.bincount(slots, weights=weights, minlength=M.nnz)
@@ -233,6 +234,28 @@ def test_operator_rejects_mismatched_sigma(equal_z_case):
     mesh, setup, _ = equal_z_case
     with pytest.raises(ValueError, match="conductivity"):
         CemOperator(mesh, setup).matrix(ConductivityField(np.ones(3)))
+
+
+@pytest.mark.parametrize("electrodes,currents", [
+    ([("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))], [-3e-3, 3e-3]),
+    ([("bottom", (0.0, 1.0)), ("top", (0.0, 29 / 59)), ("top", (29 / 59, 1.0))],
+     [-3e-3, 1e-3, 2e-3])])
+def test_factor_fills_less_than_nested_dissection(electrodes, currents):
+    # The factor solve_forward makes, in SuperLU's minimum-degree order,
+    # against the grid's nested-dissection order (George 1973) factored as
+    # given: 22% less fill with two electrodes, 31% with three.
+    mesh = build_uniform_mesh(60)
+    setup = locate_electrodes(mesh, electrodes, [Z] * len(electrodes))
+    factor = LastFactor(CemOperator(mesh, setup))
+    sigma = ConductivityField(np.random.default_rng(60).uniform(0.5, 2.0, mesh.triangle_count))
+    solve_forward(mesh, sigma, setup, CurrentPattern(np.array(currents)), factor=factor)
+    assert factor.factorizations == 1
+    M = factor.operator.matrix(sigma)
+    perm = np.concatenate([dissection_order_reference(mesh.side_nodes),
+                           np.arange(mesh.node_count, M.shape[0])])
+    dissected = spla.splu(M[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+    assert factor._lu.nnz < dissected.nnz
 
 
 # ---------------------------------------------------------------- solve
@@ -391,10 +414,9 @@ def test_solve_enforces_residual_contract(equal_z_case):
 # ----------------------------------------------------------- factor reuse
 
 def _relative_residual(operator, sigma, currents, sol):
-    """``||M x - b|| / ||b||`` of a solution in the operator's order."""
-    m = operator.mesh.node_count
-    x = np.concatenate([sol.u, sol.U[:-1]])[operator.perm]
-    b = _load_vector(m, currents)[operator.perm]
+    """``||M x - b|| / ||b||`` of a solution."""
+    x = np.concatenate([sol.u, sol.U[:-1]])
+    b = _load_vector(operator.mesh.node_count, currents)
     return np.linalg.norm(operator.matrix(sigma) @ x - b) / np.linalg.norm(b)
 
 

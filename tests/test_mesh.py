@@ -1,18 +1,14 @@
-import gc
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import cdii
 from cdii.mesh import (
     build_uniform_mesh,
     centroids,
     locate_electrodes,
-    nested_dissection_order,
     triangle_gradients,
 )
-from helpers import basis_gradients, centroids_reference, dissection_order_reference
+from helpers import basis_gradients, centroids_reference
 
 
 def signed_area(nodes, tri):
@@ -222,39 +218,3 @@ def test_nodes_on_side_order():
     assert np.array_equal(m.nodes_on_side("right"), [2, 5, 8])
     assert np.array_equal(m.nodes_on_side("top"), [6, 7, 8])
     assert np.array_equal(m.nodes_on_side("left"), [0, 3, 6])
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=2, max_value=200))
-def test_nested_dissection_order_is_a_permutation(side_nodes):
-    order = nested_dissection_order(side_nodes)
-    assert np.array_equal(np.sort(order), np.arange(side_nodes ** 2))
-
-
-def test_nested_dissection_order_matches_the_recursive_reference():
-    for side_nodes in [*range(2, 81), 90, 180]:
-        order = nested_dissection_order(side_nodes)
-        reference = dissection_order_reference(side_nodes)
-        assert order.dtype == reference.dtype
-        assert np.array_equal(order, reference), side_nodes
-
-
-def test_nested_dissection_order_puts_separator_last():
-    # 5x5: the middle row separates rows 0-1 from rows 3-4 and comes last.
-    order = nested_dissection_order(5)
-    assert list(order[-5:]) == [10, 11, 12, 13, 14]
-    assert set(order[:10]) == set(range(10))
-    with pytest.raises(ValueError):
-        nested_dissection_order(1)
-
-
-def test_nested_dissection_order_leaves_no_reference_cycles():
-    # A cycle would hold every block until the cyclic collector runs, so
-    # memory would grow with each operator built.
-    gc.collect()
-    gc.disable()
-    try:
-        nested_dissection_order(20)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
