@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem_cem import ConductivityField
-from .mesh import ElectrodeSetup, Mesh
+from .mesh import ElectrodeSetup, Mesh, _centroid_values, _frozen
 from .weighted_gradient import ReconstructionResult
 
 #: Pairs whose computed potentials differ by less than this are merged.
@@ -55,11 +55,9 @@ class PhiMap:
             raise ValueError("values must be strictly increasing")
         if not np.all(np.isfinite(s) & (s > 0.0)):
             raise ValueError("slopes must be finite and positive")
-        for a in (b, v, s):
-            a.setflags(write=False)
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "slopes", s)
+        object.__setattr__(self, "breakpoints", _frozen(b))
+        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "slopes", _frozen(s))
 
     def _segment(self, s) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, s, side="right") - 1
@@ -79,7 +77,7 @@ class PhiMap:
 
 @dataclass(frozen=True)
 class BoundaryVoltageTrace:
-    """Measured potential samples at boundary nodes (V)."""
+    """Measured potential samples at distinct boundary nodes (V), finite."""
 
     node_ids: np.ndarray
     values: np.ndarray
@@ -91,12 +89,19 @@ class BoundaryVoltageTrace:
             raise ValueError("trace needs matching 1-d node ids and values")
         if len(ids) == 0:
             raise ValueError("trace is empty")
+        if (row := self.first_repeated(ids)) is not None:
+            raise ValueError(f"trace node {ids[row]} occurs twice; sample {row} repeats it")
         if not np.all(np.isfinite(v)):
             raise ValueError("trace values must be finite")
-        ids.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "node_ids", ids)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "node_ids", _frozen(ids))
+        object.__setattr__(self, "values", _frozen(v))
+
+    @staticmethod
+    def first_repeated(node_ids: np.ndarray) -> int | None:
+        """Index of the first sample whose node an earlier sample holds, if any."""
+        _, first = np.unique(node_ids, return_index=True)
+        repeated = np.setdiff1d(np.arange(len(node_ids)), first)
+        return int(repeated[0]) if len(repeated) else None
 
 
 def side_trace(mesh: Mesh, side: str, values: np.ndarray) -> BoundaryVoltageTrace:
@@ -223,5 +228,5 @@ def apply_calibration(mesh: Mesh, recon: ReconstructionResult,
     Each triangle is divided by ``phi'`` evaluated at the triangle's mean
     vertex potential (the centroid value of the piecewise-linear solution).
     """
-    v_cent = recon.solution.u[mesh.triangles].mean(axis=1)
+    v_cent = _centroid_values(mesh, recon.solution.u)
     return ConductivityField(recon.sigma_v.values / phi.derivative(v_cent))

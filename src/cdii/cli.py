@@ -256,8 +256,9 @@ def cmd_reconstruct(cfg: PipelineConfig) -> int:
     return 0 if result.converged else 4
 
 
-def _trace_from_rows(mesh: Mesh, gamma_side: str,
-                     rows: list[tuple[str, float]]) -> BoundaryVoltageTrace:
+def _trace_from_rows(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltageTrace:
+    """The trace of the file ``path``; a repeated node is an error naming its line."""
+    rows = read_trace(path)
     # The first column keys the whole file: bare integers throughout mean
     # node ids; any decimal point or exponent switches to coordinates along
     # the measurement side.
@@ -269,18 +270,22 @@ def _trace_from_rows(mesh: Mesh, gamma_side: str,
         off_side = np.setdiff1d(ids, side_ids)
         if off_side.size:
             raise ValueError(f"node {off_side[0]} is not on side {gamma_side!r}")
+    else:
+        axis = 0 if gamma_side in ("bottom", "top") else 1
+        coords = mesh.nodes[side_ids, axis]
+        ids = []
+        for token, _ in rows:
+            pos = float(token)
+            j = int(np.argmin(np.abs(coords - pos)))
+            if abs(coords[j] - pos) > TRACE_COORD_TOL:
+                raise ValueError(f"coordinate {pos} matches no node on side {gamma_side!r}")
+            ids.append(int(side_ids[j]))
+    try:
         return BoundaryVoltageTrace(node_ids=ids, values=values)
-
-    axis = 0 if gamma_side in ("bottom", "top") else 1
-    coords = mesh.nodes[side_ids, axis]
-    ids = []
-    for token, _ in rows:
-        pos = float(token)
-        j = int(np.argmin(np.abs(coords - pos)))
-        if abs(coords[j] - pos) > TRACE_COORD_TOL:
-            raise ValueError(f"coordinate {pos} matches no node on side {gamma_side!r}")
-        ids.append(int(side_ids[j]))
-    return BoundaryVoltageTrace(node_ids=np.asarray(ids), values=values)
+    except ValueError as exc:  # a repeated node is the rule the trace checks first
+        if (row := BoundaryVoltageTrace.first_repeated(ids)) is None:
+            raise
+        raise ValueError(f"{path}:{data_line(path, row)}: {exc}") from None
 
 
 def _calibrate(mesh: Mesh, result: ReconstructionResult, phi: PhiMap,
@@ -314,7 +319,7 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
     result = ReconstructionResult(sigma_v=sigma_v, solution=solution, log=[],
                                   converged=True, iterations=0)
     with _keyed(str(trace_path)):
-        trace = _trace_from_rows(mesh, cfg.gamma_side, read_trace(trace_path))
+        trace = _trace_from_rows(mesh, cfg.gamma_side, trace_path)
         phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
     _calibrate(mesh, result, phi, out)
     return 0

@@ -42,7 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import ElectrodeSetup, Mesh, ParameterError, triangle_gradients
+from .mesh import (ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm,
+                   triangle_gradients)
 
 #: Default relative-residual tolerance of the linear solve.
 DEFAULT_SOLVER_TOL = 1e-10
@@ -84,6 +85,13 @@ class SolverError(RuntimeError):
     """Linear solve failed to meet the residual contract."""
 
 
+def _sums_to_zero(values: np.ndarray) -> bool:
+    """Whether ``values`` are finite and sum to zero within ``ZERO_SUM_TOL`` of
+    their largest magnitude; a NaN or inf fails before anything is summed."""
+    scale = np.max(np.abs(values), initial=0.0)
+    return bool(scale < np.inf and abs(values.sum()) <= ZERO_SUM_TOL * scale)
+
+
 @dataclass(frozen=True)
 class ConductivityField:
     """Piecewise-constant conductivity, one positive finite value per triangle (S/m)."""
@@ -96,13 +104,12 @@ class ConductivityField:
             raise ValueError("conductivity values must be a 1-d array")
         if not np.all((v > 0.0) & (v < np.inf)):
             raise ValueError("conductivity must be positive and finite on every triangle")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v))
 
 
 @dataclass(frozen=True)
 class CurrentPattern:
-    """Net injected currents (A), one per electrode, summing to zero."""
+    """Net injected currents (A), one per electrode, finite and summing to zero."""
 
     values: np.ndarray
 
@@ -110,13 +117,9 @@ class CurrentPattern:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or len(v) < 2:
             raise ValueError("need one current per electrode (at least two)")
-        scale = np.max(np.abs(v))
-        if abs(v.sum()) > ZERO_SUM_TOL * scale:
-            raise ValueError(
-                f"currents must sum to zero; got sum {v.sum():.3e} at scale {scale:.3e}"
-            )
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        if not _sums_to_zero(v):
+            raise ValueError(f"currents must be finite and sum to zero, got {v.tolist()}")
+        object.__setattr__(self, "values", _frozen(v))
 
 
 @dataclass(frozen=True)
@@ -136,10 +139,8 @@ class ForwardSolution:
                 row = int(np.argwhere(~np.isfinite(arr))[0][0])
                 raise ParameterError(name, f"{name} must be finite; entry {row} "
                                      f"holds {arr[row]}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        scale = np.max(np.abs(self.U)) if len(self.U) else 0.0
-        if scale > 0.0 and abs(self.U.sum()) > ZERO_SUM_TOL * scale:
+            object.__setattr__(self, name, _frozen(arr))
+        if not _sums_to_zero(self.U):
             raise ParameterError("U", "electrode voltages must sum to zero")
 
 
@@ -175,9 +176,7 @@ class BlockSystem:
 
 def _check_setup(mesh: Mesh, setup: ElectrodeSetup, currents: CurrentPattern) -> None:
     if len(currents.values) != setup.count:
-        raise ValueError(
-            f"{len(currents.values)} currents for {setup.count} electrodes"
-        )
+        raise ValueError(f"{len(currents.values)} currents for {setup.count} electrodes")
     n_edges = len(mesh.boundary_edges)
     for k, e in enumerate(setup.electrodes):
         if np.any(e.edge_ids < 0) or np.any(e.edge_ids >= n_edges):
@@ -186,16 +185,8 @@ def _check_setup(mesh: Mesh, setup: ElectrodeSetup, currents: CurrentPattern) ->
 
 def _check_sigma(mesh: Mesh, sigma: ConductivityField) -> None:
     if len(sigma.values) != mesh.triangle_count:
-        raise ValueError(
-            f"conductivity has {len(sigma.values)} values for "
-            f"{mesh.triangle_count} triangles"
-        )
-
-
-def _check_problem(mesh: Mesh, sigma: ConductivityField,
-                   setup: ElectrodeSetup, currents: CurrentPattern) -> None:
-    _check_sigma(mesh, sigma)
-    _check_setup(mesh, setup, currents)
+        raise ValueError(f"conductivity has {len(sigma.values)} values for "
+                         f"{mesh.triangle_count} triangles")
 
 
 def _check_candidate(mesh: Mesh, setup: ElectrodeSetup, candidate) -> tuple[np.ndarray, np.ndarray]:
@@ -228,6 +219,15 @@ def _edge_bilinear_integral(u: np.ndarray, U_k: float, v: np.ndarray, V_k: float
     return float(np.sum(2.0 * ap * bp + ap * bq + aq * bp + 2.0 * aq * bq)) * h / 6.0
 
 
+def _electrode_terms(val: float, mesh: Mesh, setup: ElectrodeSetup,
+                     currents: CurrentPattern, u: np.ndarray, U: np.ndarray) -> float:
+    """The running sum ``val`` continued, in this order, by each electrode's
+    ``(1/2z_k) integral (u - U_k)^2`` and then minus the current work ``I . U``."""
+    for k, e in enumerate(setup.electrodes):
+        val += _edge_square_integral(u, U[k], e.edges, mesh.h) / (2.0 * e.impedance)
+    return val - float(np.dot(currents.values, U))
+
+
 def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
                     currents: CurrentPattern) -> BlockSystem:
     """Assemble the discrete CEM block system.
@@ -238,7 +238,8 @@ def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     voltage block is ``|e_N|/z_N + diag(|e_j|/z_j)``, the symmetric form
     obtained by eliminating the last voltage from the zero-sum constraint.
     """
-    _check_problem(mesh, sigma, setup, currents)
+    _check_sigma(mesh, sigma)
+    _check_setup(mesh, setup, currents)
     m = mesh.node_count
     N = setup.count - 1
     tri = mesh.triangles
@@ -504,14 +505,12 @@ def energy_value(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     impedance-weighted electrode mismatch, minus the work of the injected
     currents.  Exact for piecewise-linear candidates.
     """
-    _check_problem(mesh, sigma, setup, currents)
+    _check_sigma(mesh, sigma)
+    _check_setup(mesh, setup, currents)
     u, U = _check_candidate(mesh, setup, candidate)
     g = triangle_gradients(mesh, u)
     val = 0.5 * float(np.sum(sigma.values * (g[:, 0] ** 2 + g[:, 1] ** 2))) * mesh.triangle_area
-    for k, e in enumerate(setup.electrodes):
-        val += _edge_square_integral(u, U[k], e.edges, mesh.h) / (2.0 * e.impedance)
-    val -= float(np.dot(currents.values, U))
-    return val
+    return _electrode_terms(val, mesh, setup, currents, u, U)
 
 
 def energy_derivative(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
@@ -522,7 +521,8 @@ def energy_derivative(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetu
     ``(E(at + t d) - E(at - t d)) / 2t`` for any step ``t`` up to roundoff.
     The direction's voltage part is expected on the zero-sum hyperplane.
     """
-    _check_problem(mesh, sigma, setup, currents)
+    _check_sigma(mesh, sigma)
+    _check_setup(mesh, setup, currents)
     u, U = _check_candidate(mesh, setup, at)
     v, V = _check_candidate(mesh, setup, direction)
     gu = triangle_gradients(mesh, u)
@@ -557,7 +557,7 @@ def interior_current(mesh: Mesh, sigma: ConductivityField,
     if solution.grad_u.shape != (mesh.triangle_count, 2):
         raise ValueError("solution gradients do not match the mesh")
     J = -sigma.values[:, None] * solution.grad_u
-    a = sigma.values * np.hypot(solution.grad_u[:, 0], solution.grad_u[:, 1])
+    a = sigma.values * _gradient_norm(solution.grad_u)
     return J, a
 
 

@@ -68,9 +68,8 @@ class Mesh:
         defined in (lower: SW, SE, NW; upper: NE, SE, NW).
     boundary_edges : ndarray, shape (n_edges, 2)
         Node pairs of the boundary edges, grouped by side in the order
-        bottom, right, top, left and oriented along increasing coordinate.
-    edge_sides : ndarray of str, shape (n_edges,)
-        Side tag of each boundary edge.
+        bottom, right, top, left and oriented along increasing coordinate;
+        ``edges_on_side`` gives the indices of one side's edges.
     """
 
     side_nodes: int
@@ -78,7 +77,6 @@ class Mesh:
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    edge_sides: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -191,21 +189,16 @@ def build_uniform_mesh(side_nodes: int) -> Mesh:
     tri[1::2] = np.column_stack([base + n + 1, base + 1, base + n])  # upper
 
     runs = []
-    tags = []
     for side in SIDES:
         s = _side_nodes(n, side)
         runs.append(np.column_stack([s[:-1], s[1:]]))
-        tags.extend([side] * (n - 1))
-    boundary_edges = np.vstack(runs)
-    edge_sides = np.array(tags)
 
     return Mesh(
         side_nodes=n,
         h=h,
         nodes=_frozen(nodes),
         triangles=_frozen(tri),
-        boundary_edges=_frozen(boundary_edges),
-        edge_sides=_frozen(edge_sides),
+        boundary_edges=_frozen(np.vstack(runs)),
     )
 
 
@@ -236,24 +229,32 @@ def triangle_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return grads.reshape(-1, 2)
 
 
-def centroids(mesh: Mesh) -> np.ndarray:
-    """Triangle centroids, shape (n_tri, 2).
+def _gradient_norm(grad: np.ndarray) -> np.ndarray:
+    """Per-triangle Euclidean norm ``|grad|`` of a gradient field."""
+    return np.hypot(grad[:, 0], grad[:, 1])
 
-    Each is the mean of its vertices in local order, ``(SW + SE + NW)/3``
-    on a lower triangle and ``(NE + SE + NW)/3`` on an upper one, summed
-    left to right from four slices of the node grid.
-    """
+
+def centroids(mesh: Mesh) -> np.ndarray:
+    """Triangle centroids, shape (n_tri, 2)."""
+    return _centroid_values(mesh, mesh.nodes)
+
+
+def _centroid_values(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Per-triangle vertex mean of a nodal field, scalar or not, from four
+    slices of the node grid: ``(SW + SE + NW)/3`` on a lower triangle and
+    ``(NE + SE + NW)/3`` on an upper one, bitwise the gathered mean."""
     n = mesh.side_nodes
-    grid = mesh.nodes.reshape(n, n, 2)
+    tail = values.shape[1:]
+    grid = values.reshape(n, n, *tail)
     sw, se, nw, ne = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
-    # (cell row, cell column, lower/upper, coordinate): triangle order, reshaped
-    c = np.empty((n - 1, n - 1, 2, 2))
+    # (cell row, cell column, lower/upper, ...): triangle order, reshaped
+    c = np.empty((n - 1, n - 1, 2, *tail))
     np.add(sw, se, out=c[:, :, 0])
     np.add(ne, se, out=c[:, :, 1])
     c[:, :, 0] += nw
     c[:, :, 1] += nw
     c /= 3.0
-    return c.reshape(-1, 2)
+    return c.reshape(-1, *tail)
 
 
 def locate_electrodes(

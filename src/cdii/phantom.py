@@ -16,7 +16,8 @@ from .fem_cem import (
     interior_current,
     solve_forward,
 )
-from .mesh import ElectrodeSetup, Mesh, ParameterError, centroids, triangle_gradients
+from .mesh import (ElectrodeSetup, Mesh, ParameterError, _gradient_norm, centroids,
+                   triangle_gradients)
 from .weighted_gradient import GRAD_FLOOR, InteriorData
 
 #: Noisy data is clamped from below at this floor.
@@ -115,8 +116,8 @@ def transform_conductivity(mesh: Mesh, sigma: ConductivityField,
         )
 
     grad_v = triangle_gradients(mesh, np.asarray(phi(u), dtype=float))
-    norm_u = np.hypot(solution.grad_u[:, 0], solution.grad_u[:, 1])
-    norm_v = np.hypot(grad_v[:, 0], grad_v[:, 1])
+    norm_u = _gradient_norm(solution.grad_u)
+    norm_v = _gradient_norm(grad_v)
     values = sigma.values.copy()
     live = norm_u >= GRAD_FLOOR
     values[live] = sigma.values[live] * norm_u[live] / norm_v[live]

@@ -6,9 +6,10 @@ forward solution minimizes
     integral of a |grad v|  +  electrode mismatch penalty  -  current work
 
 over candidates with zero-sum electrode voltages.  The reconstruction loop
-alternates a conductivity update ``a / |grad u|`` (clamped to
-``[eps, 1/eps]``) with a forward solve, and stops once the per-triangle
-gradients settle.  Its forward solves share one ``fem_cem.LastFactor``.
+alternates the update ``clamp_conductivity``, ``a / |grad u|`` clamped to
+``[eps, 1/eps]``, with a forward solve, and stops once the per-triangle
+gradients settle.  Its forward solves share one ``fem_cem.LastFactor``;
+the electrode terms and the zero-sum rule are ``fem_cem``'s.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ from .fem_cem import (
     ForwardSolution,
     LastFactor,
     SolverError,
-    ZERO_SUM_TOL,
     _check_candidate,
     _check_setup,
     _edge_square_integral,
+    _electrode_terms,
+    _sums_to_zero,
     solve_forward,
 )
-from .mesh import ElectrodeSetup, Mesh, ParameterError, triangle_gradients
+from .mesh import (ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm,
+                   triangle_gradients)
 
 #: Gradient magnitudes below this floor are treated as degenerate in the
 #: conductivity update; the clamp bounds the result anyway.
@@ -53,8 +56,7 @@ class InteriorData:
         if bad is not None:
             raise ValueError("current-density magnitude must be finite and nonnegative; "
                              f"triangle {bad} holds {float(v[bad])}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v))
 
     @staticmethod
     def first_invalid(values: np.ndarray) -> int | None:
@@ -131,28 +133,19 @@ def functional_value(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
         raise ValueError("interior data does not match the mesh")
     _check_setup(mesh, setup, currents)
     v, V = _check_candidate(mesh, setup, candidate)
-    scale = np.max(np.abs(V)) if len(V) else 0.0
-    if abs(V.sum()) > ZERO_SUM_TOL * max(scale, 1e-300):
-        raise ValueError("candidate voltages must sum to zero")
+    if not _sums_to_zero(V):
+        raise ValueError("candidate voltages must be finite and sum to zero")
     return _functional(mesh, data, setup, currents, v, V,
-                       _magnitude(triangle_gradients(mesh, v)))
-
-
-def _magnitude(grad: np.ndarray) -> np.ndarray:
-    """Per-triangle Euclidean norm of a gradient field."""
-    return np.hypot(grad[:, 0], grad[:, 1])
+                       _gradient_norm(triangle_gradients(mesh, v)))
 
 
 def _functional(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
                 currents: CurrentPattern, v: np.ndarray, V: np.ndarray,
                 grad_norm: np.ndarray) -> float:
     """``functional_value`` at ``(v, V)`` with ``grad_norm`` the magnitude of
-    the gradient of ``v``."""
+    the gradient of ``v``, unchecked: the loop's kernel."""
     val = float(np.sum(data.values * grad_norm)) * mesh.triangle_area
-    for k, e in enumerate(setup.electrodes):
-        val += _edge_square_integral(v, V[k], e.edges, mesh.h) / (2.0 * e.impedance)
-    val -= float(np.dot(currents.values, V))
-    return val
+    return _electrode_terms(val, mesh, setup, currents, v, V)
 
 
 def minimum_value(mesh: Mesh, setup: ElectrodeSetup, solution: ForwardSolution) -> float:
@@ -166,23 +159,18 @@ def minimum_value(mesh: Mesh, setup: ElectrodeSetup, solution: ForwardSolution) 
     return -0.5 * val
 
 
-def clamp_conductivity(data: InteriorData, grad: np.ndarray,
+def clamp_conductivity(data: InteriorData, grad_norm: np.ndarray,
                        epsilon: float) -> ConductivityField:
-    """Conductivity update ``clamp(a / |grad u|, eps, 1/eps)``.
+    """Conductivity update ``clamp(a / grad_norm, eps, 1/eps)``, ``grad_norm = |grad u|``.
 
     Triangles whose gradient magnitude falls below ``GRAD_FLOOR`` map to
     the upper bound ``1/eps``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != (len(data.values), 2):
-        raise ValueError("gradient field does not match the interior data")
-    return _clamp(data, _magnitude(grad), epsilon)
-
-
-def _clamp(data: InteriorData, grad_norm: np.ndarray, epsilon: float) -> ConductivityField:
-    """``clamp_conductivity`` with ``grad_norm`` the gradient magnitude."""
+    grad_norm = np.asarray(grad_norm, dtype=float)
+    if grad_norm.shape != data.values.shape:
+        raise ValueError("gradient magnitudes do not match the interior data")
     ratio = data.values / np.maximum(grad_norm, GRAD_FLOOR)
     values = np.clip(ratio, epsilon, 1.0 / epsilon)
     values[grad_norm < GRAD_FLOOR] = 1.0 / epsilon
@@ -209,14 +197,13 @@ def should_stop(grad_n: np.ndarray, grad_prev: np.ndarray, delta: float,
 def _stop_threshold(delta: float, epsilon: float, essinf_a: float) -> float:
     """The gradient change ``delta * epsilon / essinf_a`` at which to stop."""
     if not essinf_a > 0.0:
-        raise ValueError("essinf of the interior data must be positive")
+        raise ValueError(f"interior data must be bounded away from zero, min is {essinf_a:.3e}")
     return delta * epsilon / essinf_a
 
 
 def _max_grad_change(grad_n: np.ndarray, grad_prev: np.ndarray) -> float:
     """Sup over triangles of the Euclidean norm of the gradient change."""
-    return float(np.max(np.hypot(grad_n[:, 0] - grad_prev[:, 0],
-                                 grad_n[:, 1] - grad_prev[:, 1])))
+    return float(np.max(_gradient_norm(grad_n - grad_prev)))
 
 
 def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
@@ -255,10 +242,6 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     """
     if len(data.values) != mesh.triangle_count:
         raise ValueError("interior data does not match the mesh")
-    if not data.essinf > 0.0:
-        raise ValueError(
-            f"interior data must be bounded away from zero, min is {data.essinf:.3e}"
-        )
     threshold = _stop_threshold(config.delta, config.epsilon, data.essinf)
 
     t0 = time.perf_counter()
@@ -275,7 +258,7 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
         except SolverError as exc:
             raise SolverError(f"iteration {n}: {exc}") from exc
         change = float("nan") if prev is None else _max_grad_change(sol.grad_u, prev.grad_u)
-        grad_norm = _magnitude(sol.grad_u)
+        grad_norm = _gradient_norm(sol.grad_u)
         log.append(IterationRecord(
             iteration=n,
             objective=_functional(mesh, data, setup, currents, sol.u, sol.U, grad_norm),
@@ -283,7 +266,7 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
             wall_ms=(time.perf_counter() - t0) * 1e3,
         ))
         t0 = time.perf_counter()
-        sigma = _clamp(data, grad_norm, config.epsilon)
+        sigma = clamp_conductivity(data, grad_norm, config.epsilon)
         converged = change <= threshold  # false after the first solve (NaN)
         if converged:
             break

@@ -28,10 +28,11 @@ def basis_gradients(mesh: cdii.Mesh, triangle_id: int) -> np.ndarray:
     return pattern / mesh.h
 
 
-def centroids_reference(mesh: cdii.Mesh) -> np.ndarray:
-    """Triangle centroids as the mean of the gathered vertex coordinates;
-    the reference that ``centroids`` is checked against."""
-    return mesh.nodes[mesh.triangles].mean(axis=1)
+def centroids_reference(mesh: cdii.Mesh, values: np.ndarray) -> np.ndarray:
+    """Per-triangle mean of the gathered vertex values of a nodal field
+    (``mesh.nodes`` for the centroids); the reference that the centroid
+    kernel is checked against."""
+    return values[mesh.triangles].mean(axis=1)
 
 
 def dissection_order_reference(side_nodes: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,7 +23,7 @@ from cdii.weighted_gradient import (
     reconstruct,
 )
 
-from helpers import assert_objective_descent, rel_l2, two_electrode_case
+from helpers import assert_objective_descent, centroids_reference, rel_l2, two_electrode_case
 
 
 def fake_result(mesh, u, n_electrodes=2):
@@ -218,7 +220,29 @@ def test_trace_rejects_nonfinite_values(value):
         BoundaryVoltageTrace(node_ids=np.array([3, 7]), values=np.array([0.5, value]))
 
 
+@pytest.mark.parametrize("ids,row", [([3, 7, 3], 2), ([7, 7], 1), ([1, 3, 7, 3, 7], 3)])
+def test_trace_rejects_repeated_nodes(ids, row):
+    message = f"^trace node {ids[row]} occurs twice; sample {row} repeats it$"
+    with pytest.raises(ValueError, match=message):
+        BoundaryVoltageTrace(node_ids=np.array(ids), values=np.zeros(len(ids)))
+    assert BoundaryVoltageTrace.first_repeated(np.array(ids)) == row
+    assert BoundaryVoltageTrace.first_repeated(np.array(sorted(set(ids)))) is None
+
+
 # --------------------------------------------------------- apply_calibration
+
+@pytest.mark.parametrize("side_nodes", [5, 12, 90])
+def test_calibration_divides_by_the_slope_at_the_vertex_mean(side_nodes):
+    mesh = build_uniform_mesh(side_nodes)
+    rng = np.random.default_rng(side_nodes)
+    u = rng.normal(size=mesh.node_count)
+    result = dataclasses.replace(fake_result(mesh, u), sigma_v=ConductivityField(
+        rng.uniform(0.5, 2.0, mesh.triangle_count)))
+    phi = PhiMap(breakpoints=np.array([-1.0, 0.0, 1.0]), values=np.array([0.0, 1.0, 3.0]),
+                 slopes=np.array([1.0, 2.0]))
+    expected = result.sigma_v.values / phi.derivative(centroids_reference(mesh, u))
+    assert np.array_equal(apply_calibration(mesh, result, phi).values, expected)
+
 
 def test_identity_map_keeps_sigma():
     mesh, setup, _, result = run_unit_data_case()

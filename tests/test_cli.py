@@ -146,6 +146,8 @@ INVALID_VALUES = {
     "z-subnormal": ({"electrodes[0].z": "1e-320"}, "electrodes[0].z"),
     "unbalanced": ({"currents": "-0.001,0.003"}, "currents"),
     "three-currents": ({"currents": "-0.003,0.001,0.002"}, "currents"),
+    "currents-nan": ({"currents": "nan,0.003"}, "currents"),
+    "currents-inf": ({"currents": "inf,-inf"}, "currents"),
     "epsilon": ({"recon.epsilon": "1.5"}, "recon.epsilon"),
     "delta": ({"recon.delta": "0"}, "recon.delta"),
     "max_iter": ({"recon.max_iter": "0"}, "recon.max_iter"),
@@ -401,9 +403,12 @@ def _flat_trace(out):
 
 
 # A corrupted stage file is a configuration error naming that file.  On the
-# 12x12 mesh node 5 lies on the bottom electrode and node 25 inside.
+# 12x12 mesh node 5 lies on the bottom electrode and node 25 inside; node 11
+# is the first trace row's.
 CALIBRATE_INPUTS = {
     "trace-token": (_set_row("trace.csv", 2, "30,abc"), "trace.csv:3: "),
+    "trace-repeated-node": (_set_row("trace.csv", 2, "11,0.0005"),
+                            "trace.csv:3: trace node 11 occurs twice"),
     "trace-node-on-electrode": (_set_row("trace.csv", 2, "5,0.1"), "trace.csv: "),
     "trace-node-interior": (_set_row("trace.csv", 2, "25,0.1"), "trace.csv: "),
     "trace-flat": (_flat_trace, "trace.csv: "),
@@ -752,6 +757,17 @@ def test_calibrate_accepts_coordinate_trace(tmp_path):
     assert run(["calibrate", "--config", str(cfg)]) == 0
     _, _, sigma_final = read_field(tmp_path / "out" / "sigma_final.csv")
     assert np.max(np.abs(sigma_final - 1.0)) < 1e-6
+
+
+def test_calibrate_rejects_two_coordinates_of_one_node(tmp_path, capsys, valid_outputs):
+    out = tmp_path / "out"
+    shutil.copytree(valid_outputs, out)
+    # right side of the 12x12 mesh: node 11 at y = 0, node 23 at y = 1/11
+    (out / "trace.csv").write_text("# trace,V,node\n0.0,-0.001\n"
+                                   "0.09090909090909091,0.0\n1e-12,0.001\n")
+    assert run(["calibrate", "--config", str(write_config(tmp_path / "run.cfg", out))]) == 2
+    assert capsys.readouterr().err == (f"config error: {out / 'trace.csv'}:4: trace node 11 "
+                                       "occurs twice; sample 2 repeats it\n")
 
 
 def test_calibrate_rejects_unmatched_coordinate(tmp_path, capsys):

@@ -63,6 +63,13 @@ def test_currents_must_sum_to_zero():
     CurrentPattern(np.array([1.0, -1.0]))  # fine
 
 
+@pytest.mark.parametrize("values", [[np.nan, 0.003], [np.inf, 0.003], [np.inf, -np.inf]])
+def test_currents_must_be_finite(values):
+    # Checked before any sum: inf - inf would warn.
+    with pytest.raises(ValueError, match="finite and sum to zero"):
+        CurrentPattern(np.array(values))
+
+
 def test_voltages_must_sum_to_zero():
     with pytest.raises(ValueError):
         ForwardSolution(u=np.zeros(4), U=np.array([1.0, 1.0]),
@@ -552,6 +559,16 @@ def test_interior_current_reparameterized_family():
     sol = ForwardSolution(u=u, U=np.array([-1.0, 1.0]), grad_u=grad)
     _, a = interior_current(mesh, sigma, sol)
     assert np.max(np.abs(a - 1.0)) < 1e-12
+
+
+def test_interior_current_magnitude_is_sigma_times_hypot():
+    rng = np.random.default_rng(3)
+    mesh, setup, currents, sigma = random_case(rng, side_nodes=11)
+    sol = solve_forward(mesh, sigma, setup, currents)
+    g = sol.grad_u
+    J, a = interior_current(mesh, sigma, sol)
+    assert np.array_equal(a, sigma.values * np.hypot(g[:, 0], g[:, 1]))
+    assert np.array_equal(J, -sigma.values[:, None] * g)
 
 
 def test_interior_current_constant_potential():

@@ -3,6 +3,7 @@ import pytest
 
 import cdii
 from cdii.mesh import (
+    _centroid_values,
     build_uniform_mesh,
     centroids,
     locate_electrodes,
@@ -104,7 +105,14 @@ def test_partition_of_unity():
 @pytest.mark.parametrize("side_nodes", [2, 3, 4, 7, 60, 180])
 def test_centroids_are_bitwise_the_mean_of_the_vertices(side_nodes):
     m = build_uniform_mesh(side_nodes)
-    assert centroids(m).tobytes() == centroids_reference(m).tobytes()
+    assert centroids(m).tobytes() == centroids_reference(m, m.nodes).tobytes()
+
+
+@pytest.mark.parametrize("side_nodes", [2, 5, 12, 90, 181])
+def test_centroid_values_are_bitwise_the_mean_of_a_nodal_field(side_nodes):
+    m = build_uniform_mesh(side_nodes)
+    values = np.random.default_rng(side_nodes).normal(size=m.node_count)
+    assert np.array_equal(_centroid_values(m, values), centroids_reference(m, values))
 
 
 @pytest.mark.parametrize("side_nodes", [2, 3, 7, 60])
@@ -137,8 +145,9 @@ def test_boundary_edges():
     n = m.side_nodes
     assert len(m.boundary_edges) == 4 * (n - 1)
     for side in cdii.SIDES:
-        assert len(m.edges_on_side(side)) == n - 1
-        assert np.all(m.edge_sides[m.edges_on_side(side)] == side)
+        s = m.nodes_on_side(side)
+        assert np.array_equal(m.boundary_edges[m.edges_on_side(side)],
+                              np.column_stack([s[:-1], s[1:]]))
     # each boundary edge has length h and belongs to exactly one triangle
     tri_edge_sets = [
         {frozenset((t[0], t[1])), frozenset((t[1], t[2])), frozenset((t[0], t[2]))}

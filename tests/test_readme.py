@@ -1,8 +1,11 @@
-"""The README's library example runs against the package as it is."""
+"""The README's library example runs against the package as it is, and its
+config example names every key."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
+from cdii.config import PipelineConfig, _parse_lines, config_from_mapping
 from helpers import rel_l2
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -15,3 +18,13 @@ def test_readme_library_example_converges():
     exec(compile(code, f"{README} (Library example)", "exec"), namespace)
     assert namespace["result"].converged
     assert rel_l2(namespace["sigma"].values, namespace["sigma_true"].values) < 0.05
+
+
+def test_readme_config_example_names_every_key():
+    section = README.read_text().split("## CLI", 1)[1]
+    text = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
+    mapping = _parse_lines(text, f"{README} (CLI)")
+    config_from_mapping(mapping)  # no unknown key, every value parses
+    keys = {f.metadata["key"] for f in fields(PipelineConfig) if f.metadata}
+    keys |= {f"electrodes[0].{part}" for part in ("side", "interval", "z")}
+    assert keys <= set(mapping), sorted(keys - set(mapping))

@@ -23,6 +23,7 @@ from cdii.weighted_gradient import (
     should_stop,
 )
 from cdii.calibration import apply_calibration, build_monotone_map, collect_pairs
+from cdii.mesh import triangle_gradients
 from cdii.phantom import gaussian_phantom, simulate_data
 
 from helpers import (
@@ -65,6 +66,33 @@ def test_functional_rejects_off_hyperplane():
     with pytest.raises(ValueError, match="sum to zero"):
         functional_value(mesh, data, setup, currents,
                          (np.zeros(mesh.node_count), np.array([0.5, 0.6])))
+
+
+@pytest.mark.parametrize("V", [[np.nan, 0.0], [np.inf, -np.inf]])
+def test_functional_rejects_nonfinite_voltages(V):
+    mesh, setup, currents = two_electrode_case(4, 0.1, 0.1, 1.0)
+    data = InteriorData(np.ones(mesh.triangle_count))
+    with pytest.raises(ValueError, match="finite and sum to zero"):
+        functional_value(mesh, data, setup, currents,
+                         (np.zeros(mesh.node_count), np.array(V)))
+
+
+def test_functional_is_the_straight_line_sum():
+    # The gradient term, then each electrode's mismatch, then the current
+    # work, added in that order: the logged objective keeps its bits.
+    rng = np.random.default_rng(7)
+    mesh, setup, currents, _ = random_case(rng, side_nodes=9)
+    a = rng.uniform(0.5, 2.0, mesh.triangle_count)
+    v = rng.normal(size=mesh.node_count)
+    V = pi_vector(rng, setup.count)
+    g = triangle_gradients(mesh, v)
+    expected = float(np.sum(a * np.hypot(g[:, 0], g[:, 1]))) * mesh.triangle_area
+    for k, e in enumerate(setup.electrodes):
+        wp, wq = v[e.edges[:, 0]] - V[k], v[e.edges[:, 1]] - V[k]
+        expected += float(np.sum(wp * wp + wp * wq + wq * wq)) * mesh.h / 3.0 \
+            / (2.0 * e.impedance)
+    expected -= float(np.dot(currents.values, V))
+    assert functional_value(mesh, InteriorData(a), setup, currents, (v, V)) == expected
 
 
 def test_forward_solution_is_global_minimum():
@@ -128,40 +156,43 @@ def test_interior_data_first_invalid_none_when_valid():
 
 def test_clamp_inside_bounds():
     data = InteriorData(np.array([1.0]))
-    grad = np.array([[1.0, 0.0]])
-    assert clamp_conductivity(data, grad, 0.1).values[0] == 1.0
+    assert clamp_conductivity(data, np.array([1.0]), 0.1).values[0] == 1.0
 
 
 def test_clamp_upper():
     data = InteriorData(np.array([1.0]))
-    grad = np.array([[0.01, 0.0]])
-    assert clamp_conductivity(data, grad, 0.2).values[0] == 5.0
+    assert clamp_conductivity(data, np.array([0.01]), 0.2).values[0] == 5.0
 
 
 def test_clamp_lower():
     data = InteriorData(np.array([0.01]))
-    grad = np.array([[1.0, 0.0]])
-    assert clamp_conductivity(data, grad, 0.2).values[0] == 0.2
+    assert clamp_conductivity(data, np.array([1.0]), 0.2).values[0] == 0.2
 
 
 def test_clamp_degenerate_gradient():
     data = InteriorData(np.array([1.0]))
-    grad = np.array([[0.0, 0.0]])
-    assert clamp_conductivity(data, grad, 0.1).values[0] == 10.0
+    assert clamp_conductivity(data, np.array([0.0]), 0.1).values[0] == 10.0
 
 
 def test_clamp_range_always_held():
     rng = np.random.default_rng(4)
     data = InteriorData(rng.uniform(0.0, 10.0, 100))
-    grad = rng.normal(size=(100, 2)) * 0.01
-    values = clamp_conductivity(data, grad, 0.25).values
+    grad_norm = np.abs(rng.normal(size=100)) * 0.01
+    values = clamp_conductivity(data, grad_norm, 0.25).values
     assert np.all(values >= 0.25) and np.all(values <= 4.0)
 
 
 def test_clamp_validates_epsilon():
     data = InteriorData(np.array([1.0]))
     with pytest.raises(ValueError):
-        clamp_conductivity(data, np.array([[1.0, 0.0]]), 1.5)
+        clamp_conductivity(data, np.array([1.0]), 1.5)
+
+
+def test_clamp_rejects_a_gradient_field():
+    # The update takes the magnitude |grad u|, one value per triangle.
+    data = InteriorData(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="magnitudes"):
+        clamp_conductivity(data, np.array([[1.0, 0.0], [0.0, 1.0]]), 0.1)
 
 
 # -------------------------------------------------------------- stopping
@@ -289,7 +320,8 @@ def test_sigma_v_is_the_clamp_of_the_final_solution(max_iter, converged):
     result = reconstruct(mesh, data, setup, currents,
                          ReconstructionConfig(epsilon=0.1, delta=1e-7, max_iter=max_iter))
     assert result.converged == converged
-    clamped = clamp_conductivity(data, result.solution.grad_u, 0.1)
+    g = result.solution.grad_u
+    clamped = clamp_conductivity(data, np.hypot(g[:, 0], g[:, 1]), 0.1)
     assert result.sigma_v.values.tobytes() == clamped.values.tobytes()
 
 
