@@ -231,7 +231,7 @@ def test_trace_rejects_repeated_nodes(ids, row):
 
 # --------------------------------------------------------- apply_calibration
 
-@pytest.mark.parametrize("side_nodes", [5, 12, 90])
+@pytest.mark.parametrize("side_nodes", [5, 12, 90, 181])
 def test_calibration_divides_by_the_slope_at_the_vertex_mean(side_nodes):
     mesh = build_uniform_mesh(side_nodes)
     rng = np.random.default_rng(side_nodes)

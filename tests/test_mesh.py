@@ -3,7 +3,6 @@ import pytest
 
 import cdii
 from cdii.mesh import (
-    _centroid_values,
     build_uniform_mesh,
     centroids,
     locate_electrodes,
@@ -106,13 +105,6 @@ def test_partition_of_unity():
 def test_centroids_are_bitwise_the_mean_of_the_vertices(side_nodes):
     m = build_uniform_mesh(side_nodes)
     assert centroids(m).tobytes() == centroids_reference(m, m.nodes).tobytes()
-
-
-@pytest.mark.parametrize("side_nodes", [2, 5, 12, 90, 181])
-def test_centroid_values_are_bitwise_the_mean_of_a_nodal_field(side_nodes):
-    m = build_uniform_mesh(side_nodes)
-    values = np.random.default_rng(side_nodes).normal(size=m.node_count)
-    assert np.array_equal(_centroid_values(m, values), centroids_reference(m, values))
 
 
 @pytest.mark.parametrize("side_nodes", [2, 3, 7, 60])
