@@ -256,7 +256,7 @@ def cmd_reconstruct(cfg: PipelineConfig) -> int:
     return 0 if result.converged else 4
 
 
-def _trace_from_rows(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltageTrace:
+def _trace_from_file(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltageTrace:
     """The trace of the file ``path``; a repeated node is an error naming its line."""
     rows = read_trace(path)
     # The first column keys the whole file: bare integers throughout mean
@@ -319,7 +319,7 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
     result = ReconstructionResult(sigma_v=sigma_v, solution=solution, log=[],
                                   converged=True, iterations=0)
     with _keyed(str(trace_path)):
-        trace = _trace_from_rows(mesh, cfg.gamma_side, trace_path)
+        trace = _trace_from_file(mesh, cfg.gamma_side, trace_path)
         phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
     _calibrate(mesh, result, phi, out)
     return 0
