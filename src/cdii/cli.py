@@ -354,6 +354,11 @@ def cmd_metrics(reference: str, candidate: str, out_dir: str) -> int:
         if values.ndim != 1 or not len(values):
             raise ConfigError("metrics", f"{path}: expected one value per row and at "
                               f"least one row, got shape {values.shape}")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            row = int(bad[0])
+            raise ConfigError("metrics", f"{path}:{data_line(path, row)}: value "
+                              f"{values[row]} is not finite")
     if ref.shape != cand.shape:
         raise ConfigError("metrics",
                           f"field shapes differ: {ref.shape} vs {cand.shape}")

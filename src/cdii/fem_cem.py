@@ -174,9 +174,13 @@ class BlockSystem:
         )
 
 
-def _check_setup(mesh: Mesh, setup: ElectrodeSetup, currents: CurrentPattern) -> None:
+def _check_currents(setup: ElectrodeSetup, currents: CurrentPattern) -> None:
     if len(currents.values) != setup.count:
         raise ValueError(f"{len(currents.values)} currents for {setup.count} electrodes")
+
+
+def _check_setup(mesh: Mesh, setup: ElectrodeSetup, currents: CurrentPattern) -> None:
+    _check_currents(setup, currents)
     n_edges = len(mesh.boundary_edges)
     for k, e in enumerate(setup.electrodes):
         if np.any(e.edge_ids < 0) or np.any(e.edge_ids >= n_edges):
@@ -350,6 +354,16 @@ class LastFactor:
     than ``PCG_MAX_ITER`` iterations, falls back in the same call to the
     direct factorization, and the new factor replaces the old.
 
+    The CG loop is written out, not called as ``scipy.sparse.linalg.cg``.
+    It repeats scipy 1.17's recurrence and stopping test operation for
+    operation: the residual starts as ``b - M x`` (``b`` when the start is
+    zero), a step runs only while ``||r|| >= solver_tol * ||b||``, and
+    running out of ``PCG_MAX_ITER`` steps is not convergence.  Its iterates
+    are therefore bitwise scipy's, without scipy's per-call wrappers
+    (``make_system``, the ``LinearOperator`` around the factor and the
+    step-counting callback), which cost more than a solve's numerical work
+    at 60² nodes.
+
     Holds the last factor, the last ``PCG_RECENT`` solutions and how many
     PCG iterations the last solve took, and counts the factorizations and
     PCG iterations of the sequence.  Its owner drops it when the sequence
@@ -402,27 +416,40 @@ class LastFactor:
         return c @ W
 
     def _pcg(self, M: sp.csc_matrix, b: np.ndarray, solver_tol: float) -> np.ndarray | None:
-        """Solve by PCG from the last factor and the recent solutions, or
-        return None: without a factor, after a solve that needed more than
-        ``PCG_REFACTOR_CAP`` iterations, or when PCG misses the contract."""
+        """Solve by PCG from the last factor and the recent solutions, in
+        scipy's ``cg`` loop written out, or return None: without a factor,
+        after a solve that needed more than ``PCG_REFACTOR_CAP`` iterations,
+        or when PCG misses the contract."""
         if self._lu is None or self._last_pcg > PCG_REFACTOR_CAP:
             self._lu = None  # one factor alive at a time while refactorizing
             return None
-        steps = 0
-
-        def count(_):
-            nonlocal steps
-            steps += 1
-
-        # With its dtype given, the preconditioner is not probed by a solve
-        # of a zero vector.
-        x, info = spla.cg(M, b, self._start(M, b), rtol=solver_tol, maxiter=PCG_MAX_ITER,
-                          M=spla.LinearOperator(M.shape, matvec=self._lu.solve,
-                                                dtype=float),
-                          callback=count)
+        b_norm = np.linalg.norm(b)
+        if b_norm == 0.0:  # the solution, in no steps
+            self._last_pcg = 0
+            return np.zeros_like(b)
+        x = self._start(M, b)
+        r = b - M @ x if x.any() else b.copy()
+        tol = solver_tol * b_norm
+        for steps in range(PCG_MAX_ITER):
+            if np.linalg.norm(r) < tol:
+                break
+            z = self._lu.solve(r)
+            rho = np.dot(r, z)
+            if steps:
+                p *= rho / rho_prev
+                p += z
+            else:
+                p = z
+            q = M @ p
+            alpha = rho / np.dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+        else:
+            steps = PCG_MAX_ITER  # not converged, as scipy reports it
         self.pcg_iterations += steps
         self._last_pcg = steps
-        if info != 0 or np.linalg.norm(M @ x - b) > solver_tol * np.linalg.norm(b):
+        if steps == PCG_MAX_ITER or np.linalg.norm(M @ x - b) > tol:
             self._lu = None
             return None
         return x
@@ -479,7 +506,9 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     SolverError
         If the residual contract cannot be met.
     """
-    _check_setup(mesh, setup, currents)  # operator.matrix checks sigma
+    # The operator checked the setup's edges when it was built from these
+    # objects, and operator.matrix checks sigma.
+    _check_currents(setup, currents)
     if factor is None:
         factor = LastFactor(CemOperator(mesh, setup))
     operator = factor.operator

@@ -230,8 +230,15 @@ def triangle_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 
 
 def _gradient_norm(grad: np.ndarray) -> np.ndarray:
-    """Per-triangle Euclidean norm ``|grad|`` of a gradient field."""
-    return np.hypot(grad[:, 0], grad[:, 1])
+    """Per-triangle Euclidean norm ``|grad|`` of a gradient field.
+
+    ``sqrt(gx*gx + gy*gy)``, vectorized, where ``np.hypot`` makes a libm
+    call per element.  It is within 2 ulp of ``np.hypot`` while the
+    components' magnitudes stay in [1e-150, 1e150]; outside that range the
+    squares underflow or overflow, far from any potential gradient here.
+    """
+    gx, gy = grad[:, 0], grad[:, 1]
+    return np.sqrt(gx * gx + gy * gy)
 
 
 def centroids(mesh: Mesh) -> np.ndarray:

@@ -80,13 +80,14 @@ class ReconstructionConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ParameterError("epsilon", f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not self.delta > 0.0:
-            raise ParameterError("delta", f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < np.inf:
+            raise ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
         if self.max_iter < 1:
             raise ParameterError("max_iter", f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.solver_tol > 0.0:
+        # A relative residual of 1 is met by x = 0, so no solve runs at or above it.
+        if not 0.0 < self.solver_tol < 1.0:
             raise ParameterError("solver_tol",
-                                 f"solver_tol must be positive, got {self.solver_tol}")
+                                 f"solver_tol must lie in (0, 1), got {self.solver_tol}")
 
 
 @dataclass(frozen=True)

@@ -150,8 +150,12 @@ INVALID_VALUES = {
     "currents-inf": ({"currents": "inf,-inf"}, "currents"),
     "epsilon": ({"recon.epsilon": "1.5"}, "recon.epsilon"),
     "delta": ({"recon.delta": "0"}, "recon.delta"),
+    "delta-inf": ({"recon.delta": "inf"}, "recon.delta"),
     "max_iter": ({"recon.max_iter": "0"}, "recon.max_iter"),
     "solver_tol": ({"recon.solver_tol": "-1e-10"}, "recon.solver_tol"),
+    "solver_tol-one": ({"recon.solver_tol": "1"}, "recon.solver_tol"),
+    "solver_tol-huge": ({"recon.solver_tol": "1e300"}, "recon.solver_tol"),
+    "solver_tol-inf": ({"recon.solver_tol": "inf"}, "recon.solver_tol"),
     "gamma-diag": ({"gamma.side": "diag"}, "gamma.side"),
     "gamma-on-electrode": ({"gamma.side": "bottom"}, "gamma.side"),
     "amplitude": ({"phantom.amplitude": "-0.1"}, "phantom.amplitude"),
@@ -197,9 +201,9 @@ BAD_Z = (st.floats(max_value=0.0) | st.sampled_from([np.nan, np.inf])
                      exclude_min=True, exclude_max=True))
 OUT_OF_RANGE = {
     "recon.epsilon": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(np.nan),
-    "recon.delta": st.floats(max_value=0.0) | st.just(np.nan),
+    "recon.delta": st.floats(max_value=0.0) | st.sampled_from([np.nan, np.inf]),
     "recon.max_iter": st.integers(max_value=0),
-    "recon.solver_tol": st.floats(max_value=0.0) | st.just(np.nan),
+    "recon.solver_tol": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(np.nan),
     "electrodes[0].z": BAD_Z,
     "electrodes[1].z": BAD_Z,
     "phantom.amplitude": NEGATIVE | st.sampled_from([np.nan, np.inf]),
@@ -515,6 +519,17 @@ def test_metrics_rejects_field_not_one_value_per_row(tmp_path, capsys, text, sha
     assert capsys.readouterr().err == (
         f"config error: metrics: {tmp_path / 'r.csv'}: expected one value per row and "
         f"at least one row, got shape {shape}\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_metrics_rejects_a_value_that_is_not_finite(tmp_path, capsys, token):
+    write_field(tmp_path / "r.csv", "sigma", "S/m", "triangle", np.ones(3))
+    (tmp_path / "c.csv").write_text(f"# sigma,S/m,triangle\n0,1\n\n1,{token}\n2,1\n")
+    assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "c.csv"),
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: metrics: {tmp_path / 'c.csv'}:4: value {float(token)} is not finite\n")
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_metrics_identical(tmp_path):

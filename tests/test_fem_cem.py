@@ -13,6 +13,7 @@ from cdii.fem_cem import (
     ForwardSolution,
     LastFactor,
     SolverError,
+    _factor_solve,
     _load_vector,
     assemble_system,
     electrode_flux,
@@ -22,7 +23,7 @@ from cdii.fem_cem import (
     max_principle_excess,
     solve_forward,
 )
-from cdii.mesh import build_uniform_mesh, locate_electrodes, triangle_gradients
+from cdii.mesh import _gradient_norm, build_uniform_mesh, locate_electrodes, triangle_gradients
 
 from helpers import (
     dissection_order_reference,
@@ -463,6 +464,44 @@ def test_failed_pcg_falls_back_to_the_direct_solve(reuse_case, monkeypatch):
     assert _relative_residual(operator, second, currents, sol) <= DEFAULT_SOLVER_TOL
 
 
+@pytest.mark.parametrize("exhausted", [False, True], ids=["converged", "exhausted"])
+def test_pcg_is_bitwise_scipy_cg(reuse_case, monkeypatch, exhausted):
+    # scipy's cg and the written-out loop get the same start, tolerance,
+    # iteration limit and preconditioner, and take the same steps to the same
+    # bytes.  With the limit at the number of steps cg needs, both run out of
+    # steps before their stopping test sees the residual that meets it, so
+    # neither has converged and the solve refactorizes.
+    mesh, setup, currents, operator, first, second = reuse_case
+    factor = LastFactor(operator)
+    solve_forward(mesh, first, setup, currents, factor=factor)
+    M, b = operator.matrix(second), _load_vector(mesh.node_count, currents)
+
+    def scipy_cg(maxiter):
+        steps = 0
+
+        def count(_):
+            nonlocal steps
+            steps += 1
+
+        x, info = spla.cg(M, b, factor._start(M, b), rtol=DEFAULT_SOLVER_TOL,
+                          maxiter=maxiter, callback=count,
+                          M=spla.LinearOperator(M.shape, matvec=factor._lu.solve, dtype=float))
+        return x, info, steps
+
+    x, info, steps = scipy_cg(cdii.fem_cem.PCG_MAX_ITER)
+    assert info == 0 and steps > 0
+    if exhausted:
+        monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", steps)
+        assert scipy_cg(steps)[1] == steps
+    ours = factor.solve(M, b, DEFAULT_SOLVER_TOL)
+    assert factor.pcg_iterations == steps
+    if exhausted:
+        assert factor.factorizations == 2
+        assert ours.tobytes() == _factor_solve(M, b, DEFAULT_SOLVER_TOL)[1].tobytes()
+    else:
+        assert factor.factorizations == 1 and ours.tobytes() == x.tobytes()
+
+
 def test_refactorizes_after_a_solve_over_the_cap(reuse_case, monkeypatch):
     # With the cap at 0 every PCG solve that iterates at all is over it, so
     # each solve after one refactorizes, and the one after that runs PCG.
@@ -561,13 +600,13 @@ def test_interior_current_reparameterized_family():
     assert np.max(np.abs(a - 1.0)) < 1e-12
 
 
-def test_interior_current_magnitude_is_sigma_times_hypot():
+def test_interior_current_magnitude_is_sigma_times_gradient_norm():
     rng = np.random.default_rng(3)
     mesh, setup, currents, sigma = random_case(rng, side_nodes=11)
     sol = solve_forward(mesh, sigma, setup, currents)
     g = sol.grad_u
     J, a = interior_current(mesh, sigma, sol)
-    assert np.array_equal(a, sigma.values * np.hypot(g[:, 0], g[:, 1]))
+    assert np.array_equal(a, sigma.values * _gradient_norm(g))
     assert np.array_equal(J, -sigma.values[:, None] * g)
 
 

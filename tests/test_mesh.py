@@ -3,6 +3,7 @@ import pytest
 
 import cdii
 from cdii.mesh import (
+    _gradient_norm,
     build_uniform_mesh,
     centroids,
     locate_electrodes,
@@ -130,6 +131,24 @@ def test_triangle_gradients_reject_wrong_count():
     m = build_uniform_mesh(4)
     with pytest.raises(ValueError, match="expected 16 nodal values"):
         triangle_gradients(m, np.zeros(15))
+
+
+def test_gradient_norm_is_the_square_root_kernel_within_2_ulp_of_hypot():
+    # Components of either sign, zeros included, with magnitudes across the
+    # kernel's documented range [1e-150, 1e150]: drawn apart in the first
+    # half, within a factor of 100 of each other in the second.
+    rng = np.random.default_rng(11)
+    exponents = rng.uniform(-150, 150, (20000, 2))
+    exponents[10000:] = rng.uniform(-149, 149, (10000, 1)) + rng.uniform(-1, 1, (10000, 2))
+    g = np.sign(rng.normal(size=(20000, 2))) * 10.0 ** exponents
+    g[:100, 0] = 0.0
+    g[100:200, 1] = 0.0
+    g[200:300] = [1e-150, 1e150]
+    norm = _gradient_norm(g)
+    gx, gy = g[:, 0], g[:, 1]
+    assert norm.tobytes() == np.sqrt(gx * gx + gy * gy).tobytes()
+    ulps = np.abs(norm.view(np.int64) - np.hypot(gx, gy).view(np.int64))
+    assert ulps.max() <= 2
 
 
 def test_boundary_edges():
