@@ -24,8 +24,6 @@ from .fem_cem import (
     SolverError,
     assemble_system,
     electrode_flux,
-    energy_derivative,
-    energy_value,
     interior_current,
     max_principle_excess,
     solve_forward,
@@ -45,7 +43,6 @@ from .phantom import (
     add_noise,
     gaussian_phantom,
     simulate_data,
-    transform_conductivity,
 )
 from .weighted_gradient import (
     InteriorData,
@@ -53,10 +50,7 @@ from .weighted_gradient import (
     ReconstructionConfig,
     ReconstructionResult,
     clamp_conductivity,
-    functional_value,
-    minimum_value,
     reconstruct,
-    should_stop,
 )
 
 __version__ = "0.1.0"
@@ -91,20 +85,14 @@ __all__ = [
     "clamp_conductivity",
     "collect_pairs",
     "electrode_flux",
-    "energy_derivative",
-    "energy_value",
-    "functional_value",
     "gaussian_phantom",
     "interior_current",
     "load_config",
     "locate_electrodes",
     "max_principle_excess",
-    "minimum_value",
     "reconstruct",
-    "should_stop",
     "side_trace",
     "simulate_data",
     "solve_forward",
-    "transform_conductivity",
     "triangle_gradients",
 ]

@@ -266,7 +266,14 @@ def _trace_from_file(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltage
     values = np.array([value for _, value in rows])
     side_ids = mesh.nodes_on_side(gamma_side)
     if keyed_by_id:
-        ids = np.array([int(token) for token, _ in rows])
+        ids = []
+        for row, (token, _) in enumerate(rows):
+            try:  # "nan" and "inf" parse as floats but not as ids
+                ids.append(int(token))
+            except ValueError:
+                raise ValueError(f"{path}:{data_line(path, row)}: "
+                                 f"cannot parse {token!r} as int") from None
+        ids = np.array(ids)
         off_side = np.setdiff1d(ids, side_ids)
         if off_side.size:
             raise ValueError(f"node {off_side[0]} is not on side {gamma_side!r}")
@@ -277,7 +284,7 @@ def _trace_from_file(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltage
         for token, _ in rows:
             pos = float(token)
             j = int(np.argmin(np.abs(coords - pos)))
-            if abs(coords[j] - pos) > TRACE_COORD_TOL:
+            if not abs(coords[j] - pos) <= TRACE_COORD_TOL:  # a NaN matches no node
                 raise ValueError(f"coordinate {pos} matches no node on side {gamma_side!r}")
             ids.append(int(side_ids[j]))
     try:

@@ -132,10 +132,6 @@ def _read_table(path, parsers) -> list[tuple]:
     return [tuple(parse(token) for parse, token in zip(parsers, tokens)) for _, tokens in rows]
 
 
-def read_convergence(path) -> list[tuple[int, float, float, float]]:
-    return _read_table(path, [int, float, float, float])
-
-
 def write_metrics(path, rows: list[tuple[str, float]]) -> None:
     _write_rows(path, "metric,value",
                 ["%s,%s\n" if isinstance(value, (int, np.integer)) else "%s,%.17g\n"

@@ -193,34 +193,11 @@ def _check_sigma(mesh: Mesh, sigma: ConductivityField) -> None:
                          f"{mesh.triangle_count} triangles")
 
 
-def _check_candidate(mesh: Mesh, setup: ElectrodeSetup, candidate) -> tuple[np.ndarray, np.ndarray]:
-    u, U = candidate
-    u = np.asarray(u, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if u.shape != (mesh.node_count,):
-        raise ValueError(f"candidate potential has shape {u.shape}, "
-                         f"expected ({mesh.node_count},)")
-    if U.shape != (setup.count,):
-        raise ValueError(f"candidate voltages have shape {U.shape}, "
-                         f"expected ({setup.count},)")
-    return u, U
-
-
 def _edge_square_integral(u: np.ndarray, U_k: float, edges: np.ndarray, h: float) -> float:
     """Exact integral of (u - U_k)^2 over an electrode's edges."""
     wp = u[edges[:, 0]] - U_k
     wq = u[edges[:, 1]] - U_k
     return float(np.sum(wp * wp + wp * wq + wq * wq)) * h / 3.0
-
-
-def _edge_bilinear_integral(u: np.ndarray, U_k: float, v: np.ndarray, V_k: float,
-                            edges: np.ndarray, h: float) -> float:
-    """Exact integral of (u - U_k)(v - V_k) over an electrode's edges."""
-    ap = u[edges[:, 0]] - U_k
-    aq = u[edges[:, 1]] - U_k
-    bp = v[edges[:, 0]] - V_k
-    bq = v[edges[:, 1]] - V_k
-    return float(np.sum(2.0 * ap * bp + ap * bq + aq * bp + 2.0 * aq * bq)) * h / 6.0
 
 
 def _electrode_terms(val: float, mesh: Mesh, setup: ElectrodeSetup,
@@ -524,44 +501,6 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     U[:N] = x[m:]
     U[N] = -np.sum(U[:N])
     return ForwardSolution(u=u, U=U, grad_u=triangle_gradients(mesh, u))
-
-
-def energy_value(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
-                 currents: CurrentPattern, candidate) -> float:
-    """Quadratic energy of the forward problem at a candidate ``(u, U)``.
-
-    Half the conductivity-weighted Dirichlet integral, plus half the
-    impedance-weighted electrode mismatch, minus the work of the injected
-    currents.  Exact for piecewise-linear candidates.
-    """
-    _check_sigma(mesh, sigma)
-    _check_setup(mesh, setup, currents)
-    u, U = _check_candidate(mesh, setup, candidate)
-    g = triangle_gradients(mesh, u)
-    val = 0.5 * float(np.sum(sigma.values * (g[:, 0] ** 2 + g[:, 1] ** 2))) * mesh.triangle_area
-    return _electrode_terms(val, mesh, setup, currents, u, U)
-
-
-def energy_derivative(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
-                      currents: CurrentPattern, at, direction) -> float:
-    """Directional (Gateaux) derivative of the energy at ``at`` along ``direction``.
-
-    The energy is quadratic, so this equals the central difference
-    ``(E(at + t d) - E(at - t d)) / 2t`` for any step ``t`` up to roundoff.
-    The direction's voltage part is expected on the zero-sum hyperplane.
-    """
-    _check_sigma(mesh, sigma)
-    _check_setup(mesh, setup, currents)
-    u, U = _check_candidate(mesh, setup, at)
-    v, V = _check_candidate(mesh, setup, direction)
-    gu = triangle_gradients(mesh, u)
-    gv = triangle_gradients(mesh, v)
-    val = float(np.sum(sigma.values * (gu[:, 0] * gv[:, 0] + gu[:, 1] * gv[:, 1]))) \
-        * mesh.triangle_area
-    for k, e in enumerate(setup.electrodes):
-        val += _edge_bilinear_integral(u, U[k], v, V[k], e.edges, mesh.h) / e.impedance
-    val -= float(np.dot(currents.values, V))
-    return val
 
 
 def electrode_flux(mesh: Mesh, setup: ElectrodeSetup, solution: ForwardSolution,

@@ -1,8 +1,6 @@
-"""Synthetic phantoms, interior-data simulation, and test transformations."""
+"""Synthetic phantoms, interior-data simulation, and seeded noise."""
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -16,15 +14,11 @@ from .fem_cem import (
     interior_current,
     solve_forward,
 )
-from .mesh import (ElectrodeSetup, Mesh, ParameterError, _gradient_norm, centroids,
-                   triangle_gradients)
-from .weighted_gradient import GRAD_FLOOR, InteriorData
+from .mesh import ElectrodeSetup, Mesh, ParameterError, centroids
+from .weighted_gradient import InteriorData
 
 #: Noisy data is clamped from below at this floor.
 NOISE_FLOOR = 1e-6
-
-#: Tolerance for the per-electrode shift constraint of a reparameterization.
-SHIFT_TOL = 1e-10
 
 
 def gaussian_phantom(mesh: Mesh, center: tuple[float, float], amplitude: float,
@@ -69,59 +63,6 @@ def simulate_data(mesh: Mesh, sigma_true: ConductivityField, setup: ElectrodeSet
     _, a = interior_current(mesh, sigma_true, sol)
     trace = side_trace(mesh, gamma_side, sol.u[mesh.nodes_on_side(gamma_side)])
     return InteriorData(a), trace, sol
-
-
-def transform_conductivity(mesh: Mesh, sigma: ConductivityField,
-                           solution: ForwardSolution, setup: ElectrodeSetup,
-                           phi: Callable[[np.ndarray], np.ndarray]) -> ConductivityField:
-    """Build the conductivity whose potential is ``phi`` of the given one.
-
-    ``phi`` must be strictly increasing on the potential's range and must
-    reduce to a constant shift on each electrode's potential range, with
-    the shifts summing to zero, so the transformed voltages stay on the
-    zero-sum hyperplane.  The transformed pair then carries the same
-    current density as the original: such conductivity changes are
-    invisible to the interior magnitude.
-
-    Per triangle the new conductivity is ``sigma * |grad u| / |grad(phi(u))|``
-    with ``phi(u)`` composed nodewise.  Where ``grad(phi(u))`` is parallel to
-    ``grad u`` on every triangle, as when the potential varies in one
-    direction only, this divided-difference slope (rather than a pointwise
-    ``phi'`` sample) makes the transformed pair satisfy the discrete problem
-    exactly, so paired forward solves agree to solver precision.  Elsewhere
-    ``phi(u)`` turns its gradient against ``grad u`` inside a triangle on
-    which ``phi`` is not affine, and the pair agrees to discretization
-    error.
-    """
-    u = solution.u
-    lo, hi = float(u.min()), float(u.max())
-    sample = np.linspace(lo, hi, 2049) if hi > lo else np.array([lo])
-    if np.any(np.diff(np.asarray(phi(sample), dtype=float)) <= 0.0):
-        raise ValueError("the reparameterization must be strictly increasing "
-                         "on the potential range")
-
-    shifts = []
-    for k, e in enumerate(setup.electrodes):
-        t = u[e.nodes()]
-        c = np.asarray(phi(t), dtype=float) - t
-        if np.ptp(c) > SHIFT_TOL:
-            raise ValueError(
-                f"reparameterization is not a constant shift on electrode {k} "
-                f"(spread {np.ptp(c):.3e})"
-            )
-        shifts.append(float(c.mean()))
-    if abs(sum(shifts)) > SHIFT_TOL:
-        raise ValueError(
-            f"electrode shifts must sum to zero, got {sum(shifts):.3e}"
-        )
-
-    grad_v = triangle_gradients(mesh, np.asarray(phi(u), dtype=float))
-    norm_u = _gradient_norm(solution.grad_u)
-    norm_v = _gradient_norm(grad_v)
-    values = sigma.values.copy()
-    live = norm_u >= GRAD_FLOOR
-    values[live] = sigma.values[live] * norm_u[live] / norm_v[live]
-    return ConductivityField(values)
 
 
 def add_noise(data: InteriorData, level: float, seed: int) -> InteriorData:

@@ -8,8 +8,9 @@ forward solution minimizes
 over candidates with zero-sum electrode voltages.  The reconstruction loop
 alternates the update ``clamp_conductivity``, ``a / |grad u|`` clamped to
 ``[eps, 1/eps]``, with a forward solve, and stops once the per-triangle
-gradients settle.  Its forward solves share one ``fem_cem.LastFactor``;
-the electrode terms and the zero-sum rule are ``fem_cem``'s.
+gradients settle.  Its forward solves share one ``fem_cem.LastFactor``,
+and the electrode terms of the functional are ``fem_cem``'s.  The loop
+evaluates the functional only to log it.
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ from .fem_cem import (
     ForwardSolution,
     LastFactor,
     SolverError,
-    _check_candidate,
-    _check_setup,
-    _edge_square_integral,
     _electrode_terms,
-    _sums_to_zero,
     solve_forward,
 )
-from .mesh import (ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm,
-                   triangle_gradients)
+from .mesh import ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm
 
 #: Gradient magnitudes below this floor are treated as degenerate in the
 #: conductivity update; the clamp bounds the result anyway.
@@ -122,42 +118,18 @@ class ReconstructionResult:
     stop_threshold: float = float("nan")
 
 
-def functional_value(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
-                     currents: CurrentPattern, candidate) -> float:
-    """Weighted-gradient functional at a candidate ``(v, V)``, V zero-sum.
+def _functional(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
+                currents: CurrentPattern, v: np.ndarray, V: np.ndarray,
+                grad_norm: np.ndarray) -> float:
+    """The weighted-gradient functional at ``(v, V)``, V zero-sum, with
+    ``grad_norm`` the magnitude of the gradient of ``v``, unchecked.
 
     Exact for piecewise-linear candidates: the gradient term is a plain sum
     of ``a * |grad v| * area`` over triangles and the electrode terms use
     closed-form edge quadrature.
     """
-    if len(data.values) != mesh.triangle_count:
-        raise ValueError("interior data does not match the mesh")
-    _check_setup(mesh, setup, currents)
-    v, V = _check_candidate(mesh, setup, candidate)
-    if not _sums_to_zero(V):
-        raise ValueError("candidate voltages must be finite and sum to zero")
-    return _functional(mesh, data, setup, currents, v, V,
-                       _gradient_norm(triangle_gradients(mesh, v)))
-
-
-def _functional(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
-                currents: CurrentPattern, v: np.ndarray, V: np.ndarray,
-                grad_norm: np.ndarray) -> float:
-    """``functional_value`` at ``(v, V)`` with ``grad_norm`` the magnitude of
-    the gradient of ``v``, unchecked: the loop's kernel."""
     val = float(np.sum(data.values * grad_norm)) * mesh.triangle_area
     return _electrode_terms(val, mesh, setup, currents, v, V)
-
-
-def minimum_value(mesh: Mesh, setup: ElectrodeSetup, solution: ForwardSolution) -> float:
-    """Value of the weighted-gradient functional at the forward solution,
-    computed from electrode boundary integrals alone:
-    ``-1/2 sum_k (1/z_k) integral (u - U_k)^2``."""
-    val = 0.0
-    for k, e in enumerate(setup.electrodes):
-        val += _edge_square_integral(solution.u, solution.U[k], e.edges, mesh.h) \
-            / e.impedance
-    return -0.5 * val
 
 
 def clamp_conductivity(data: InteriorData, grad_norm: np.ndarray,
@@ -176,23 +148,6 @@ def clamp_conductivity(data: InteriorData, grad_norm: np.ndarray,
     values = np.clip(ratio, epsilon, 1.0 / epsilon)
     values[grad_norm < GRAD_FLOOR] = 1.0 / epsilon
     return ConductivityField(values)
-
-
-def should_stop(grad_n: np.ndarray, grad_prev: np.ndarray, delta: float,
-                epsilon: float, essinf_a: float) -> bool:
-    """Stopping rule of the reconstruction loop.
-
-    Stop once the sup over triangles of the Euclidean norm of the gradient
-    change is at or below ``delta * epsilon / essinf_a``; the gradients are
-    triangle-constant, so this max is the exact discrete sup-norm.
-    Equality stops.
-    """
-    grad_n = np.asarray(grad_n, dtype=float)
-    grad_prev = np.asarray(grad_prev, dtype=float)
-    if grad_n.shape != grad_prev.shape:
-        raise ValueError("gradient fields have different shapes")
-    return bool(_max_grad_change(grad_n, grad_prev)
-                <= _stop_threshold(delta, epsilon, essinf_a))
 
 
 def _stop_threshold(delta: float, epsilon: float, essinf_a: float) -> float:
@@ -214,14 +169,14 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
 
     Starts from unit conductivity, then repeats clamp-update and forward
     solve until the gradient change drops to ``delta * epsilon / essinf(a)``
-    (the rule of ``should_stop``) or ``max_iter`` is reached.  Every forward
-    solve shares one ``fem_cem.LastFactor``, whose docstring describes when
-    a solve runs PCG and when it refactorizes; each meets the relative
-    residual ``config.solver_tol``.  The result counts the factorizations
-    and PCG iterations of this reconstruction's solves and carries the stop
-    threshold.  Each iterate's gradient magnitude is computed once, for the
-    log and the clamp update.  The per-iteration log records the
-    weighted-gradient objective (``functional_value``), which is
+    (``_stop_threshold``; equality stops) or ``max_iter`` is reached.
+    Every forward solve shares one ``fem_cem.LastFactor``, whose docstring
+    describes when a solve runs PCG and when it refactorizes; each meets
+    the relative residual ``config.solver_tol``.  The result counts the
+    factorizations and PCG iterations of this reconstruction's solves and
+    carries the stop threshold.  Each iterate's gradient magnitude is
+    computed once, for the log and the clamp update.  The per-iteration log
+    records the weighted-gradient objective (``_functional``), which is
     non-increasing along the iteration up to solver residual, and the
     sup-norm of the gradient change, which is the value the stop rule tests.
 

@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 import cdii
+from cdii.csvio import _read_table
+from cdii.fem_cem import _edge_square_integral, _electrode_terms
+from cdii.mesh import _gradient_norm, triangle_gradients
+from cdii.weighted_gradient import (GRAD_FLOOR, _functional, _max_grad_change,
+                                    _stop_threshold)
+
+#: Tolerance for the per-electrode shift constraint of a reparameterization.
+SHIFT_TOL = 1e-10
 
 
 # Constant basis-function gradients, times h, in local vertex order.
@@ -63,6 +72,124 @@ def _dissect(block: np.ndarray, parts: list[np.ndarray]) -> None:
         _dissect(block[:, :mid], parts)
         _dissect(block[:, mid + 1:], parts)
         parts.append(block[:, mid])
+
+
+def energy_value(mesh, sigma, setup, currents, candidate) -> float:
+    """Quadratic energy of the forward problem at a candidate ``(u, U)``.
+
+    Half the conductivity-weighted Dirichlet integral, plus half the
+    impedance-weighted electrode mismatch, minus the work of the injected
+    currents.  Exact for piecewise-linear candidates.
+    """
+    u, U = candidate
+    g = triangle_gradients(mesh, u)
+    val = 0.5 * float(np.sum(sigma.values * (g[:, 0] ** 2 + g[:, 1] ** 2))) * mesh.triangle_area
+    return _electrode_terms(val, mesh, setup, currents, u, U)
+
+
+def energy_derivative(mesh, sigma, setup, currents, at, direction) -> float:
+    """Directional (Gateaux) derivative of the energy at ``at`` along ``direction``.
+
+    The energy is quadratic, so this equals the central difference
+    ``(E(at + t d) - E(at - t d)) / 2t`` for any step ``t`` up to roundoff.
+    The electrode terms integrate ``(u - U_k)(v - V_k)`` exactly with the
+    edge mass matrix ``h/6 [[2, 1], [1, 2]]``.  The direction's voltage part
+    is expected on the zero-sum hyperplane.
+    """
+    u, U = at
+    v, V = direction
+    gu = triangle_gradients(mesh, u)
+    gv = triangle_gradients(mesh, v)
+    val = float(np.sum(sigma.values * (gu[:, 0] * gv[:, 0] + gu[:, 1] * gv[:, 1]))) \
+        * mesh.triangle_area
+    for k, e in enumerate(setup.electrodes):
+        ap, aq = u[e.edges[:, 0]] - U[k], u[e.edges[:, 1]] - U[k]
+        bp, bq = v[e.edges[:, 0]] - V[k], v[e.edges[:, 1]] - V[k]
+        val += float(np.sum(2.0 * ap * bp + ap * bq + aq * bp + 2.0 * aq * bq)) \
+            * mesh.h / 6.0 / e.impedance
+    return val - float(np.dot(currents.values, V))
+
+
+def functional_value(mesh, data, setup, currents, candidate) -> float:
+    """Weighted-gradient functional at a candidate ``(v, V)``, V zero-sum:
+    the loop's own kernel, with ``|grad v|`` computed here."""
+    v, V = candidate
+    return _functional(mesh, data, setup, currents, v, V,
+                       _gradient_norm(triangle_gradients(mesh, v)))
+
+
+def minimum_value(mesh, setup, solution) -> float:
+    """Value of the weighted-gradient functional at the forward solution,
+    computed from electrode boundary integrals alone:
+    ``-1/2 sum_k (1/z_k) integral (u - U_k)^2``."""
+    val = 0.0
+    for k, e in enumerate(setup.electrodes):
+        val += _edge_square_integral(solution.u, solution.U[k], e.edges, mesh.h) \
+            / e.impedance
+    return -0.5 * val
+
+
+def should_stop(grad_n, grad_prev, delta, epsilon, essinf_a) -> bool:
+    """The reconstruction loop's stop rule: the sup over triangles of the
+    gradient change is at or below ``delta * epsilon / essinf_a``."""
+    return _max_grad_change(grad_n, grad_prev) <= _stop_threshold(delta, epsilon, essinf_a)
+
+
+def transform_conductivity(mesh, sigma, solution, setup,
+                           phi: Callable[[np.ndarray], np.ndarray]) -> cdii.ConductivityField:
+    """Build the conductivity whose potential is ``phi`` of the given one.
+
+    ``phi`` must be strictly increasing on the potential's range and must
+    reduce to a constant shift on each electrode's potential range, with
+    the shifts summing to zero, so the transformed voltages stay on the
+    zero-sum hyperplane.  The transformed pair then carries the same
+    current density as the original: such conductivity changes are
+    invisible to the interior magnitude.
+
+    Per triangle the new conductivity is ``sigma * |grad u| / |grad(phi(u))|``
+    with ``phi(u)`` composed nodewise.  Where ``grad(phi(u))`` is parallel to
+    ``grad u`` on every triangle, as when the potential varies in one
+    direction only, this divided-difference slope (rather than a pointwise
+    ``phi'`` sample) makes the transformed pair satisfy the discrete problem
+    exactly, so paired forward solves agree to solver precision.  Elsewhere
+    ``phi(u)`` turns its gradient against ``grad u`` inside a triangle on
+    which ``phi`` is not affine, and the pair agrees to discretization
+    error.
+    """
+    u = solution.u
+    lo, hi = float(u.min()), float(u.max())
+    sample = np.linspace(lo, hi, 2049) if hi > lo else np.array([lo])
+    if np.any(np.diff(np.asarray(phi(sample), dtype=float)) <= 0.0):
+        raise ValueError("the reparameterization must be strictly increasing "
+                         "on the potential range")
+
+    shifts = []
+    for k, e in enumerate(setup.electrodes):
+        t = u[e.nodes()]
+        c = np.asarray(phi(t), dtype=float) - t
+        if np.ptp(c) > SHIFT_TOL:
+            raise ValueError(
+                f"reparameterization is not a constant shift on electrode {k} "
+                f"(spread {np.ptp(c):.3e})"
+            )
+        shifts.append(float(c.mean()))
+    if abs(sum(shifts)) > SHIFT_TOL:
+        raise ValueError(
+            f"electrode shifts must sum to zero, got {sum(shifts):.3e}"
+        )
+
+    grad_v = triangle_gradients(mesh, np.asarray(phi(u), dtype=float))
+    norm_u = _gradient_norm(solution.grad_u)
+    norm_v = _gradient_norm(grad_v)
+    values = sigma.values.copy()
+    live = norm_u >= GRAD_FLOOR
+    values[live] = sigma.values[live] * norm_u[live] / norm_v[live]
+    return cdii.ConductivityField(values)
+
+
+def read_convergence(path) -> list[tuple[int, float, float, float]]:
+    """The rows of a ``convergence.csv``, parsed as the writer wrote them."""
+    return _read_table(path, [int, float, float, float])
 
 
 def two_electrode_case(side_nodes: int, z0: float, z1: float, alpha: float):
@@ -133,7 +260,7 @@ def quadratic_minimizer_oracle(mesh, sigma, setup, currents):
         U = np.empty(N + 1)
         U[:N] = x[m:]
         U[N] = -np.sum(U[:N])
-        return cdii.energy_value(mesh, sigma, setup, currents, (x[:m], U))
+        return energy_value(mesh, sigma, setup, currents, (x[:m], U))
 
     basis = np.eye(dim)
     f0 = energy(np.zeros(dim))

@@ -17,25 +17,26 @@ from cdii.fem_cem import (
     ConductivityField,
     assemble_system,
     electrode_flux,
-    energy_derivative,
     interior_current,
     solve_forward,
 )
-from cdii.phantom import transform_conductivity, simulate_data, add_noise
+from cdii.phantom import simulate_data, add_noise
 from cdii.weighted_gradient import (
     InteriorData,
     ReconstructionConfig,
-    functional_value,
-    minimum_value,
     reconstruct,
 )
 
 from helpers import (
     assert_objective_descent,
+    energy_derivative,
     exact_linear_solution,
+    functional_value,
+    minimum_value,
     pi_vector,
     quadratic_minimizer_oracle,
     random_case,
+    transform_conductivity,
     two_electrode_case,
 )
 

@@ -15,7 +15,7 @@ from cdii.calibration import (
 )
 from cdii.fem_cem import ConductivityField, solve_forward
 from cdii.mesh import build_uniform_mesh, triangle_gradients
-from cdii.phantom import simulate_data, transform_conductivity
+from cdii.phantom import simulate_data
 from cdii.weighted_gradient import (
     InteriorData,
     ReconstructionConfig,
@@ -23,7 +23,8 @@ from cdii.weighted_gradient import (
     reconstruct,
 )
 
-from helpers import assert_objective_descent, centroids_reference, rel_l2, two_electrode_case
+from helpers import (assert_objective_descent, centroids_reference, rel_l2,
+                     transform_conductivity, two_electrode_case)
 
 
 def fake_result(mesh, u, n_electrodes=2):

@@ -10,7 +10,6 @@ import cdii.fem_cem
 from cdii.cli import _build_problem, main
 from cdii.config import ConfigError, PipelineConfig, config_from_mapping
 from cdii.csvio import (
-    read_convergence,
     read_field,
     read_metrics,
     write_field,
@@ -20,7 +19,7 @@ from cdii.fem_cem import DEFAULT_SOLVER_TOL
 from cdii.mesh import build_uniform_mesh
 from cdii.weighted_gradient import ReconstructionConfig
 
-from helpers import output_bytes
+from helpers import output_bytes, read_convergence
 
 
 BASE = {
@@ -411,6 +410,11 @@ def _flat_trace(out):
 # is the first trace row's.
 CALIBRATE_INPUTS = {
     "trace-token": (_set_row("trace.csv", 2, "30,abc"), "trace.csv:3: "),
+    "trace-node-nan": (_set_row("trace.csv", 2, "nan,0.1"), "trace.csv:3: "),
+    "trace-node-inf": (_set_row("trace.csv", 2, "inf,0.1"), "trace.csv:3: "),
+    # A NaN coordinate is no distance from any node: it must match none.
+    "trace-coordinate-nan": (lambda out: (out / "trace.csv").write_text(
+        "# trace,V,node\n0.5454545454545454,-0.001\nnan,0\n1.0,0.001\n"), "trace.csv: "),
     "trace-repeated-node": (_set_row("trace.csv", 2, "11,0.0005"),
                             "trace.csv:3: trace node 11 occurs twice"),
     "trace-node-on-electrode": (_set_row("trace.csv", 2, "5,0.1"), "trace.csv: "),

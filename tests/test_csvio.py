@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from cdii.calibration import PhiMap
 from cdii.csvio import (
     data_line,
-    read_convergence,
     read_field,
     read_metrics,
     read_trace,
@@ -26,6 +25,8 @@ from cdii.csvio import (
 )
 from cdii.mesh import build_uniform_mesh
 from cdii.weighted_gradient import IterationRecord
+
+from helpers import read_convergence
 
 
 # ------------------------------------------------------- reference writers

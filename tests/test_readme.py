@@ -1,10 +1,11 @@
-"""The README's library example runs against the package as it is, and its
-config example names every key."""
+"""The README's library example runs against the package as it is, its
+config example names every key, and the package exports what it lists."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import cdii
 from cdii.config import PipelineConfig, _parse_lines, config_from_mapping
 from helpers import rel_l2
 
@@ -28,3 +29,11 @@ def test_readme_config_example_names_every_key():
     keys = {f.metadata["key"] for f in fields(PipelineConfig) if f.metadata}
     keys |= {f"electrodes[0].{part}" for part in ("side", "interval", "z")}
     assert keys <= set(mapping), sorted(keys - set(mapping))
+
+
+def test_package_all_is_sorted_unique_and_resolves():
+    names = cdii.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(cdii, name)]
+    assert not missing, missing

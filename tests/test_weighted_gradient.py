@@ -16,11 +16,9 @@ from cdii.fem_cem import (
 from cdii.weighted_gradient import (
     InteriorData,
     ReconstructionConfig,
+    _stop_threshold,
     clamp_conductivity,
-    functional_value,
-    minimum_value,
     reconstruct,
-    should_stop,
 )
 from cdii.calibration import apply_calibration, build_monotone_map, collect_pairs
 from cdii.mesh import _gradient_norm, triangle_gradients
@@ -28,8 +26,12 @@ from cdii.phantom import gaussian_phantom, simulate_data
 
 from helpers import (
     assert_objective_descent,
+    functional_value,
+    minimum_value,
     pi_vector,
     random_case,
+    rel_l2,
+    should_stop,
     two_electrode_case,
 )
 
@@ -58,23 +60,6 @@ def test_functional_closed_form_minimum():
     got = functional_value(mesh, InteriorData(a), setup, currents, (sol.u, sol.U))
     assert got == pytest.approx(expected, rel=1e-11)
     assert minimum_value(mesh, setup, sol) == pytest.approx(expected, rel=1e-11)
-
-
-def test_functional_rejects_off_hyperplane():
-    mesh, setup, currents = two_electrode_case(4, 0.1, 0.1, 1.0)
-    data = InteriorData(np.ones(mesh.triangle_count))
-    with pytest.raises(ValueError, match="sum to zero"):
-        functional_value(mesh, data, setup, currents,
-                         (np.zeros(mesh.node_count), np.array([0.5, 0.6])))
-
-
-@pytest.mark.parametrize("V", [[np.nan, 0.0], [np.inf, -np.inf]])
-def test_functional_rejects_nonfinite_voltages(V):
-    mesh, setup, currents = two_electrode_case(4, 0.1, 0.1, 1.0)
-    data = InteriorData(np.ones(mesh.triangle_count))
-    with pytest.raises(ValueError, match="finite and sum to zero"):
-        functional_value(mesh, data, setup, currents,
-                         (np.zeros(mesh.node_count), np.array(V)))
 
 
 def test_functional_is_the_straight_line_sum():
@@ -218,11 +203,8 @@ def test_stop_at_exact_threshold():
 
 
 def test_stopping_validates_inputs():
-    g = np.zeros((5, 2))
-    with pytest.raises(ValueError):
-        should_stop(g, np.zeros((4, 2)), 1e-7, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        should_stop(g, g, 1e-7, 0.1, 0.0)
+    with pytest.raises(ValueError, match="bounded away from zero"):
+        _stop_threshold(1e-7, 0.1, 0.0)
 
 
 # ----------------------------------------------------------- reconstruct
@@ -419,6 +401,23 @@ def test_acceptance_reconstruction_shares_its_factorizations(monkeypatch):
     assert result.converged and result.iterations == 16 and len(result.log) == 17
     assert f"{rel:.5g}" == "0.0063911"
     assert result.factorizations == 2 and 0 < result.pcg_iterations <= 55
+
+
+def test_error_shrinks_under_mesh_refinement():
+    # The README's library path at a tight delta, so the stop rule leaves
+    # discretization error, not the loop's, as the calibrated error: 0.0064,
+    # 0.0026 and 0.0015 at 30², 60² and 120².
+    errors = []
+    for side_nodes in (30, 60, 120):
+        mesh, setup, currents, sigma_true, data, trace = _phantom_case(side_nodes)
+        result = reconstruct(mesh, data, setup, currents,
+                             ReconstructionConfig(epsilon=0.1, delta=1e-9))
+        assert result.converged, side_nodes
+        sigma = apply_calibration(mesh, result, build_monotone_map(
+            collect_pairs(mesh, setup, result, trace)))
+        errors.append(rel_l2(sigma.values, sigma_true.values))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine * 1.5 <= coarse, errors
 
 
 def test_reconstruct_is_bitwise_repeatable():
