@@ -10,7 +10,7 @@ monotone map ``phi``, and dividing the intermediate conductivity by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .fem_cem import ConductivityField
 from .mesh import ElectrodeSetup, Mesh, _centroid_values, _frozen
 from .weighted_gradient import ReconstructionResult
 
-#: Pairs whose computed potentials differ by less than this are merged.
+#: ``build_monotone_map`` merges pairs whose sorted computed potentials differ
+#: by at most this from the one before.
 MERGE_TOL = 1e-12
 
 #: Adjacent measured values of the map that differ by at most this, relative
@@ -31,28 +32,30 @@ VALUE_RTOL = 1e-12
 class PhiMap:
     """Monotone piecewise-linear map from computed to measured potential.
 
-    ``breakpoints`` (computed potential) are strictly increasing,
-    ``values`` (measured potential) strictly increasing, ``slopes`` has one
-    positive entry per segment.  Outside the breakpoint range the map
-    extends linearly with the first/last segment slope.  ``repaired`` marks
+    The map interpolates ``values`` (measured potential) at ``breakpoints``
+    (computed potential), both strictly increasing with at least two
+    entries, so it is continuous and strictly increasing.  ``slopes`` is
+    derived, ``np.diff(values) / np.diff(breakpoints)``, and must be finite
+    and positive.  Outside the breakpoint range the map extends linearly
+    with the first/last segment slope.  ``repaired``, keyword-only, marks
     that the input pairs violated monotonicity and were pooled.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-    slopes: np.ndarray
-    repaired: bool = False
+    repaired: bool = field(default=False, kw_only=True)
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        s = np.asarray(self.slopes, dtype=float)
-        if len(b) < 2 or len(v) != len(b) or len(s) != len(b) - 1:
-            raise ValueError("map needs n >= 2 breakpoints, n values, n-1 slopes")
+        if b.ndim != 1 or len(b) < 2 or v.shape != b.shape:
+            raise ValueError("map needs n >= 2 breakpoints and n values")
         if np.any(np.diff(b) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
         if np.any(np.diff(v) <= 0.0):
             raise ValueError("values must be strictly increasing")
+        s = np.diff(v) / np.diff(b)
         if not np.all(np.isfinite(s) & (s > 0.0)):
             raise ValueError("slopes must be finite and positive")
         object.__setattr__(self, "breakpoints", _frozen(b))
@@ -119,25 +122,14 @@ def side_trace(mesh: Mesh, side: str, values: np.ndarray) -> BoundaryVoltageTrac
     return BoundaryVoltageTrace(node_ids=ids.copy(), values=values.copy())
 
 
-def _merge_close(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by s and average groups closer than MERGE_TOL."""
-    order = np.argsort(s, kind="stable")
-    s, t = s[order], t[order]
-    group = np.concatenate([[0], np.cumsum(np.diff(s) > MERGE_TOL)])
-    count = np.bincount(group)
-    s_m = np.bincount(group, weights=s) / count
-    t_m = np.bincount(group, weights=t) / count
-    return s_m, t_m
-
-
 def collect_pairs(mesh: Mesh, setup: ElectrodeSetup, recon: ReconstructionResult,
                   trace: BoundaryVoltageTrace,
                   electrode_trace: BoundaryVoltageTrace | None = None) -> np.ndarray:
     """Pair computed with measured potential along the boundary curve.
 
-    Returns an array of ``(s, t)`` rows, ``s`` the reconstruction's
-    potential at the trace node and ``t`` the measured value, sorted by
-    ``s`` with near-duplicate ``s`` merged by averaging.  Measurements on
+    Returns an array of ``(s, t)`` rows in trace order, ``s`` the
+    reconstruction's potential at the trace node and ``t`` the measured
+    value; ``build_monotone_map`` sorts and merges them.  Measurements on
     the electrodes themselves may be passed separately; on an electrode the
     computed and true potentials differ by the same constant, so those
     pairs lie on the same monotone map and are simply appended.
@@ -161,12 +153,7 @@ def collect_pairs(mesh: Mesh, setup: ElectrodeSetup, recon: ReconstructionResult
         vals.append(electrode_trace.values)
 
     node_ids = np.concatenate(ids)
-    t = np.concatenate(vals)
-    s = recon.solution.u[node_ids]
-    s_m, t_m = _merge_close(s, t)
-    if len(s_m) < 2:
-        raise ValueError("need at least 2 distinct computed-potential values")
-    return np.column_stack([s_m, t_m])
+    return np.column_stack([recon.solution.u[node_ids], np.concatenate(vals)])
 
 
 def _pool_adjacent_violators(t: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +179,11 @@ def _pool_adjacent_violators(t: np.ndarray, tol: float) -> tuple[np.ndarray, np.
 def build_monotone_map(pairs: np.ndarray) -> PhiMap:
     """Fit the monotone piecewise-linear calibration map through the pairs.
 
-    Consecutive slopes must be positive; when the measured values violate
-    that (noise, discretization), adjacent violators are averaged and each
+    The ``(s, t)`` rows may come in any order: they are sorted by ``s``,
+    and rows whose ``s`` differ by at most ``MERGE_TOL`` are averaged into
+    one; at least two distinct ``s`` must remain.  Consecutive slopes must
+    be positive; when the measured values violate that (noise,
+    discretization), adjacent violators are averaged and each
     pooled block collapses to a single breakpoint at its mean computed
     potential, which restores strict monotonicity.  Values within
     ``VALUE_RTOL`` of each other count as equal, so each increase of the
@@ -201,9 +191,13 @@ def build_monotone_map(pairs: np.ndarray) -> PhiMap:
     pairs and extends with constant end slopes.
     """
     arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 2:
-        raise ValueError("pairs must be an (n >= 2, 2) array of (s, t) rows")
-    s, t = _merge_close(arr[:, 0], arr[:, 1])
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
+        raise ValueError("pairs must be a nonempty (n, 2) array of (s, t) rows")
+    arr = arr[np.argsort(arr[:, 0], kind="stable")]
+    group = np.concatenate([[0], np.cumsum(np.diff(arr[:, 0]) > MERGE_TOL)])
+    count = np.bincount(group)
+    s = np.bincount(group, weights=arr[:, 0]) / count
+    t = np.bincount(group, weights=arr[:, 1]) / count
     if len(s) < 2:
         raise ValueError("need at least 2 distinct computed-potential values")
 
@@ -217,8 +211,7 @@ def build_monotone_map(pairs: np.ndarray) -> PhiMap:
     if len(s) < 2:
         raise ValueError("measured values have no increase; the map would be flat")
 
-    slopes = np.diff(t) / np.diff(s)
-    return PhiMap(breakpoints=s, values=t, slopes=slopes, repaired=repaired)
+    return PhiMap(breakpoints=s, values=t, repaired=repaired)
 
 
 def apply_calibration(mesh: Mesh, recon: ReconstructionResult,

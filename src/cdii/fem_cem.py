@@ -183,8 +183,9 @@ def _check_setup(mesh: Mesh, setup: ElectrodeSetup, currents: CurrentPattern) ->
     _check_currents(setup, currents)
     n_edges = len(mesh.boundary_edges)
     for k, e in enumerate(setup.electrodes):
-        if np.any(e.edge_ids < 0) or np.any(e.edge_ids >= n_edges):
-            raise ValueError(f"electrode {k} references edges outside the mesh")
+        if (np.any(e.edge_ids < 0) or np.any(e.edge_ids >= n_edges)
+                or not np.array_equal(mesh.boundary_edges[e.edge_ids], e.edges)):
+            raise ValueError(f"electrode {k} was not located on this mesh")
 
 
 def _check_sigma(mesh: Mesh, sigma: ConductivityField) -> None:
@@ -252,7 +253,7 @@ def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
         np.add.at(w[k], e.edges[:, 1], h / 2.0)
 
     z = setup.impedances
-    length = setup.lengths
+    length = np.array([len(e.edge_ids) * h for e in setup.electrodes])
     Psi = np.empty((m, N))
     for k in range(N):
         Psi[:, k] = w[N] / z[N] - w[k] / z[k]
@@ -479,7 +480,7 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     ------
     ValueError
         If ``factor``'s operator was built for a different mesh or
-        electrode setup.
+        electrode setup, or an electrode was not located on ``mesh``.
     SolverError
         If the residual contract cannot be met.
     """

@@ -14,7 +14,7 @@ has area ``h**2 / 2``, every boundary edge has length ``h``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,7 +53,11 @@ def _side_nodes(n: int, side: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform right-triangle mesh of the unit square.
+    """Uniform right-triangle mesh of the unit square, defined by its side count.
+
+    ``Mesh(side_nodes)`` checks that ``side_nodes`` is an integer >= 2 and
+    derives every other attribute from it; two meshes are equal when their
+    side counts are.
 
     Attributes
     ----------
@@ -73,10 +77,35 @@ class Mesh:
     """
 
     side_nodes: int
-    h: float
-    nodes: np.ndarray
-    triangles: np.ndarray
-    boundary_edges: np.ndarray
+    h: float = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    triangles: np.ndarray = field(init=False, repr=False, compare=False)
+    boundary_edges: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.side_nodes
+        if not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"side_nodes must be an integer >= 2, got {n!r}")
+        n = int(n)
+        h = 1.0 / (n - 1)
+
+        ids = np.arange(n * n)
+        nodes = np.column_stack([(ids % n) * h, (ids // n) * h])
+
+        cr, cc = np.meshgrid(np.arange(n - 1), np.arange(n - 1), indexing="ij")
+        base = (cr * n + cc).ravel()  # SW node of each cell, cell-major west->east
+        tri = np.empty((2 * (n - 1) ** 2, 3), dtype=np.int64)
+        tri[0::2] = np.column_stack([base, base + 1, base + n])          # lower
+        tri[1::2] = np.column_stack([base + n + 1, base + 1, base + n])  # upper
+
+        sides = [_side_nodes(n, side) for side in SIDES]
+        edges = np.vstack([np.column_stack([s[:-1], s[1:]]) for s in sides])
+
+        object.__setattr__(self, "side_nodes", n)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "nodes", _frozen(nodes))
+        object.__setattr__(self, "triangles", _frozen(tri))
+        object.__setattr__(self, "boundary_edges", _frozen(edges))
 
     @property
     def node_count(self) -> int:
@@ -109,12 +138,12 @@ class Mesh:
 
 @dataclass(frozen=True)
 class Electrode:
-    """A contiguous run of boundary edges with a constant contact impedance."""
+    """A contiguous run of boundary edges with a constant contact impedance;
+    on a mesh of spacing ``h`` its length is ``len(edge_ids) * h``."""
 
     edge_ids: np.ndarray
     edges: np.ndarray  # (E, 2) node pairs
     impedance: float
-    length: float
 
     def __post_init__(self):
         if len(self.edge_ids) == 0:
@@ -155,10 +184,6 @@ class ElectrodeSetup:
     def impedances(self) -> np.ndarray:
         return np.array([e.impedance for e in self.electrodes])
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.array([e.length for e in self.electrodes])
-
 
 def build_uniform_mesh(side_nodes: int) -> Mesh:
     """Triangulate the unit square with ``side_nodes**2`` nodes.
@@ -174,32 +199,7 @@ def build_uniform_mesh(side_nodes: int) -> Mesh:
         ``2 * (side_nodes - 1)**2`` triangles on a grid of spacing
         ``1 / (side_nodes - 1)``.
     """
-    if not isinstance(side_nodes, (int, np.integer)) or side_nodes < 2:
-        raise ValueError(f"side_nodes must be an integer >= 2, got {side_nodes!r}")
-    n = int(side_nodes)
-    h = 1.0 / (n - 1)
-
-    ids = np.arange(n * n)
-    nodes = np.column_stack([(ids % n) * h, (ids // n) * h])
-
-    cr, cc = np.meshgrid(np.arange(n - 1), np.arange(n - 1), indexing="ij")
-    base = (cr * n + cc).ravel()  # SW node of each cell, cell-major west->east
-    tri = np.empty((2 * (n - 1) ** 2, 3), dtype=np.int64)
-    tri[0::2] = np.column_stack([base, base + 1, base + n])          # lower
-    tri[1::2] = np.column_stack([base + n + 1, base + 1, base + n])  # upper
-
-    runs = []
-    for side in SIDES:
-        s = _side_nodes(n, side)
-        runs.append(np.column_stack([s[:-1], s[1:]]))
-
-    return Mesh(
-        side_nodes=n,
-        h=h,
-        nodes=_frozen(nodes),
-        triangles=_frozen(tri),
-        boundary_edges=_frozen(np.vstack(runs)),
-    )
+    return Mesh(side_nodes)
 
 
 def triangle_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -315,7 +315,6 @@ def locate_electrodes(
                 edge_ids=_frozen(edge_ids.copy()),
                 edges=_frozen(mesh.boundary_edges[edge_ids].copy()),
                 impedance=float(z),
-                length=(i_hi - i_lo) * h,
             )
         )
     return ElectrodeSetup(electrodes=tuple(electrodes))

@@ -292,7 +292,8 @@ def test_criterion_10_small_instance_oracle():
     dense = system.full_matrix().toarray()
     m = mesh.node_count
     N = setup.count - 1
-    lengths, z = setup.lengths, setup.impedances
+    lengths = np.array([len(e.edge_ids) * mesh.h for e in setup.electrodes])
+    z = setup.impedances
     for j in range(N):
         for k in range(N):
             dense[m + j, m + k] = lengths[k] / z[k] + \

@@ -68,27 +68,13 @@ def test_pairs_closed_form_measurement():
     assert np.allclose(pairs[:, 1], np.sort(measured), atol=1e-12)
 
 
-def test_pairs_sorted_even_for_nonmonotone_potential():
+def test_pairs_keep_trace_order():
     mesh = build_uniform_mesh(5)
     y = mesh.nodes[:, 1]
     u = np.sin(3.0 * y)  # not monotone along the right side
-    result = fake_result(mesh, u)
     gamma = mesh.nodes_on_side("right")
-    trace = side_trace(mesh, "right", y[gamma])
-    pairs = collect_pairs(mesh, None, result, trace)
-    assert np.all(np.diff(pairs[:, 0]) > 0)
-
-
-def test_pairs_merge_duplicate_potentials():
-    mesh = build_uniform_mesh(4)
-    u = np.zeros(mesh.node_count)
-    u[mesh.nodes_on_side("right")] = [0.0, 0.0, 1.0, 1.0]
-    result = fake_result(mesh, u)
-    trace = side_trace(mesh, "right", np.array([0.1, 0.3, 0.9, 1.1]))
-    pairs = collect_pairs(mesh, None, result, trace)
-    assert pairs.shape == (2, 2)
-    assert pairs[0] == pytest.approx([0.0, 0.2])
-    assert pairs[1] == pytest.approx([1.0, 1.0])
+    pairs = collect_pairs(mesh, None, fake_result(mesh, u), side_trace(mesh, "right", y[gamma]))
+    assert np.array_equal(pairs, np.column_stack([u[gamma], y[gamma]]))
 
 
 def test_pairs_reject_interior_node():
@@ -96,14 +82,6 @@ def test_pairs_reject_interior_node():
     result = fake_result(mesh, mesh.nodes[:, 1])
     trace = BoundaryVoltageTrace(node_ids=np.array([5]), values=np.array([0.5]))
     with pytest.raises(ValueError, match="boundary"):
-        collect_pairs(mesh, None, result, trace)
-
-
-def test_pairs_require_two_distinct():
-    mesh = build_uniform_mesh(4)
-    result = fake_result(mesh, np.zeros(mesh.node_count))
-    trace = side_trace(mesh, "right", np.linspace(0, 1, 4))
-    with pytest.raises(ValueError, match="distinct"):
         collect_pairs(mesh, None, result, trace)
 
 
@@ -128,6 +106,37 @@ def test_pairs_append_electrode_measurements():
 
 
 # ------------------------------------------------------- build_monotone_map
+
+def test_map_sorts_pairs_even_for_nonmonotone_potential():
+    mesh = build_uniform_mesh(5)
+    y = mesh.nodes[:, 1]
+    u = np.sin(3.0 * y)  # not monotone along the right side
+    result = fake_result(mesh, u)
+    gamma = mesh.nodes_on_side("right")
+    trace = side_trace(mesh, "right", y[gamma])
+    phi = build_monotone_map(collect_pairs(mesh, None, result, trace))
+    assert np.all(np.diff(phi.breakpoints) > 0)
+
+
+def test_map_merges_duplicate_potentials():
+    mesh = build_uniform_mesh(4)
+    u = np.zeros(mesh.node_count)
+    u[mesh.nodes_on_side("right")] = [0.0, 0.0, 1.0, 1.0]
+    result = fake_result(mesh, u)
+    trace = side_trace(mesh, "right", np.array([0.1, 0.3, 0.9, 1.1]))
+    phi = build_monotone_map(collect_pairs(mesh, None, result, trace))
+    assert phi.breakpoints == pytest.approx([0.0, 1.0])
+    assert phi.values == pytest.approx([0.2, 1.0])
+
+
+def test_map_requires_two_distinct():
+    mesh = build_uniform_mesh(4)
+    result = fake_result(mesh, np.zeros(mesh.node_count))
+    trace = side_trace(mesh, "right", np.linspace(0, 1, 4))
+    pairs = collect_pairs(mesh, None, result, trace)
+    with pytest.raises(ValueError, match="^need at least 2 distinct computed-potential values$"):
+        build_monotone_map(pairs)
+
 
 def test_map_through_three_points():
     phi = build_monotone_map(np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]]))
@@ -203,16 +212,48 @@ def test_map_extends_with_end_slopes():
 
 def test_phimap_validates():
     with pytest.raises(ValueError):
-        PhiMap(breakpoints=np.array([0.0, 0.0]), values=np.array([0.0, 1.0]),
-               slopes=np.array([1.0]))
+        PhiMap(breakpoints=np.array([0.0, 0.0]), values=np.array([0.0, 1.0]))
     for values in ([0.0, 0.0], [1.0, 0.0]):
         with pytest.raises(ValueError, match="values must be strictly increasing"):
-            PhiMap(breakpoints=np.array([0.0, 1.0]), values=np.array(values),
-                   slopes=np.array([1.0]))
-    for slope in (-1.0, np.nan, np.inf):
+            PhiMap(breakpoints=np.array([0.0, 1.0]), values=np.array(values))
+    # NaN escapes the ordering tests; an infinite difference gives a slope of
+    # inf or 0.
+    for b, v in (([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [0.0, np.inf]),
+                 ([0.0, np.inf], [0.0, 1.0])):
         with pytest.raises(ValueError, match="slopes"):
-            PhiMap(breakpoints=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]),
-                   slopes=np.array([slope]))
+            PhiMap(breakpoints=np.array(b), values=np.array(v))
+    # Slopes follow from the breakpoints and values; they cannot be passed,
+    # so no map with a jump at a breakpoint can be built.
+    with pytest.raises(TypeError):
+        PhiMap(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]), np.array([5.0, 5.0]))
+    assert [f.name for f in dataclasses.fields(PhiMap) if f.init] == \
+        ["breakpoints", "values", "repaired"]
+
+
+def _increasing(start, gaps):
+    return start + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.data())
+def test_phimap_is_continuous_and_strictly_increasing(b0, v0, data):
+    n = data.draw(st.integers(2, 20))
+    gaps = st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1)
+    b, v = _increasing(b0, data.draw(gaps)), _increasing(v0, data.draw(gaps))
+    phi = PhiMap(b, v)
+    # phi(b_i) = v_i: exactly on the segment b_i starts, to rounding at the end.
+    assert np.array_equal(phi(b[:-1]), v[:-1])
+    assert phi(b[-1]) == pytest.approx(v[-1], rel=0.0, abs=1e-12)
+    # Continuous: the segment ending at b_i meets v_i there too.  A slope is
+    # at most 1e3, so one ulp to the left moves the map by under 1e-11.
+    assert np.allclose(phi(np.nextafter(b[1:], -np.inf)), v[1:], rtol=0.0, atol=1e-10)
+    # Strictly increasing through each breakpoint, each midpoint and beyond
+    # either end.
+    points = np.sort(np.concatenate([b, 0.5 * (b[1:] + b[:-1]), [b[0] - 1.0, b[-1] + 1.0]]))
+    assert np.all(np.diff(phi(points)) > 0.0)
+    # The derivative is the derived slope on each segment, and positive.
+    assert np.array_equal(phi.slopes, np.diff(v) / np.diff(b))
+    assert np.array_equal(phi.derivative(b[:-1]), phi.slopes)
+    assert np.all(phi.slopes > 0.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -239,8 +280,7 @@ def test_calibration_divides_by_the_slope_at_the_vertex_mean(side_nodes):
     u = rng.normal(size=mesh.node_count)
     result = dataclasses.replace(fake_result(mesh, u), sigma_v=ConductivityField(
         rng.uniform(0.5, 2.0, mesh.triangle_count)))
-    phi = PhiMap(breakpoints=np.array([-1.0, 0.0, 1.0]), values=np.array([0.0, 1.0, 3.0]),
-                 slopes=np.array([1.0, 2.0]))
+    phi = PhiMap(breakpoints=np.array([-1.0, 0.0, 1.0]), values=np.array([0.0, 1.0, 3.0]))
     expected = result.sigma_v.values / phi.derivative(centroids_reference(mesh, u))
     assert np.array_equal(apply_calibration(mesh, result, phi).values, expected)
 

@@ -420,7 +420,8 @@ CALIBRATE_INPUTS = {
     "trace-node-on-electrode": (_set_row("trace.csv", 2, "5,0.1"), "trace.csv: "),
     "trace-node-interior": (_set_row("trace.csv", 2, "25,0.1"), "trace.csv: "),
     "trace-flat": (_flat_trace, "trace.csv: "),
-    "trace-one-row": (_keep_rows("trace.csv", 1), "trace.csv: "),
+    "trace-one-row": (_keep_rows("trace.csv", 1),
+                      "trace.csv: need at least 2 distinct computed-potential values"),
     "v-short": (_keep_rows("v.csv", 99), "v.csv: "),
     "V-one-row": (_keep_rows("V.csv", 1), "V.csv: "),
     "V-three-voltages": (lambda out: write_field(out / "V.csv", "V", "V", "electrode",

@@ -1,8 +1,12 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import cdii
 from cdii.mesh import (
+    Mesh,
     _gradient_norm,
     build_uniform_mesh,
     centroids,
@@ -34,10 +38,20 @@ def test_triangle_count_formula(n):
 
 
 def test_rejects_degenerate_grid():
-    with pytest.raises(ValueError):
-        build_uniform_mesh(1)
-    with pytest.raises(ValueError):
-        build_uniform_mesh(0)
+    for bad in (1, 0, -3, 2.0, "4", None):
+        message = f"^side_nodes must be an integer >= 2, got {re.escape(repr(bad))}$"
+        for make in (Mesh, build_uniform_mesh):
+            with pytest.raises(ValueError, match=message):
+                make(bad)
+
+
+def test_mesh_is_defined_by_its_side_count():
+    m = Mesh(np.int64(5))
+    assert [f.name for f in dataclasses.fields(Mesh) if f.init] == ["side_nodes"]
+    assert type(m.side_nodes) is int and m.h == 0.25
+    assert m == build_uniform_mesh(5) and m != Mesh(6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.h = 0.5
 
 
 def test_corner_and_interior_adjacency():
@@ -183,7 +197,7 @@ def test_locate_full_bottom():
     setup = locate_electrodes(m, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))],
                               [0.1, 0.1])
     assert len(setup.electrodes[0].edge_ids) == 3
-    assert setup.electrodes[0].length == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(m.nodes[setup.electrodes[0].nodes()][[0, -1], 0], [0.0, 1.0])
 
 
 def test_locate_two_full_sides():
@@ -191,7 +205,8 @@ def test_locate_two_full_sides():
     setup = locate_electrodes(m, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))],
                               [8.3e-3, 8.3e-3])
     assert setup.count == 2
-    assert np.allclose(setup.lengths, 1.0)
+    for e, y in zip(setup.electrodes, (0.0, 1.0)):
+        assert np.array_equal(m.nodes[e.nodes()][[0, -1]], [[0.0, y], [1.0, y]])
     assert np.allclose(setup.impedances, 8.3e-3)
 
 
@@ -200,7 +215,7 @@ def test_locate_partial_spans():
     setup = locate_electrodes(m, [("left", (0.25, 0.75)), ("right", (0.0, 0.5))],
                               [1.0, 2.0])
     assert len(setup.electrodes[0].edge_ids) == 2
-    assert setup.electrodes[0].length == pytest.approx(0.5)
+    assert np.array_equal(m.nodes[setup.electrodes[0].nodes()][[0, -1], 1], [0.25, 0.75])
     assert len(setup.electrodes[1].edge_ids) == 2
 
 

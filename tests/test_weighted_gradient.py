@@ -471,6 +471,23 @@ def test_reconstruct_and_simulate_reject_a_foreign_factor():
             simulate_data(mesh, sigma_true, setup, currents, factor=LastFactor(foreign))
 
 
+@pytest.mark.parametrize("located_on,solved_on,electrode", [(12, 20, 1), (30, 12, 0)])
+def test_solves_refuse_a_setup_located_on_another_mesh(located_on, solved_on, electrode):
+    # The 12² setup's edge ids all exist on a 20² mesh, where its top
+    # electrode's edges would be interior; the 30² setup's top ids are out of
+    # range on a 12² mesh, and its bottom ids name other edges there.
+    mesh, setup, currents, sigma_true, data, _ = _phantom_case(solved_on)
+    _, foreign, _ = two_electrode_case(located_on, 8.3e-3, 8.3e-3, 3e-3)
+    config = ReconstructionConfig(epsilon=0.1, delta=1e-7)
+    message = f"^electrode {electrode} was not located on this mesh$"
+    with pytest.raises(ValueError, match=message):
+        solve_forward(mesh, sigma_true, foreign, currents)
+    with pytest.raises(ValueError, match=message):
+        reconstruct(mesh, data, foreign, currents, config)
+    with pytest.raises(ValueError, match=message):
+        simulate_data(mesh, sigma_true, foreign, currents)
+
+
 class _InexactFactor:
     """A factor whose solves are 0.1% too large: refinement cannot reach 1e-10."""
 
