@@ -80,18 +80,24 @@ class PhiMap:
 
 @dataclass(frozen=True)
 class BoundaryVoltageTrace:
-    """Measured potential samples at distinct boundary nodes (V), finite."""
+    """Measured potential samples at distinct boundary nodes (V), finite;
+    the node ids are integers, or floats of integral value."""
 
     node_ids: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.node_ids, dtype=np.int64)
+        raw = np.asarray(self.node_ids)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, refused below
+            ids = raw.astype(np.int64)
         v = np.asarray(self.values, dtype=float)
         if ids.ndim != 1 or ids.shape != v.shape:
             raise ValueError("trace needs matching 1-d node ids and values")
         if len(ids) == 0:
             raise ValueError("trace is empty")
+        if len(bad := np.flatnonzero(ids != raw)):
+            raise ValueError(f"trace node ids must be integers; sample {bad[0]} "
+                             f"holds {raw[bad[0]]}")
         if (row := self.first_repeated(ids)) is not None:
             raise ValueError(f"trace node {ids[row]} occurs twice; sample {row} repeats it")
         if not np.all(np.isfinite(v)):
@@ -160,18 +166,15 @@ def _pool_adjacent_violators(t: np.ndarray, tol: float) -> tuple[np.ndarray, np.
     """Pool adjacent values until each exceeds the one before by more than
     ``tol``; returns (pooled t, block ids)."""
     vals: list[float] = []
-    weights: list[int] = []
-    sizes: list[int] = []
+    sizes: list[int] = []  # each block's value count, its weight in the mean
     for y in t:
         vals.append(float(y))
-        weights.append(1)
         sizes.append(1)
         while len(vals) > 1 and vals[-1] <= vals[-2] + tol:
-            w = weights[-2] + weights[-1]
-            vals[-2] = (vals[-2] * weights[-2] + vals[-1] * weights[-1]) / w
-            weights[-2] = w
-            sizes[-2] += sizes[-1]
-            del vals[-1], weights[-1], sizes[-1]
+            w = sizes[-2] + sizes[-1]
+            vals[-2] = (vals[-2] * sizes[-2] + vals[-1] * sizes[-1]) / w
+            sizes[-2] = w
+            del vals[-1], sizes[-1]
     block = np.repeat(np.arange(len(sizes)), sizes)
     return np.asarray(vals), block
 

@@ -122,8 +122,7 @@ def _build_problem(cfg: PipelineConfig):
     with _keyed("currents"):
         currents = CurrentPattern(np.asarray(cfg.currents))
     with _keyed("recon."):
-        rc = ReconstructionConfig(epsilon=cfg.epsilon, delta=cfg.delta,
-                                  max_iter=cfg.max_iter, solver_tol=cfg.solver_tol)
+        rc = ReconstructionConfig(epsilon=cfg.epsilon, delta=cfg.delta, max_iter=cfg.max_iter)
     with _keyed("gamma.side"):
         gamma_edges = mesh.edges_on_side(cfg.gamma_side)
         for k, e in enumerate(setup.electrodes):
@@ -160,7 +159,7 @@ def _metric_rows(reference: np.ndarray, candidate: np.ndarray) -> list[tuple[str
 
 def cmd_forward(cfg: PipelineConfig) -> int:
     mesh, setup, currents, _, sigma = _build_problem(cfg)
-    sol = solve_forward(mesh, sigma, setup, currents, cfg.solver_tol)
+    sol = solve_forward(mesh, sigma, setup, currents)
     J, a = interior_current(mesh, sigma, sol)
     out = _out_dir(cfg)
     write_field(out / "u.csv", "u", "V", "node", sol.u)
@@ -176,8 +175,8 @@ def _simulate(cfg: PipelineConfig, mesh: Mesh, setup, currents,
               sigma_true: ConductivityField, out: Path,
               factor: LastFactor | None = None):
     """Simulate and noise the data; writes sigma_true.csv, a.csv, trace.csv."""
-    data, trace, sol = simulate_data(mesh, sigma_true, setup, currents,
-                                     cfg.solver_tol, cfg.gamma_side, factor=factor)
+    data, trace, sol = simulate_data(mesh, sigma_true, setup, currents, cfg.gamma_side,
+                                     factor=factor)
     data = add_noise(data, cfg.noise_level, cfg.noise_seed)
     del sol  # generating solution stays out of the reconstruction path
     write_field(out / "sigma_true.csv", "sigma", "S/m", "triangle", sigma_true.values)

@@ -15,7 +15,6 @@ as no constructor owns it.
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .fem_cem import DEFAULT_SOLVER_TOL
 from .weighted_gradient import ReconstructionConfig
 
 
@@ -47,7 +46,6 @@ class PipelineConfig:
     epsilon: float = _key("recon.epsilon", 0.1)
     delta: float = _key("recon.delta", 1e-7)
     max_iter: int = _key("recon.max_iter", ReconstructionConfig.max_iter)
-    solver_tol: float = _key("recon.solver_tol", DEFAULT_SOLVER_TOL)
     phantom_center: tuple[float, float] = _key("phantom.center", (0.5, 0.5))
     phantom_amplitude: float = _key("phantom.amplitude", 0.0)
     phantom_width: float = _key("phantom.width", 0.02)

@@ -45,8 +45,8 @@ import scipy.sparse.linalg as spla
 from .mesh import (ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm,
                    triangle_gradients)
 
-#: Default relative-residual tolerance of the linear solve.
-DEFAULT_SOLVER_TOL = 1e-10
+#: Relative-residual tolerance of every linear solve.
+SOLVER_TOL = 1e-10
 
 #: Relative tolerance for the zero-sum current / voltage invariants.
 ZERO_SUM_TOL = 1e-12
@@ -327,7 +327,7 @@ class LastFactor:
     combination of the last ``PCG_RECENT`` solutions that is best in the
     new matrix's energy norm, unless the previous solve needed more than
     ``PCG_REFACTOR_CAP`` iterations.  Every solve, direct or PCG, meets the
-    same true relative residual ``||M x - b|| / ||b|| <= solver_tol``,
+    same true relative residual ``||M x - b|| / ||b|| <= SOLVER_TOL``,
     checked as ``M @ x - b``.  A PCG solve that does not, or that takes more
     than ``PCG_MAX_ITER`` iterations, falls back in the same call to the
     direct factorization, and the new factor replaces the old.
@@ -335,7 +335,7 @@ class LastFactor:
     The CG loop is written out, not called as ``scipy.sparse.linalg.cg``.
     It repeats scipy 1.17's recurrence and stopping test operation for
     operation: the residual starts as ``b - M x`` (``b`` when the start is
-    zero), a step runs only while ``||r|| >= solver_tol * ||b||``, and
+    zero), a step runs only while ``||r|| >= SOLVER_TOL * ||b||``, and
     running out of ``PCG_MAX_ITER`` steps is not convergence.  Its iterates
     are therefore bitwise scipy's, without scipy's per-call wrappers
     (``make_system``, the ``LinearOperator`` around the factor and the
@@ -356,18 +356,18 @@ class LastFactor:
         self._recent = []  # oldest first
         self._last_pcg = 0
 
-    def solve(self, M: sp.csc_matrix, b: np.ndarray, solver_tol: float) -> np.ndarray:
-        """``M⁻¹b`` to the relative residual ``solver_tol``: by PCG where
+    def solve(self, M: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+        """``M⁻¹b`` to the relative residual ``SOLVER_TOL``: by PCG where
         it can, otherwise by a new factorization.
 
         Raises
         ------
         SolverError
-            If the direct factorization misses ``solver_tol``.
+            If the direct factorization misses ``SOLVER_TOL``.
         """
-        x = self._pcg(M, b, solver_tol)
+        x = self._pcg(M, b)
         if x is None:
-            self._lu, x = _factor_solve(M, b, solver_tol)
+            self._lu, x = _factor_solve(M, b)
             self._last_pcg = 0
             self.factorizations += 1
         self._recent = (self._recent + [x])[-PCG_RECENT:]
@@ -393,7 +393,7 @@ class LastFactor:
         c = np.linalg.lstsq(W @ MW, W @ b, rcond=1e-14)[0]
         return c @ W
 
-    def _pcg(self, M: sp.csc_matrix, b: np.ndarray, solver_tol: float) -> np.ndarray | None:
+    def _pcg(self, M: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
         """Solve by PCG from the last factor and the recent solutions, in
         scipy's ``cg`` loop written out, or return None: without a factor,
         after a solve that needed more than ``PCG_REFACTOR_CAP`` iterations,
@@ -407,7 +407,7 @@ class LastFactor:
             return np.zeros_like(b)
         x = self._start(M, b)
         r = b - M @ x if x.any() else b.copy()
-        tol = solver_tol * b_norm
+        tol = SOLVER_TOL * b_norm
         for steps in range(PCG_MAX_ITER):
             if np.linalg.norm(r) < tol:
                 break
@@ -433,7 +433,7 @@ class LastFactor:
         return x
 
 
-def _factor_solve(M: sp.csc_matrix, b: np.ndarray, solver_tol: float):
+def _factor_solve(M: sp.csc_matrix, b: np.ndarray):
     """Factorize ``M`` and solve, refining once; the factor and solution."""
     lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    panel_size=LU_PANEL_SIZE, options={"SymmetricMode": True})
@@ -441,20 +441,19 @@ def _factor_solve(M: sp.csc_matrix, b: np.ndarray, solver_tol: float):
 
     b_norm = np.linalg.norm(b)
     res = np.linalg.norm(M @ x - b)
-    if b_norm > 0.0 and res > solver_tol * b_norm:
+    if b_norm > 0.0 and res > SOLVER_TOL * b_norm:
         x = x + lu.solve(b - M @ x)
         res = np.linalg.norm(M @ x - b)
-        if res > solver_tol * b_norm:
+        if res > SOLVER_TOL * b_norm:
             raise SolverError(
                 f"linear solve stalled at relative residual {res / b_norm:.3e} "
-                f"(tolerance {solver_tol:.1e})"
+                f"(tolerance {SOLVER_TOL:.1e})"
             )
     return lu, x
 
 
 def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
-                  currents: CurrentPattern,
-                  solver_tol: float = DEFAULT_SOLVER_TOL, *,
+                  currents: CurrentPattern, *,
                   factor: LastFactor | None = None) -> ForwardSolution:
     """Solve the forward problem for the nodal potential and electrode voltages.
 
@@ -465,7 +464,7 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     ``M + Mᵀ`` (Liu, ACM TOMS 11(2), 1985), in symmetric mode without
     pivoting (the matrix is symmetric positive definite), and is refined
     once before giving up.  The solution meets the relative residual
-    ``||M x - b|| / ||b|| <= solver_tol``.  Deterministic for identical
+    ``||M x - b|| / ||b|| <= SOLVER_TOL``.  Deterministic for identical
     inputs.
 
     Parameters
@@ -493,7 +492,7 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     if operator.mesh is not mesh or operator.setup is not setup:
         raise ValueError("factor was built for a different mesh or electrode setup")
     b = _load_vector(mesh.node_count, currents)
-    x = factor.solve(operator.matrix(sigma), b, solver_tol)
+    x = factor.solve(operator.matrix(sigma), b)
 
     m = mesh.node_count
     N = setup.count - 1

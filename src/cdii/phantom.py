@@ -8,7 +8,6 @@ from .calibration import BoundaryVoltageTrace, side_trace
 from .fem_cem import (
     ConductivityField,
     CurrentPattern,
-    DEFAULT_SOLVER_TOL,
     ForwardSolution,
     LastFactor,
     interior_current,
@@ -47,8 +46,8 @@ def gaussian_phantom(mesh: Mesh, center: tuple[float, float], amplitude: float,
 
 
 def simulate_data(mesh: Mesh, sigma_true: ConductivityField, setup: ElectrodeSetup,
-                  currents: CurrentPattern, solver_tol: float = DEFAULT_SOLVER_TOL,
-                  gamma_side: str = "right", *, factor: LastFactor | None = None,
+                  currents: CurrentPattern, gamma_side: str = "right", *,
+                  factor: LastFactor | None = None,
                   ) -> tuple[InteriorData, BoundaryVoltageTrace, ForwardSolution]:
     """Forward-solve a known conductivity and sample the measurements.
 
@@ -59,7 +58,7 @@ def simulate_data(mesh: Mesh, sigma_true: ConductivityField, setup: ElectrodeSet
     ``solve_forward``, so a caller that holds the operator does not build
     it again.
     """
-    sol = solve_forward(mesh, sigma_true, setup, currents, solver_tol, factor=factor)
+    sol = solve_forward(mesh, sigma_true, setup, currents, factor=factor)
     _, a = interior_current(mesh, sigma_true, sol)
     trace = side_trace(mesh, gamma_side, sol.u[mesh.nodes_on_side(gamma_side)])
     return InteriorData(a), trace, sol

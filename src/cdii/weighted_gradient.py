@@ -24,7 +24,6 @@ from .fem_cem import (
     CemOperator,
     ConductivityField,
     CurrentPattern,
-    DEFAULT_SOLVER_TOL,
     ForwardSolution,
     LastFactor,
     SolverError,
@@ -71,19 +70,15 @@ class ReconstructionConfig:
     epsilon: float
     delta: float
     max_iter: int = 1000
-    solver_tol: float = DEFAULT_SOLVER_TOL
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ParameterError("epsilon", f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < np.inf:
             raise ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter", f"max_iter must be at least 1, got {self.max_iter}")
-        # A relative residual of 1 is met by x = 0, so no solve runs at or above it.
-        if not 0.0 < self.solver_tol < 1.0:
-            raise ParameterError("solver_tol",
-                                 f"solver_tol must lie in (0, 1), got {self.solver_tol}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ParameterError("max_iter",
+                                 f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +167,7 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     (``_stop_threshold``; equality stops) or ``max_iter`` is reached.
     Every forward solve shares one ``fem_cem.LastFactor``, whose docstring
     describes when a solve runs PCG and when it refactorizes; each meets
-    the relative residual ``config.solver_tol``.  The result counts the
+    the relative residual ``fem_cem.SOLVER_TOL``.  The result counts the
     factorizations and PCG iterations of this reconstruction's solves and
     carries the stop threshold.  Each iterate's gradient magnitude is
     computed once, for the log and the clamp update.  The per-iteration log
@@ -209,8 +204,7 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     log = []
     for n in range(config.max_iter + 1):
         try:
-            sol = solve_forward(mesh, sigma, setup, currents, config.solver_tol,
-                                factor=factor)
+            sol = solve_forward(mesh, sigma, setup, currents, factor=factor)
         except SolverError as exc:
             raise SolverError(f"iteration {n}: {exc}") from exc
         change = float("nan") if prev is None else _max_grad_change(sol.grad_u, prev.grad_u)

@@ -191,7 +191,6 @@ def _pipeline_config(out_dir, side_nodes, z0, z1, current, amplitude,
         epsilon=0.1,
         delta=1e-7,
         max_iter=max_iter,
-        solver_tol=1e-10,
         phantom_center=(0.5, 0.5),
         phantom_amplitude=amplitude,
         phantom_width=0.02,

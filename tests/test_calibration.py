@@ -262,6 +262,16 @@ def test_trace_rejects_nonfinite_values(value):
         BoundaryVoltageTrace(node_ids=np.array([3, 7]), values=np.array([0.5, value]))
 
 
+@pytest.mark.parametrize("ids,row", [([1.5, 2.7], 0), ([3.0, 7.2], 1), ([3.0, np.nan], 1),
+                                     ([np.inf, 7.0], 0)],
+                         ids=["fraction", "second-fraction", "nan", "inf"])
+def test_trace_rejects_node_ids_that_are_not_integers(ids, row):
+    with pytest.raises(ValueError, match=f"^trace node ids must be integers; sample {row} "):
+        BoundaryVoltageTrace(node_ids=ids, values=np.zeros(len(ids)))
+    trace = BoundaryVoltageTrace(node_ids=[3.0, 7.0], values=[0.5, 0.25])
+    assert trace.node_ids.dtype == np.int64 and list(trace.node_ids) == [3, 7]
+
+
 @pytest.mark.parametrize("ids,row", [([3, 7, 3], 2), ([7, 7], 1), ([1, 3, 7, 3, 7], 3)])
 def test_trace_rejects_repeated_nodes(ids, row):
     message = f"^trace node {ids[row]} occurs twice; sample {row} repeats it$"

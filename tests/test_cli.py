@@ -15,7 +15,6 @@ from cdii.csvio import (
     write_field,
     write_mesh_csv,
 )
-from cdii.fem_cem import DEFAULT_SOLVER_TOL
 from cdii.mesh import build_uniform_mesh
 from cdii.weighted_gradient import ReconstructionConfig
 
@@ -151,10 +150,6 @@ INVALID_VALUES = {
     "delta": ({"recon.delta": "0"}, "recon.delta"),
     "delta-inf": ({"recon.delta": "inf"}, "recon.delta"),
     "max_iter": ({"recon.max_iter": "0"}, "recon.max_iter"),
-    "solver_tol": ({"recon.solver_tol": "-1e-10"}, "recon.solver_tol"),
-    "solver_tol-one": ({"recon.solver_tol": "1"}, "recon.solver_tol"),
-    "solver_tol-huge": ({"recon.solver_tol": "1e300"}, "recon.solver_tol"),
-    "solver_tol-inf": ({"recon.solver_tol": "inf"}, "recon.solver_tol"),
     "gamma-diag": ({"gamma.side": "diag"}, "gamma.side"),
     "gamma-on-electrode": ({"gamma.side": "bottom"}, "gamma.side"),
     "amplitude": ({"phantom.amplitude": "-0.1"}, "phantom.amplitude"),
@@ -202,7 +197,6 @@ OUT_OF_RANGE = {
     "recon.epsilon": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(np.nan),
     "recon.delta": st.floats(max_value=0.0) | st.sampled_from([np.nan, np.inf]),
     "recon.max_iter": st.integers(max_value=0),
-    "recon.solver_tol": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(np.nan),
     "electrodes[0].z": BAD_Z,
     "electrodes[1].z": BAD_Z,
     "phantom.amplitude": NEGATIVE | st.sampled_from([np.nan, np.inf]),
@@ -263,6 +257,8 @@ PARSE_FAULTS = {
                      "phantom.center", "expected comma-separated numbers, got 'mid,mid'"),
     "output-empty": ({**BASE, "output.dir": ""}, "output.dir", "must not be empty"),
     "two-unknown": ({**BASE, "zeta.x": "1", "alpha.y": "2"}, "alpha.y", "unknown key"),
+    "solver_tol-retired": ({**BASE, "recon.solver_tol": "1e-10"},
+                           "recon.solver_tol", "unknown key"),
 }
 
 
@@ -305,13 +301,12 @@ def test_config_defaults_are_the_dataclass_defaults():
     cfg = config_from_mapping(_without("recon.epsilon", "recon.delta"))
     defaults = PipelineConfig(**{name: getattr(cfg, name) for name in required})
     assert cfg == defaults
-    assert cfg.solver_tol == DEFAULT_SOLVER_TOL
     assert cfg.max_iter == ReconstructionConfig.max_iter
 
 
-def test_solver_failure_exits_3_without_traceback(tmp_path, capsys):
-    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
-                       **{"recon.solver_tol": "1e-30"})
+def test_solver_failure_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cdii.fem_cem, "SOLVER_TOL", 1e-30)
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
     assert run(["pipeline", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1

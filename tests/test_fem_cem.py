@@ -9,7 +9,6 @@ from cdii.fem_cem import (
     CemOperator,
     ConductivityField,
     CurrentPattern,
-    DEFAULT_SOLVER_TOL,
     ForwardSolution,
     LastFactor,
     SolverError,
@@ -400,12 +399,13 @@ def test_solve_rejects_foreign_operator(equal_z_case):
         solve_forward(mesh, ones(mesh), other_setup, currents, factor=factor)
 
 
-def test_solve_enforces_residual_contract(equal_z_case):
+def test_solve_enforces_residual_contract(equal_z_case, monkeypatch):
     # No direct solve reaches 1e-30, so the refinement step runs and fails.
     mesh, setup, currents = equal_z_case
+    monkeypatch.setattr(cdii.fem_cem, "SOLVER_TOL", 1e-30)
     with pytest.raises(SolverError,
                        match=r"relative residual \d\.\d{3}e-\d+ \(tolerance 1\.0e-30\)"):
-        solve_forward(mesh, ones(mesh), setup, currents, solver_tol=1e-30)
+        solve_forward(mesh, ones(mesh), setup, currents)
 
 
 # ----------------------------------------------------------- factor reuse
@@ -437,7 +437,7 @@ def test_reused_factor_solves_to_the_contract(reuse_case):
     direct = solve_forward(mesh, second, setup, currents)
     assert np.linalg.norm(sol.u - direct.u) <= 1e-8 * np.linalg.norm(direct.u)
     assert np.linalg.norm(sol.U - direct.U) <= 1e-8 * np.linalg.norm(direct.U)
-    assert _relative_residual(operator, second, currents, sol) <= DEFAULT_SOLVER_TOL
+    assert _relative_residual(operator, second, currents, sol) <= cdii.fem_cem.SOLVER_TOL
 
 
 def test_failed_pcg_falls_back_to_the_direct_solve(reuse_case, monkeypatch):
@@ -450,7 +450,7 @@ def test_failed_pcg_falls_back_to_the_direct_solve(reuse_case, monkeypatch):
     # The fallback is the direct path itself: the same bytes as a plain solve.
     direct = solve_forward(mesh, second, setup, currents)
     assert sol.u.tobytes() == direct.u.tobytes() and sol.U.tobytes() == direct.U.tobytes()
-    assert _relative_residual(operator, second, currents, sol) <= DEFAULT_SOLVER_TOL
+    assert _relative_residual(operator, second, currents, sol) <= cdii.fem_cem.SOLVER_TOL
 
 
 @pytest.mark.parametrize("exhausted", [False, True], ids=["converged", "exhausted"])
@@ -472,7 +472,7 @@ def test_pcg_is_bitwise_scipy_cg(reuse_case, monkeypatch, exhausted):
             nonlocal steps
             steps += 1
 
-        x, info = spla.cg(M, b, factor._start(M, b), rtol=DEFAULT_SOLVER_TOL,
+        x, info = spla.cg(M, b, factor._start(M, b), rtol=cdii.fem_cem.SOLVER_TOL,
                           maxiter=maxiter, callback=count,
                           M=spla.LinearOperator(M.shape, matvec=factor._lu.solve, dtype=float))
         return x, info, steps
@@ -482,11 +482,11 @@ def test_pcg_is_bitwise_scipy_cg(reuse_case, monkeypatch, exhausted):
     if exhausted:
         monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", steps)
         assert scipy_cg(steps)[1] == steps
-    ours = factor.solve(M, b, DEFAULT_SOLVER_TOL)
+    ours = factor.solve(M, b)
     assert factor.pcg_iterations == steps
     if exhausted:
         assert factor.factorizations == 2
-        assert ours.tobytes() == _factor_solve(M, b, DEFAULT_SOLVER_TOL)[1].tobytes()
+        assert ours.tobytes() == _factor_solve(M, b)[1].tobytes()
     else:
         assert factor.factorizations == 1 and ours.tobytes() == x.tobytes()
 
@@ -528,7 +528,7 @@ def test_resolving_a_recent_conductivity_takes_no_pcg_step(reuse_case, again):
     before = (factor.factorizations, factor.pcg_iterations)
     sol = solve_forward(mesh, sigmas[again], setup, currents, factor=factor)
     assert (factor.factorizations, factor.pcg_iterations) == before
-    assert _relative_residual(operator, sigmas[again], currents, sol) <= DEFAULT_SOLVER_TOL
+    assert _relative_residual(operator, sigmas[again], currents, sol) <= cdii.fem_cem.SOLVER_TOL
 
 
 # ----------------------------------------------------------------- flux

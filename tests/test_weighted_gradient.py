@@ -21,7 +21,7 @@ from cdii.weighted_gradient import (
     reconstruct,
 )
 from cdii.calibration import apply_calibration, build_monotone_map, collect_pairs
-from cdii.mesh import _gradient_norm, triangle_gradients
+from cdii.mesh import ParameterError, _gradient_norm, triangle_gradients
 from cdii.phantom import gaussian_phantom, simulate_data
 
 from helpers import (
@@ -349,10 +349,11 @@ def test_logged_objective_is_bitwise_the_functional_value(monkeypatch):
                                                  (sol.u, sol.U))
 
 
-def test_reconstruct_solver_error_names_iteration_0():
+def test_reconstruct_solver_error_names_iteration_0(monkeypatch):
     mesh, setup, currents = two_electrode_case(12, 8.3e-3, 8.3e-3, 3e-3)
     data = InteriorData(np.full(mesh.triangle_count, 3e-3))
-    config = ReconstructionConfig(epsilon=0.1, delta=1e-7, solver_tol=1e-30)
+    config = ReconstructionConfig(epsilon=0.1, delta=1e-7)
+    monkeypatch.setattr(cdii.fem_cem, "SOLVER_TOL", 1e-30)
     with pytest.raises(SolverError, match=r"^iteration 0: linear solve stalled"):
         reconstruct(mesh, data, setup, currents, config)
 
@@ -539,6 +540,14 @@ def test_config_validation():
         ReconstructionConfig(epsilon=0.1, delta=0.0)
     with pytest.raises(ValueError):
         ReconstructionConfig(epsilon=0.1, delta=1e-7, max_iter=0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, np.nan, 10.0, "10"])
+def test_max_iter_must_be_an_integer(max_iter):
+    with pytest.raises(ParameterError, match="^max_iter must be an integer >= 1") as err:
+        ReconstructionConfig(epsilon=0.1, delta=1e-7, max_iter=max_iter)
+    assert err.value.name == "max_iter"
+    assert ReconstructionConfig(epsilon=0.1, delta=1e-7, max_iter=np.int64(3)).max_iter == 3
 
 
 def test_interior_data_validation():
