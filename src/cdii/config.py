@@ -121,7 +121,7 @@ def load_config(path) -> PipelineConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
     return config_from_mapping(_parse_lines(text, str(path)))
 

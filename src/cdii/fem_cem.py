@@ -21,7 +21,8 @@ nodes in mesh order and the electrode voltages last, the fixed electrode
 entries, and a sparse map from the triangles' conductivities to the
 pattern's slots, holding each triangle's seven nonzero stiffness entries.
 A solve scatters the conductivity into the pattern with one product by
-that map and factorizes with SuperLU's symmetric mode, in the multiple
+that map, writing the entries of a matrix its ``LastFactor`` keeps, and
+factorizes with SuperLU's symmetric mode, in the multiple
 minimum-degree order SuperLU computes for each factorization.
 ``assemble_system`` is the reference assembly.  It stores only those
 seven stiffness entries per triangle, never the coupling of a cell's SE
@@ -50,6 +51,13 @@ SOLVER_TOL = 1e-10
 
 #: Relative tolerance for the zero-sum current / voltage invariants.
 ZERO_SUM_TOL = 1e-12
+
+#: Largest current magnitude (A) a ``CurrentPattern`` holds.  A solution is
+#: linear in the currents, and a solve and the reconstruction square it:
+#: the load vector's norm, ``|grad u|``, the functional's electrode terms
+#: and current work.  The bound leaves a factor of 1e50 below the root of
+#: the largest double, 1.3e154, for the mesh, impedances and conductivity.
+MAX_CURRENT = 1e100
 
 #: A sequence of solves sharing a ``LastFactor`` refactorizes after a solve
 #: that needed more PCG iterations than this: a lower cap refactorizes more
@@ -109,7 +117,8 @@ class ConductivityField:
 
 @dataclass(frozen=True)
 class CurrentPattern:
-    """Net injected currents (A), one per electrode, finite and summing to zero."""
+    """Net injected currents (A), one per electrode, finite, summing to zero
+    and at most ``MAX_CURRENT`` in magnitude."""
 
     values: np.ndarray
 
@@ -117,8 +126,10 @@ class CurrentPattern:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or len(v) < 2:
             raise ValueError("need one current per electrode (at least two)")
-        if not _sums_to_zero(v):
-            raise ValueError(f"currents must be finite and sum to zero, got {v.tolist()}")
+        # The bound first, as a NaN fails it: no sum of huge values overflows.
+        if not (np.max(np.abs(v)) <= MAX_CURRENT and _sums_to_zero(v)):
+            raise ValueError("currents must be finite and sum to zero with magnitudes "
+                             f"at most {MAX_CURRENT:g} A, got {v.tolist()}")
         object.__setattr__(self, "values", _frozen(v))
 
 
@@ -311,10 +322,20 @@ class CemOperator:
         self._fixed = M.data - self._scatter @ np.ones(T)
 
     def matrix(self, sigma: ConductivityField) -> sp.csc_matrix:
-        """The block matrix at conductivity ``sigma``."""
+        """A new block matrix at conductivity ``sigma``."""
+        return self._fill(self._new_matrix(), sigma)
+
+    def _new_matrix(self) -> sp.csc_matrix:
+        """A matrix on this operator's pattern, its entries not yet set."""
+        return sp.csc_matrix((np.empty(len(self._fixed)), self._indices, self._indptr),
+                             shape=self._shape)
+
+    def _fill(self, M: sp.csc_matrix, sigma: ConductivityField) -> sp.csc_matrix:
+        """``M``, a matrix on this operator's pattern, with its entries
+        overwritten by the block matrix's at conductivity ``sigma``."""
         _check_sigma(self.mesh, sigma)
-        return sp.csc_matrix((self._fixed + self._scatter @ sigma.values,
-                              self._indices, self._indptr), shape=self._shape)
+        np.add(self._fixed, self._scatter @ sigma.values, out=M.data)
+        return M
 
 
 class LastFactor:
@@ -342,10 +363,22 @@ class LastFactor:
     step-counting callback), which cost more than a solve's numerical work
     at 60² nodes.
 
-    Holds the last factor, the last ``PCG_RECENT`` solutions and how many
-    PCG iterations the last solve took, and counts the factorizations and
-    PCG iterations of the sequence.  Its owner drops it when the sequence
-    ends, and the factor and solutions with it.
+    What does not change between solves is kept, not rebuilt:
+
+    - one matrix on the operator's pattern, whose entries each solve
+      overwrites with the block matrix at its conductivity, so a solve
+      allocates no matrix.  It belongs to this factor, not the operator:
+      two factors on one operator never share it.
+    - the PCG start basis, as normalized rows: the last solution's
+      direction, then the differences of successive recent solutions,
+      newest first.  Each row is computed once, when its solution
+      arrives, as Fischer's projection keeps its basis (Comput. Methods
+      Appl. Mech. Engrg. 163, 1998).
+
+    It also holds the last factor, the last solution and how many PCG
+    iterations the last solve took, and counts the factorizations and PCG
+    iterations of the sequence.  Its owner drops it when the sequence ends,
+    and the factor, the matrix and the basis with it.
     """
 
     def __init__(self, operator: CemOperator):
@@ -353,55 +386,82 @@ class LastFactor:
         self.factorizations = 0
         self.pcg_iterations = 0
         self._lu = None
-        self._recent = []  # oldest first
+        self._matrix = operator._new_matrix()
+        self._last = None  # the last solution
+        # The start basis, as the rows of W in _start's order; the first
+        # _rows rows are in use.
+        self._basis = np.zeros((PCG_RECENT, self._matrix.shape[0]))
+        self._rows = 0
         self._last_pcg = 0
 
-    def solve(self, M: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-        """``M⁻¹b`` to the relative residual ``SOLVER_TOL``: by PCG where
-        it can, otherwise by a new factorization.
+    def solve(self, sigma: ConductivityField, b: np.ndarray) -> np.ndarray:
+        """``M⁻¹b`` for the block matrix ``M`` at conductivity ``sigma``, to
+        the relative residual ``SOLVER_TOL``: by PCG where it can,
+        otherwise by a new factorization.
 
         Raises
         ------
+        ValueError
+            If ``sigma`` does not hold one value per triangle of the
+            operator's mesh.
         SolverError
-            If the direct factorization misses ``SOLVER_TOL``.
+            If ``||b||`` overflows, so no residual test can hold, or the
+            direct factorization misses ``SOLVER_TOL``.
         """
-        x = self._pcg(M, b)
+        M = self.operator._fill(self._matrix, sigma)
+        b_norm = _norm(b)
+        if not b_norm < np.inf:
+            raise SolverError("the norm of the load vector overflows, "
+                              "so no residual test can hold")
+        x = self._pcg(M, b, b_norm)
         if x is None:
             self._lu, x = _factor_solve(M, b)
             self._last_pcg = 0
             self.factorizations += 1
-        self._recent = (self._recent + [x])[-PCG_RECENT:]
+        self._keep(x)
         return x
+
+    def _keep(self, x: np.ndarray) -> None:
+        """Take the solution ``x`` into the start basis: the kept
+        differences move down a row, the oldest dropping out past
+        ``PCG_RECENT`` rows, and ``x``'s direction and its difference from
+        the last solution take the first two rows."""
+        W = self._basis
+        rows = self._rows = min(self._rows + 1, len(W))
+        W[2:rows] = W[1:rows - 1]
+        W[0] = x
+        if rows > 1:
+            np.subtract(x, self._last, out=W[1])
+        # Normalized as the rows of one block, so the basis is to the bit
+        # the one normalized as a block from the raw solutions: numpy's
+        # einsum sums a lone row of over 8192 products in other chunks.
+        new = W[:min(rows, 2)]
+        norms = np.sqrt(np.einsum("ij,ij->i", new, new))
+        new /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        self._last = x
 
     def _start(self, M: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
         """The combination of the recent solutions closest to ``M⁻¹b`` in
         ``M``'s energy norm: ``W c`` with ``(WᵀMW) c = Wᵀb``.
 
-        ``W`` holds the last solution and the differences of successive
-        ones, each column normalized; they are close to dependent, so the
-        small system is solved by least squares.  The last solution is in
-        the span, so the start is no worse than it.
+        ``W``'s columns are the start basis: the last solution and the
+        differences of successive ones, each normalized.  They are close to
+        dependent, so the small system is solved by least squares.  The
+        last solution is in the span, so the start is no worse than it.
         """
-        x = self._recent[::-1]
-        W = np.empty((len(x), len(b)))  # the columns of W, as rows
-        W[0] = x[0]
-        for i in range(len(x) - 1):
-            np.subtract(x[i], x[i + 1], out=W[i + 1])
-        norms = np.sqrt(np.einsum("ij,ij->i", W, W))
-        W /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        W = self._basis[:self._rows]  # the columns of W, as rows
         MW = M @ np.ascontiguousarray(W.T)  # scipy multiplies C-order blocks fastest
         c = np.linalg.lstsq(W @ MW, W @ b, rcond=1e-14)[0]
         return c @ W
 
-    def _pcg(self, M: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
-        """Solve by PCG from the last factor and the recent solutions, in
-        scipy's ``cg`` loop written out, or return None: without a factor,
-        after a solve that needed more than ``PCG_REFACTOR_CAP`` iterations,
-        or when PCG misses the contract."""
+    def _pcg(self, M: sp.csc_matrix, b: np.ndarray, b_norm: float) -> np.ndarray | None:
+        """Solve by PCG from the last factor and the start basis, in scipy's
+        ``cg`` loop written out, with ``b_norm = ||b||``, or return None:
+        without a factor, after a solve that needed more than
+        ``PCG_REFACTOR_CAP`` iterations, or when PCG misses the contract."""
         if self._lu is None or self._last_pcg > PCG_REFACTOR_CAP:
             self._lu = None  # one factor alive at a time while refactorizing
             return None
-        b_norm = np.linalg.norm(b)
         if b_norm == 0.0:  # the solution, in no steps
             self._last_pcg = 0
             return np.zeros_like(b)
@@ -409,7 +469,7 @@ class LastFactor:
         r = b - M @ x if x.any() else b.copy()
         tol = SOLVER_TOL * b_norm
         for steps in range(PCG_MAX_ITER):
-            if np.linalg.norm(r) < tol:
+            if _norm(r) < tol:
                 break
             z = self._lu.solve(r)
             rho = np.dot(r, z)
@@ -427,10 +487,16 @@ class LastFactor:
             steps = PCG_MAX_ITER  # not converged, as scipy reports it
         self.pcg_iterations += steps
         self._last_pcg = steps
-        if steps == PCG_MAX_ITER or np.linalg.norm(M @ x - b) > tol:
+        if steps == PCG_MAX_ITER or _norm(M @ x - b) > tol:
             self._lu = None
             return None
         return x
+
+
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a 1-d float vector: what ``np.linalg.norm``
+    computes for one, without its dispatch."""
+    return np.sqrt(v.dot(v))
 
 
 def _factor_solve(M: sp.csc_matrix, b: np.ndarray):
@@ -439,11 +505,11 @@ def _factor_solve(M: sp.csc_matrix, b: np.ndarray):
                    panel_size=LU_PANEL_SIZE, options={"SymmetricMode": True})
     x = lu.solve(b)
 
-    b_norm = np.linalg.norm(b)
-    res = np.linalg.norm(M @ x - b)
+    b_norm = _norm(b)
+    res = _norm(M @ x - b)
     if b_norm > 0.0 and res > SOLVER_TOL * b_norm:
         x = x + lu.solve(b - M @ x)
-        res = np.linalg.norm(M @ x - b)
+        res = _norm(M @ x - b)
         if res > SOLVER_TOL * b_norm:
             raise SolverError(
                 f"linear solve stalled at relative residual {res / b_norm:.3e} "
@@ -457,9 +523,9 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
                   factor: LastFactor | None = None) -> ForwardSolution:
     """Solve the forward problem for the nodal potential and electrode voltages.
 
-    The conductivity is scattered into the fixed pattern of the factor's
-    operator, and ``LastFactor.solve`` chooses between PCG and a new
-    factorization, as the ``LastFactor`` docstring describes.  A
+    The conductivity is scattered into the factor's matrix, on the fixed
+    pattern of its operator, and ``LastFactor.solve`` chooses between PCG
+    and a new factorization, as the ``LastFactor`` docstring describes.  A
     factorization is SuperLU's, in its multiple minimum-degree order of
     ``M + Mᵀ`` (Liu, ACM TOMS 11(2), 1985), in symmetric mode without
     pivoting (the matrix is symmetric positive definite), and is refined
@@ -484,7 +550,7 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
         If the residual contract cannot be met.
     """
     # The operator checked the setup's edges when it was built from these
-    # objects, and operator.matrix checks sigma.
+    # objects, and the factor's solve checks sigma.
     _check_currents(setup, currents)
     if factor is None:
         factor = LastFactor(CemOperator(mesh, setup))
@@ -492,7 +558,7 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     if operator.mesh is not mesh or operator.setup is not setup:
         raise ValueError("factor was built for a different mesh or electrode setup")
     b = _load_vector(mesh.node_count, currents)
-    x = factor.solve(operator.matrix(sigma), b)
+    x = factor.solve(sigma, b)
 
     m = mesh.node_count
     N = setup.count - 1

@@ -304,6 +304,42 @@ def test_config_defaults_are_the_dataclass_defaults():
     assert cfg.max_iter == ReconstructionConfig.max_iter
 
 
+@pytest.mark.parametrize("command", ["forward", "simulate", "reconstruct", "calibrate",
+                                     "pipeline"])
+def test_config_that_is_not_utf8_exits_2_naming_file(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(f"config error: {re.escape(str(cfg))}: cannot read config: "
+                        r"'[\w-]+' codec can't decode .*\n", err)
+
+
+@pytest.mark.parametrize("command", ["forward", "simulate", "reconstruct", "calibrate",
+                                     "pipeline"])
+def test_huge_currents_exit_2_naming_currents(tmp_path, capsys, command):
+    # Finite, summing to zero, and 1e100 times MAX_CURRENT: a solve would
+    # overflow its load vector's norm and the squared gradients.
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", currents="-1e200,1e200")
+    assert run([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: currents: currents must be finite and sum to zero with magnitudes "
+        "at most 1e+100 A, got [-1e+200, 1e+200]\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,names", [
+    ("forward", ("u.csv", "U.csv", "J.csv", "a.csv")),
+    ("simulate", ("sigma_true.csv", "a.csv", "trace.csv"))])
+def test_largest_currents_give_finite_fields(tmp_path, command, names):
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", currents="-1e100,1e100")
+    assert run([command, "--config", str(cfg)]) == 0
+    for name in names:
+        values = np.loadtxt(tmp_path / "out" / name, delimiter=",", comments="#")
+        assert np.isfinite(values).all(), name
+
+
 def test_solver_failure_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cdii.fem_cem, "SOLVER_TOL", 1e-30)
     cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")

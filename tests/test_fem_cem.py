@@ -30,6 +30,7 @@ from helpers import (
     pi_vector,
     quadratic_minimizer_oracle,
     random_case,
+    start_reference,
     two_electrode_case,
 )
 
@@ -68,6 +69,18 @@ def test_currents_must_be_finite(values):
     # Checked before any sum: inf - inf would warn.
     with pytest.raises(ValueError, match="finite and sum to zero"):
         CurrentPattern(np.array(values))
+
+
+def test_currents_are_bounded_in_magnitude():
+    # Up to MAX_CURRENT the solve's squares stay finite; beyond it the
+    # pattern is refused before anything is summed, so 1e308 + 1e308 does
+    # not overflow (tests turn the overflow warning into an error).
+    bound = cdii.fem_cem.MAX_CURRENT
+    CurrentPattern(np.array([-bound, bound]))
+    for values in ([-1e200, 1e200], [1e308, 1e308, -1e308, -1e308]):
+        with pytest.raises(ValueError, match="finite and sum to zero with magnitudes "
+                                             "at most 1e"):
+            CurrentPattern(np.array(values))
 
 
 def test_voltages_must_sum_to_zero():
@@ -408,6 +421,16 @@ def test_solve_enforces_residual_contract(equal_z_case, monkeypatch):
         solve_forward(mesh, ones(mesh), setup, currents)
 
 
+def test_solve_refuses_a_load_vector_whose_norm_overflows(equal_z_case):
+    # ||b|| = inf would make every residual test pass.
+    mesh, setup, _ = equal_z_case
+    factor = LastFactor(CemOperator(mesh, setup))
+    b = np.zeros(mesh.node_count + 1)
+    b[-1] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match="overflows"):
+        factor.solve(ones(mesh), b)
+
+
 # ----------------------------------------------------------- factor reuse
 
 def _relative_residual(operator, sigma, currents, sol):
@@ -482,7 +505,7 @@ def test_pcg_is_bitwise_scipy_cg(reuse_case, monkeypatch, exhausted):
     if exhausted:
         monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", steps)
         assert scipy_cg(steps)[1] == steps
-    ours = factor.solve(M, b)
+    ours = factor.solve(second, b)
     assert factor.pcg_iterations == steps
     if exhausted:
         assert factor.factorizations == 2
@@ -529,6 +552,71 @@ def test_resolving_a_recent_conductivity_takes_no_pcg_step(reuse_case, again):
     sol = solve_forward(mesh, sigmas[again], setup, currents, factor=factor)
     assert (factor.factorizations, factor.pcg_iterations) == before
     assert _relative_residual(operator, sigmas[again], currents, sol) <= cdii.fem_cem.SOLVER_TOL
+
+
+@pytest.mark.parametrize("side_nodes", [20, 91])
+def test_kept_start_is_bitwise_the_start_from_raw_solutions(side_nodes, monkeypatch):
+    # Over seven solves, three of them refactorizations (a cap of 0 sends
+    # every solve after an iterating PCG solve to the factorization), the
+    # start from the kept basis is the start rebuilt from the last
+    # PCG_RECENT solutions.  91² has over 8192 unknowns, where numpy's
+    # einsum sums a lone row in other chunks than a block's rows.
+    mesh, setup, currents = two_electrode_case(side_nodes, Z, Z, ALPHA)
+    operator = CemOperator(mesh, setup)
+    b = _load_vector(mesh.node_count, currents)
+    rng = np.random.default_rng(side_nodes)
+    values = rng.uniform(0.5, 2.0, mesh.triangle_count)
+    monkeypatch.setattr(cdii.fem_cem, "PCG_REFACTOR_CAP", 0)
+    factor = LastFactor(operator)
+    solutions = []
+    for _ in range(7):
+        values = values * rng.uniform(0.95, 1.05, mesh.triangle_count)
+        sigma = ConductivityField(values)
+        if solutions:
+            M = operator.matrix(sigma)
+            expected = start_reference(solutions[-cdii.fem_cem.PCG_RECENT:], M, b)
+            assert factor._start(M, b).tobytes() == expected.tobytes()
+        solutions.append(factor.solve(sigma, b))
+    assert factor.factorizations == 4 and factor.pcg_iterations > 0
+
+
+def test_solves_leave_the_operators_matrices_alone(reuse_case):
+    # Each factor refills a matrix of its own; a matrix the operator
+    # returned is a new one, which no solve and no other matrix touches.
+    mesh, setup, currents, operator, first, second = reuse_case
+    M1, M2 = operator.matrix(first), operator.matrix(second)
+    bytes1, bytes2 = M1.data.tobytes(), M2.data.tobytes()
+    factors = LastFactor(operator), LastFactor(operator)
+    for factor in factors:
+        for sigma in (second, first, second):
+            solve_forward(mesh, sigma, setup, currents, factor=factor)
+        assert factor._matrix.data.tobytes() == bytes2
+    assert (M1.data.tobytes(), M2.data.tobytes()) == (bytes1, bytes2)
+    arrays = [M1.data, M2.data] + [factor._matrix.data for factor in factors]
+    for i, a in enumerate(arrays):
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(a, other)
+    M1.data[:] = 0.0
+    assert M2.data.tobytes() == bytes2
+    assert operator.matrix(first).data.tobytes() == bytes1
+
+
+def test_solves_build_no_matrix(reuse_case, monkeypatch):
+    mesh, setup, currents, operator, first, second = reuse_case
+    calls = []
+    matrix = CemOperator.matrix
+
+    def counted(self, sigma):
+        calls.append(sigma)
+        return matrix(self, sigma)
+
+    monkeypatch.setattr(CemOperator, "matrix", counted)
+    solve_forward(mesh, first, setup, currents)
+    factor = LastFactor(operator)
+    for sigma in (first, second, first):
+        solve_forward(mesh, sigma, setup, currents, factor=factor)
+    assert factor.pcg_iterations > 0
+    assert calls == []
 
 
 # ----------------------------------------------------------------- flux

@@ -16,6 +16,7 @@ from cdii.fem_cem import (
 from cdii.weighted_gradient import (
     InteriorData,
     ReconstructionConfig,
+    _max_grad_change,
     _stop_threshold,
     clamp_conductivity,
     reconstruct,
@@ -200,6 +201,16 @@ def test_stop_at_exact_threshold():
     g2 = g.copy()
     g2[0, 1] = 1e-7 * 0.1 / 2.0
     assert should_stop(g2, g, delta=1e-7, epsilon=0.1, essinf_a=2.0)
+
+
+def test_max_grad_change_is_bitwise_the_largest_gradient_norm():
+    # One square root of the largest square: sqrt is monotone and
+    # correctly rounded.
+    rng = np.random.default_rng(11)
+    for scale in (1e-12, 1e-3, 1.0, 1e6):
+        g1, g2 = (rng.normal(size=(997, 2)) * scale for _ in range(2))
+        expected = np.max(_gradient_norm(g1 - g2))
+        assert _max_grad_change(g1, g2) == expected
 
 
 def test_stopping_validates_inputs():
