@@ -177,7 +177,8 @@ def _simulate(cfg: PipelineConfig, mesh: Mesh, setup, currents,
     """Simulate and noise the data; writes sigma_true.csv, a.csv, trace.csv."""
     data, trace, sol = simulate_data(mesh, sigma_true, setup, currents, cfg.gamma_side,
                                      factor=factor)
-    data = add_noise(data, cfg.noise_level, cfg.noise_seed)
+    with _keyed("noise."):
+        data = add_noise(data, cfg.noise_level, cfg.noise_seed)
     del sol  # generating solution stays out of the reconstruction path
     write_field(out / "sigma_true.csv", "sigma", "S/m", "triangle", sigma_true.values)
     write_field(out / "a.csv", "a", "A/m^2", "triangle", data.values)

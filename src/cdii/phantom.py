@@ -42,7 +42,9 @@ def gaussian_phantom(mesh: Mesh, center: tuple[float, float], amplitude: float,
         raise ParameterError("center", f"center must be two finite coordinates, got {center}")
     c = centroids(mesh)
     d2 = (c[:, 0] - center[0]) ** 2 + (c[:, 1] - center[1]) ** 2
-    return ConductivityField(1.0 + amplitude * np.exp(-d2 / width))
+    with np.errstate(over="ignore"):  # a tiny width: exp(-inf) is the exact 0
+        bump = np.exp(-d2 / width)
+    return ConductivityField(1.0 + amplitude * bump)
 
 
 def simulate_data(mesh: Mesh, sigma_true: ConductivityField, setup: ElectrodeSetup,
@@ -74,7 +76,9 @@ def add_noise(data: InteriorData, level: float, seed: int) -> InteriorData:
     ------
     ParameterError
         Named ``level`` unless it is finite and nonnegative, ``seed`` if it
-        is negative; both are checked before the data is touched.
+        is negative; both are checked before the data is touched.  Named
+        ``level`` also if the noisy data is not finite: a level near the
+        largest double overflows where ``level * g`` does.
     """
     if not 0.0 <= level < np.inf:
         raise ParameterError("level", f"noise level must be finite and nonnegative, got {level}")
@@ -83,4 +87,10 @@ def add_noise(data: InteriorData, level: float, seed: int) -> InteriorData:
     if level == 0.0:
         return InteriorData(data.values.copy())
     g = np.random.default_rng(seed).standard_normal(len(data.values))
-    return InteriorData(np.maximum(data.values * (1.0 + level * g), NOISE_FLOOR))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        noisy = np.maximum(data.values * (1.0 + level * g), NOISE_FLOOR)
+    bad = InteriorData.first_invalid(noisy)
+    if bad is not None:
+        raise ParameterError("level", f"noise level {level} overflows the noisy data; "
+                             f"triangle {bad} holds {noisy[bad]}")
+    return InteriorData(noisy)

@@ -72,8 +72,10 @@ class ReconstructionConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError("epsilon", f"epsilon must lie in (0, 1), got {self.epsilon}")
+        # The clamp's upper bound is 1/epsilon, so it must not overflow.
+        if not (0.0 < self.epsilon < 1.0 and 1.0 / float(self.epsilon) < np.inf):
+            raise ParameterError("epsilon", "epsilon must lie in (0, 1), with a finite "
+                                 f"reciprocal, got {self.epsilon}")
         if not 0.0 < self.delta < np.inf:
             raise ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
@@ -139,7 +141,8 @@ def clamp_conductivity(data: InteriorData, grad_norm: np.ndarray,
     grad_norm = np.asarray(grad_norm, dtype=float)
     if grad_norm.shape != data.values.shape:
         raise ValueError("gradient magnitudes do not match the interior data")
-    ratio = data.values / np.maximum(grad_norm, GRAD_FLOOR)
+    with np.errstate(over="ignore"):  # an overflow to inf is clipped below
+        ratio = data.values / np.maximum(grad_norm, GRAD_FLOOR)
     values = np.clip(ratio, epsilon, 1.0 / epsilon)
     values[grad_norm < GRAD_FLOOR] = 1.0 / epsilon
     return ConductivityField(values)

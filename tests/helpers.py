@@ -6,10 +6,12 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 import cdii
 from cdii.csvio import _read_table
-from cdii.fem_cem import _edge_square_integral, _electrode_terms
+from cdii.fem_cem import (_STIFF_COLS, _STIFF_NZ, _STIFF_ROWS, _edge_square_integral,
+                          _electrode_terms)
 from cdii.mesh import _gradient_norm, triangle_gradients
 from cdii.weighted_gradient import (GRAD_FLOOR, _functional, _max_grad_change,
                                     _stop_threshold)
@@ -72,6 +74,25 @@ def _dissect(block: np.ndarray, parts: list[np.ndarray]) -> None:
         _dissect(block[:, :mid], parts)
         _dissect(block[:, mid + 1:], parts)
         parts.append(block[:, mid])
+
+
+def scatter_reference(operator: cdii.CemOperator) -> sp.csc_matrix:
+    """The map from triangle conductivities to the slots of ``operator``'s
+    pattern, built as the operator first built it: one fancy-index lookup
+    of every triangle's seven nonzero (row, col) stiffness entries in a
+    copy of the pattern that stores slot + 1.  The reference that the
+    operator's lookup, one local entry at a time, is checked against."""
+    nnz = len(operator._indices)
+    slots = sp.csc_matrix((np.arange(1, nnz + 1, dtype=np.int32), operator._indices,
+                           operator._indptr), shape=operator._shape)
+    tri = operator.mesh.triangles
+    rows = tri[:, _STIFF_ROWS].reshape(-1)
+    cols = tri[:, _STIFF_COLS].reshape(-1)
+    slots = np.asarray(slots[rows, cols]).reshape(-1) - 1
+    T = operator.mesh.triangle_count
+    return sp.csc_matrix((np.tile(_STIFF_NZ, T), slots,
+                          np.arange(0, len(_STIFF_NZ) * T + 1, len(_STIFF_NZ))),
+                         shape=(nnz, T))
 
 
 def energy_value(mesh, sigma, setup, currents, candidate) -> float:

@@ -147,6 +147,8 @@ INVALID_VALUES = {
     "currents-nan": ({"currents": "nan,0.003"}, "currents"),
     "currents-inf": ({"currents": "inf,-inf"}, "currents"),
     "epsilon": ({"recon.epsilon": "1.5"}, "recon.epsilon"),
+    "epsilon-subnormal": ({"recon.epsilon": "1e-320"}, "recon.epsilon"),
+    "epsilon-smallest": ({"recon.epsilon": "5e-324"}, "recon.epsilon"),
     "delta": ({"recon.delta": "0"}, "recon.delta"),
     "delta-inf": ({"recon.delta": "inf"}, "recon.delta"),
     "max_iter": ({"recon.max_iter": "0"}, "recon.max_iter"),
@@ -189,12 +191,14 @@ def test_invalid_value_exits_2_naming_key(tmp_path, capsys, valid_outputs,
 
 
 NEGATIVE = st.floats(max_value=-np.finfo(float).smallest_subnormal)
+# Positive values whose reciprocal overflows.
+NO_FINITE_RECIPROCAL = st.floats(min_value=0.0, max_value=1.0 / np.finfo(float).max,
+                                 exclude_min=True, exclude_max=True)
 # Impedances that are not positive, not finite, or have no finite reciprocal.
-BAD_Z = (st.floats(max_value=0.0) | st.sampled_from([np.nan, np.inf])
-         | st.floats(min_value=0.0, max_value=1.0 / np.finfo(float).max,
-                     exclude_min=True, exclude_max=True))
+BAD_Z = st.floats(max_value=0.0) | st.sampled_from([np.nan, np.inf]) | NO_FINITE_RECIPROCAL
 OUT_OF_RANGE = {
-    "recon.epsilon": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(np.nan),
+    "recon.epsilon": (st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(np.nan)
+                      | NO_FINITE_RECIPROCAL),
     "recon.delta": st.floats(max_value=0.0) | st.sampled_from([np.nan, np.inf]),
     "recon.max_iter": st.integers(max_value=0),
     "electrodes[0].z": BAD_Z,
@@ -215,6 +219,15 @@ def test_out_of_range_value_raises_under_its_key(key_value):
     with pytest.raises(ConfigError) as err:
         _build_problem(cfg)
     assert err.value.key == key
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_noise_level_that_overflows_the_data_exits_2(tmp_path, capsys, command):
+    # 1e308 is a valid level, but the noisy data overflows where |g| > 1.8.
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", **{"noise.level": "1e308"})
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: noise.level: ")
 
 
 def _without(*keys):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from helpers import (
     pi_vector,
     quadratic_minimizer_oracle,
     random_case,
+    scatter_reference,
     start_reference,
     two_electrode_case,
 )
@@ -248,6 +250,49 @@ def test_operator_stiffness_is_bitwise_a_bincount(side_nodes, electrodes):
     weights = (sigma.values[:, None] * cdii.fem_cem._STIFF[rows, cols]).reshape(-1)
     expected = operator._fixed + np.bincount(slots, weights=weights, minlength=M.nnz)
     assert M.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("side_nodes", [2, 20, 61])
+@pytest.mark.parametrize("electrodes", [
+    [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))],
+    [("bottom", (0.0, 1.0)), ("left", (0.0, 1.0)), ("top", (0.0, 1.0))],
+    [("left", (0.0, 1.0)), ("right", (0.0, 1.0))]], ids=["two", "three", "left-right"])
+def test_operator_scatter_is_the_fancy_index_lookup(side_nodes, electrodes):
+    # One lookup per local stiffness entry finds the slots that one lookup
+    # of all seven entries of every triangle found.
+    mesh = build_uniform_mesh(side_nodes)
+    operator = CemOperator(mesh, locate_electrodes(mesh, electrodes, [Z] * len(electrodes)))
+    expected = scatter_reference(operator)
+    for name in ("data", "indices", "indptr"):
+        actual = getattr(operator._scatter, name)
+        assert actual.dtype == getattr(expected, name).dtype
+        assert np.array_equal(actual, getattr(expected, name)), name
+
+
+def test_operator_build_peaks_in_its_assembly(monkeypatch):
+    # What the build allocates after its assemble_system call returns
+    # (the full matrix, the slot lookup, the scatter map and the fixed
+    # entries) stays under the peak that call reached.
+    mesh = build_uniform_mesh(120)
+    setup = locate_electrodes(mesh, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))], [Z, Z])
+    CemOperator(mesh, setup)  # imports and caches outside the trace
+    peaks = []
+
+    def traced(*args):
+        system = assemble_system(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return system
+
+    monkeypatch.setattr(cdii.fem_cem, "assemble_system", traced)
+    tracemalloc.start()
+    try:
+        CemOperator(mesh, setup)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assembly, rest = peaks
+    assert rest <= assembly, f"{rest} B after the assembly against its {assembly} B"
 
 
 def test_operator_rejects_mismatched_sigma(equal_z_case):

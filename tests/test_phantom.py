@@ -23,6 +23,14 @@ def test_peak_value_and_range():
     assert sigma.values.min() > 1.0
 
 
+def test_tiny_width_phantom_is_flat():
+    # -d2 / width overflows to -inf, whose exp is the exact 0, with no
+    # warning (the tests turn warnings into errors).
+    mesh = build_uniform_mesh(10)
+    sigma = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 1e-320)
+    assert np.all(sigma.values == 1.0)
+
+
 def test_phantom_validation():
     mesh = build_uniform_mesh(4)
     invalid = [
@@ -246,3 +254,12 @@ def test_noise_rejects_nonfinite_level_and_negative_seed(name, level, seed):
     with pytest.raises(ParameterError) as err:
         add_noise(InteriorData(np.array([1.0])), level, seed)
     assert err.value.name == name
+
+
+@pytest.mark.parametrize("values", [[1e-3] * 100, [0.0, 1.0] * 50])
+def test_noise_that_overflows_is_refused_under_level(values):
+    # A finite level near the largest double makes level * g overflow to inf
+    # where |g| > 1.8, and 0 * inf is NaN: refused, with no warning.
+    with pytest.raises(ParameterError, match="overflows the noisy data") as err:
+        add_noise(InteriorData(np.array(values)), 1e308, seed=0)
+    assert err.value.name == "level"
