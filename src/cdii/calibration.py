@@ -129,37 +129,18 @@ def side_trace(mesh: Mesh, side: str, values: np.ndarray) -> BoundaryVoltageTrac
 
 
 def collect_pairs(mesh: Mesh, setup: ElectrodeSetup, recon: ReconstructionResult,
-                  trace: BoundaryVoltageTrace,
-                  electrode_trace: BoundaryVoltageTrace | None = None) -> np.ndarray:
+                  trace: BoundaryVoltageTrace) -> np.ndarray:
     """Pair computed with measured potential along the boundary curve.
 
     Returns an array of ``(s, t)`` rows in trace order, ``s`` the
     reconstruction's potential at the trace node and ``t`` the measured
-    value; ``build_monotone_map`` sorts and merges them.  Measurements on
-    the electrodes themselves may be passed separately; on an electrode the
-    computed and true potentials differ by the same constant, so those
-    pairs lie on the same monotone map and are simply appended.
+    value; ``build_monotone_map`` sorts and merges them.  ``setup`` is
+    unused; it stays only because callers pass it positionally.
     """
-    boundary = set(int(i) for i in mesh.boundary_nodes())
-    ids = [trace.node_ids]
-    vals = [trace.values]
-    for i in trace.node_ids:
-        if int(i) not in boundary:
-            raise ValueError(f"trace node {int(i)} is not on the mesh boundary")
-    if electrode_trace is not None:
-        electrode_nodes = set()
-        for e in setup.electrodes:
-            electrode_nodes |= set(int(i) for i in e.nodes())
-        for i in electrode_trace.node_ids:
-            if int(i) not in electrode_nodes:
-                raise ValueError(
-                    f"electrode-trace node {int(i)} does not lie on an electrode"
-                )
-        ids.append(electrode_trace.node_ids)
-        vals.append(electrode_trace.values)
-
-    node_ids = np.concatenate(ids)
-    return np.column_stack([recon.solution.u[node_ids], np.concatenate(vals)])
+    off = np.flatnonzero(~np.isin(trace.node_ids, mesh.boundary_edges))
+    if len(off):
+        raise ValueError(f"trace node {trace.node_ids[off[0]]} is not on the mesh boundary")
+    return np.column_stack([recon.solution.u[trace.node_ids], trace.values])
 
 
 def _pool_adjacent_violators(t: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -29,9 +29,7 @@ decimal point or exponent switches the whole file to coordinates).  phi.csv
 is a two-column s,t table of the calibration map.
 convergence.csv columns: iteration,objective,max_grad_diff,wall_time_ms
 (wall time is the one machine-dependent output).  metrics.csv rows:
-relative_l2, absolute_l2, max_error, iterations, converged.  Mesh debug
-dumps use a node table id,x,y and a triangle table id,v0,v1,v2
-(``csvio.write_mesh_csv``).
+relative_l2, absolute_l2, max_error, iterations, converged.
 """
 
 from __future__ import annotations

@@ -15,8 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Mesh
-
 _BLOCK = 4096  # rows per % pass: bounds the writer's buffers whatever the file size
 
 
@@ -141,11 +139,3 @@ def write_metrics(path, rows: list[tuple[str, float]]) -> None:
 
 def read_metrics(path) -> dict[str, float]:
     return dict(_read_table(path, [str, float]))
-
-
-def write_mesh_csv(mesh: Mesh, nodes_path, triangles_path) -> None:
-    """Debug dump of the mesh: node table id,x,y and triangle table id,v0,v1,v2."""
-    _write_rows(nodes_path, "id,x,y", "%d,%.17g,%.17g\n",
-                np.arange(len(mesh.nodes)), *mesh.nodes.T)
-    _write_rows(triangles_path, "id,v0,v1,v2", "%d,%d,%d,%d\n",
-                np.arange(len(mesh.triangles)), *mesh.triangles.T)

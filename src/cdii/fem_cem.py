@@ -31,12 +31,6 @@ and NW corners, which is zero for every conductivity; the operator takes
 its pattern and its electrode blocks from one call to it, with nothing
 to drop, and the tests compare the operator's matrix against it.
 
-The operator's build allocates little beyond what it keeps, so that its
-peak is its assembly's: the assembly writes its triplets once, into one
-block with the int32 indices the matrix keeps, and the build looks up
-the slots of one local stiffness entry of every triangle at a time,
-straight into the int32 array its scatter map keeps.
-
 Every solve goes through a ``LastFactor``, which holds the last
 factorization; the solves that pass the same one share it.  Its docstring
 holds the design.
@@ -82,15 +76,14 @@ PCG_RECENT = 4
 
 #: Columns SuperLU updates together in a factorization: the minimum-degree
 #: order leaves narrow supernodes, and ``LU_RELAX`` does not widen them,
-#: so one column factors them faster than SuperLU's default panel (and as
-#: fast as 2; 4 is slower).
+#: so one column factors them faster than SuperLU's default panel
+#: (``BENCH_ordering.json``, ``panel_size``).
 LU_PANEL_SIZE = 1
 
 #: Largest subtree of the elimination tree SuperLU factors as one relaxed
 #: supernode, explicit zeros stored: the minimum-degree order's narrow
-#: subtrees gain nothing from them, so 1 stores 7% fewer entries than
-#: SuperLU's default, factors 5-9% and solves 2-6% faster at 60²-180²
-#: (2 and 3 store nearly the default's).
+#: subtrees gain nothing from them, so 1 stores fewer entries and factors
+#: faster than SuperLU's default (``BENCH_memory.json``, ``relax_sweep``).
 LU_RELAX = 1
 
 # Element stiffness pattern: area * (grad_i . grad_j) is h-independent and
@@ -380,8 +373,8 @@ class LastFactor:
     running out of ``PCG_MAX_ITER`` steps is not convergence.  Its iterates
     are therefore bitwise scipy's, without scipy's per-call wrappers
     (``make_system``, the ``LinearOperator`` around the factor and the
-    step-counting callback), which cost more than a solve's numerical work
-    at 60² nodes.
+    step-counting callback), which cost more than a small solve's numerical
+    work (``BENCH_loop.json``).
 
     What does not change between solves is kept, not rebuilt:
 

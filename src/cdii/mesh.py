@@ -132,9 +132,6 @@ class Mesh:
         offset = SIDES.index(side) * per_side
         return np.arange(offset, offset + per_side)
 
-    def boundary_nodes(self) -> np.ndarray:
-        return np.unique(self.boundary_edges)
-
 
 @dataclass(frozen=True)
 class Electrode:

@@ -65,6 +65,14 @@ class InteriorData:
         return float(self.values.min())
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """The clamp's range rule: ``0 < epsilon < 1``, and its upper bound
+    ``1/epsilon`` must not overflow."""
+    if not (0.0 < epsilon < 1.0 and 1.0 / float(epsilon) < np.inf):
+        raise ParameterError("epsilon", "epsilon must lie in (0, 1), with a finite "
+                             f"reciprocal, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class ReconstructionConfig:
     epsilon: float
@@ -72,10 +80,7 @@ class ReconstructionConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        # The clamp's upper bound is 1/epsilon, so it must not overflow.
-        if not (0.0 < self.epsilon < 1.0 and 1.0 / float(self.epsilon) < np.inf):
-            raise ParameterError("epsilon", "epsilon must lie in (0, 1), with a finite "
-                                 f"reciprocal, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not 0.0 < self.delta < np.inf:
             raise ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
@@ -136,8 +141,7 @@ def clamp_conductivity(data: InteriorData, grad_norm: np.ndarray,
     Triangles whose gradient magnitude falls below ``GRAD_FLOOR`` map to
     the upper bound ``1/eps``.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     grad_norm = np.asarray(grad_norm, dtype=float)
     if grad_norm.shape != data.values.shape:
         raise ValueError("gradient magnitudes do not match the interior data")

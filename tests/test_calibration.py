@@ -85,26 +85,6 @@ def test_pairs_reject_interior_node():
         collect_pairs(mesh, None, result, trace)
 
 
-def test_pairs_append_electrode_measurements():
-    # On an electrode the computed and measured potentials differ by the
-    # same constant, so electrode samples extend the pair set consistently.
-    mesh, setup, _, result = run_unit_data_case(side_nodes=8)
-    gamma = mesh.nodes_on_side("right")
-    trace = side_trace(mesh, "right", mesh.nodes[gamma, 1])
-    bottom = setup.electrodes[0].nodes()
-    extra = BoundaryVoltageTrace(node_ids=bottom,
-                                 values=np.zeros(len(bottom)))
-    pairs = collect_pairs(mesh, setup, result, trace, electrode_trace=extra)
-    # bottom electrode nodes all carry computed 0 and measured 0
-    assert pairs[0] == pytest.approx([0.0, 0.0], abs=1e-12)
-    off_electrode = mesh.side_nodes  # left side, one row up from the corner
-    with pytest.raises(ValueError, match="electrode"):
-        collect_pairs(mesh, setup, result, trace,
-                      electrode_trace=BoundaryVoltageTrace(
-                          node_ids=np.array([off_electrode]),
-                          values=np.array([0.0])))
-
-
 # ------------------------------------------------------- build_monotone_map
 
 def test_map_sorts_pairs_even_for_nonmonotone_potential():

@@ -13,7 +13,6 @@ from cdii.csvio import (
     read_field,
     read_metrics,
     write_field,
-    write_mesh_csv,
 )
 from cdii.mesh import build_uniform_mesh
 from cdii.weighted_gradient import ReconstructionConfig
@@ -844,18 +843,3 @@ def test_calibrate_rejects_unmatched_coordinate(tmp_path, capsys):
         "# trace,V,node\n0.123,0.5\n0.9,0.9\n")
     assert run(["calibrate", "--config", str(cfg)]) == 2
     assert "trace" in capsys.readouterr().err
-
-
-# ------------------------------------------------------------- mesh export
-
-def test_mesh_csv_dump(tmp_path):
-    mesh = build_uniform_mesh(4)
-    write_mesh_csv(mesh, tmp_path / "nodes.csv", tmp_path / "triangles.csv")
-    node_lines = (tmp_path / "nodes.csv").read_text().splitlines()
-    tri_lines = (tmp_path / "triangles.csv").read_text().splitlines()
-    assert node_lines[0] == "id,x,y"
-    assert tri_lines[0] == "id,v0,v1,v2"
-    assert len(node_lines) == 1 + mesh.node_count
-    assert len(tri_lines) == 1 + mesh.triangle_count
-    assert node_lines[1] == "0,0,0"
-    assert tri_lines[1] == "0,0,1,4"

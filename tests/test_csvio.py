@@ -18,12 +18,10 @@ from cdii.csvio import (
     read_trace,
     write_convergence,
     write_field,
-    write_mesh_csv,
     write_metrics,
     write_phi,
     write_trace,
 )
-from cdii.mesh import build_uniform_mesh
 from cdii.weighted_gradient import IterationRecord
 
 from helpers import read_convergence
@@ -117,15 +115,7 @@ def test_small_writers_match_reference_bytes(tmp_path):
                     [(n, str(v) if isinstance(v, (int, np.integer)) else fmt(v))
                      for n, v in rows])
 
-    mesh = build_uniform_mesh(5)
-    write_mesh_csv(mesh, tmp_path / "nodes.csv", tmp_path / "tris.csv")
-    reference_table(tmp_path / "nodes_ref.csv", "id,x,y",
-                    [(str(i), fmt(x), fmt(y)) for i, (x, y) in enumerate(mesh.nodes)])
-    reference_table(tmp_path / "tris_ref.csv", "id,v0,v1,v2",
-                    [(str(i), str(a), str(b), str(c))
-                     for i, (a, b, c) in enumerate(mesh.triangles)])
-
-    for name in ("phi", "conv", "metrics", "nodes", "tris"):
+    for name in ("phi", "conv", "metrics"):
         new = (tmp_path / f"{name}.csv").read_bytes()
         assert new == (tmp_path / f"{name}_ref.csv").read_bytes(), name
 

@@ -176,9 +176,17 @@ def test_clamp_range_always_held():
 
 
 def test_clamp_validates_epsilon():
-    data = InteriorData(np.array([1.0]))
-    with pytest.raises(ValueError):
-        clamp_conductivity(data, np.array([1.0]), 1.5)
+    # The clamp and ReconstructionConfig share one rule: 1/epsilon is the
+    # clamp's upper bound, so an epsilon whose reciprocal overflows is
+    # refused by name, not as an infinite conductivity.
+    data = InteriorData(np.array([1.0, 1.0]))
+    for epsilon in (1.5, 1e-320, 0.0, 1.0, np.nan):
+        for check in (lambda: clamp_conductivity(data, np.array([1.0, 0.0]), epsilon),
+                      lambda: ReconstructionConfig(epsilon=epsilon, delta=1e-7)):
+            with pytest.raises(ParameterError, match=r"^epsilon must lie in \(0, 1\), "
+                               r"with a finite reciprocal, got ") as err:
+                check()
+            assert err.value.name == "epsilon"
 
 
 def test_clamp_rejects_a_gradient_field():
@@ -451,6 +459,27 @@ def test_error_shrinks_under_mesh_refinement():
         errors.append(rel_l2(sigma.values, sigma_true.values))
     for coarse, fine in zip(errors, errors[1:]):
         assert fine * 1.5 <= coarse, errors
+
+
+def test_delta_scaled_with_current_squared_stops_at_the_same_iterate():
+    # The stop threshold delta*eps/essinf(a) falls as 1/I and the gradient
+    # change grows as I, while the iterates do not depend on I: at 30², the
+    # README problem stops after 16 iterations at ±3 mA with delta 1e-7 and
+    # at ±3 A with delta 1e-7 * (1e3)² = 0.1.
+    runs = []
+    for current, delta in ((3e-3, 1e-7), (3.0, 0.1)):
+        mesh, setup, currents = two_electrode_case(30, 8.3e-3, 8.3e-3, current)
+        sigma_true = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.02)
+        data, trace, _ = simulate_data(mesh, sigma_true, setup, currents)
+        result = reconstruct(mesh, data, setup, currents,
+                             ReconstructionConfig(epsilon=0.1, delta=delta))
+        assert (result.converged, result.iterations) == (True, 16), current
+        sigma = apply_calibration(mesh, result, build_monotone_map(
+            collect_pairs(mesh, setup, result, trace)))
+        runs.append((result.sigma_v.values, rel_l2(sigma.values, sigma_true.values)))
+    (milli_sigma, milli_error), (unit_sigma, unit_error) = runs
+    np.testing.assert_allclose(unit_sigma, milli_sigma, rtol=1e-12, atol=0.0)
+    assert unit_error == pytest.approx(milli_error, rel=1e-12, abs=0.0)
 
 
 def test_reconstruct_is_bitwise_repeatable():
