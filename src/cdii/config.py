@@ -139,6 +139,8 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
                           f"{len(cfg.currents)} currents for {len(cfg.electrodes)} electrodes")
     if not cfg.output_dir:
         raise ConfigError("output.dir", "must not be empty")
+    if "\0" in cfg.output_dir:
+        raise ConfigError("output.dir", "must not contain a NUL byte")
 
     if mapping:
         raise ConfigError(min(mapping), "unknown key")

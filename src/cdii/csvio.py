@@ -18,14 +18,13 @@ import numpy as np
 _BLOCK = 4096  # rows per % pass: bounds the writer's buffers whatever the file size
 
 
-def _write_rows(path, header: str, row, *columns) -> None:
-    """Write ``header`` and ``columns`` in lines of ``row``, a template or one per line."""
+def _write_rows(path, header: str, row: str, *columns) -> None:
+    """Write ``header`` and ``columns`` in lines of the template ``row``."""
     with open(path, "w") as f:
         f.write(f"{header}\n")
         for start in range(0, len(columns[0]), _BLOCK):
             block = np.array([c[start:start + _BLOCK] for c in columns], dtype=object).T
-            lines = row[start:start + _BLOCK] if isinstance(row, list) else [row] * len(block)
-            f.write("".join(lines) % tuple(block.ravel().tolist()))
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_field(path, quantity: str, unit: str, entity: str,
@@ -131,9 +130,8 @@ def _read_table(path, parsers) -> list[tuple]:
 
 
 def write_metrics(path, rows: list[tuple[str, float]]) -> None:
-    _write_rows(path, "metric,value",
-                ["%s,%s\n" if isinstance(value, (int, np.integer)) else "%s,%.17g\n"
-                 for _, value in rows],
+    # '%.17g' writes an integer count as its digits: '%.17g' % 81 == '81'.
+    _write_rows(path, "metric,value", "%s,%.17g\n",
                 [name for name, _ in rows], [value for _, value in rows])
 
 

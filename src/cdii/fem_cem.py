@@ -15,21 +15,22 @@ closed form (edge mass matrix h/6 * [[2, 1], [1, 2]]), so no quadrature
 error enters the electrode terms.
 
 Only the conductivity changes between the forward solves of a
-reconstruction.  A ``CemOperator`` is therefore built once per mesh and
-electrode setup: it holds the block matrix's sparsity pattern with the
-nodes in mesh order and the electrode voltages last, the fixed electrode
-entries, and a sparse map from the triangles' conductivities to the
-pattern's slots, holding each triangle's seven nonzero stiffness entries.
-A solve scatters the conductivity into the pattern with one product by
-that map, writing the entries of a matrix its ``LastFactor`` keeps, and
-factorizes with SuperLU's symmetric mode, in the multiple
-minimum-degree order SuperLU computes for each factorization, without
-relaxed supernodes (``LU_RELAX``).
-``assemble_system`` is the reference assembly.  It stores only those
-seven stiffness entries per triangle, never the coupling of a cell's SE
-and NW corners, which is zero for every conductivity; the operator takes
-its pattern and its electrode blocks from one call to it, with nothing
-to drop, and the tests compare the operator's matrix against it.
+reconstruction.  On this grid of right triangles the stiffness is a
+5-point stencil: a grid edge couples its ends with minus half the
+conductivity of the one or two triangles that have it as a leg, and a
+cell's SE and NW corners, joined by the hypotenuse, are not coupled.
+``_stencil`` computes those entries from slices of the conductivity on
+the cell grid.  A ``CemOperator`` is built once per mesh and electrode
+setup: it holds the block matrix's sparsity pattern with the nodes in
+mesh order and the electrode voltages last, the fixed electrode entries,
+and the stencil entry of each of the pattern's slots.  A solve gathers
+the stencil at its conductivity into the slots of a matrix its
+``LastFactor`` keeps, adds the fixed entries, and factorizes with
+SuperLU's symmetric mode, in the multiple minimum-degree order SuperLU
+computes for each factorization, without relaxed supernodes
+(``LU_RELAX``).  ``assemble_system`` assembles the same stencil entries
+and the electrode trace mass as triplets; the operator takes its pattern
+and its electrode blocks from one call to it.
 
 Every solve goes through a ``LastFactor``, which holds the last
 factorization; the solves that pass the same one share it.  Its docstring
@@ -85,17 +86,6 @@ LU_PANEL_SIZE = 1
 #: subtrees gain nothing from them, so 1 stores fewer entries and factors
 #: faster than SuperLU's default (``BENCH_memory.json``, ``relax_sweep``).
 LU_RELAX = 1
-
-# Element stiffness pattern: area * (grad_i . grad_j) is h-independent and
-# identical for lower and upper triangles in their local vertex orders.
-_STIFF = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-
-# The seven entries of _STIFF that are not zero: local vertices 1 and 2 of
-# either triangle are the SE and NW corners of its cell, whose coupling
-# vanishes for every conductivity.
-_STIFF_ROWS, _STIFF_COLS = np.nonzero(_STIFF)
-_STIFF_NZ = _STIFF[_STIFF_ROWS, _STIFF_COLS]
-
 
 class SolverError(RuntimeError):
     """Linear solve failed to meet the residual contract."""
@@ -243,22 +233,18 @@ def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     _check_setup(mesh, setup, currents)
     m = mesh.node_count
     N = setup.count - 1
-    tri = mesh.triangles
     h = mesh.h
 
-    # The seven nonzero stiffness entries of each triangle, in the order of
-    # the 3x3 element matrix, so that no entry zero for every sigma is
-    # stored, then four trace-mass entries per electrode edge: written into
-    # one block of triplets, whose indices are the int32 the matrix keeps.
-    T = mesh.triangle_count
-    end = len(_STIFF_NZ) * T
+    # The stencil's entries, then four trace-mass entries per electrode
+    # edge: written into one block of triplets, whose indices are the
+    # int32 the matrix keeps.
+    stencil_rows, stencil_cols, at = _stencil_pairs(mesh.side_nodes)
+    end = len(at)
     rows = np.empty(end + 4 * sum(len(e.edges) for e in setup.electrodes), dtype=np.int32)
     cols = np.empty_like(rows)
     vals = np.empty(len(rows))
-    for k, (i, j, s) in enumerate(zip(_STIFF_ROWS, _STIFF_COLS, _STIFF_NZ)):
-        block = slice(k * T, (k + 1) * T)
-        rows[block], cols[block] = tri[:, i], tri[:, j]
-        np.multiply(sigma.values, s, out=vals[block])
+    rows[:end], cols[:end] = stencil_rows, stencil_cols
+    np.take(_stencil(mesh, sigma), at, out=vals[:end])
     for e in setup.electrodes:
         p, q = e.edges[:, 0], e.edges[:, 1]
         c = h / (6.0 * e.impedance)
@@ -268,20 +254,66 @@ def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     Lam = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
 
     # Per-node single-basis edge integrals, h/2 per incident electrode edge.
-    w = np.zeros((N + 1, m))
-    for k, e in enumerate(setup.electrodes):
-        np.add.at(w[k], e.edges[:, 0], h / 2.0)
-        np.add.at(w[k], e.edges[:, 1], h / 2.0)
+    w = np.array([np.bincount(e.edges.ravel(), minlength=m) for e in setup.electrodes]) * (h / 2)
 
     z = setup.impedances
     length = np.array([len(e.edge_ids) * h for e in setup.electrodes])
-    Psi = np.empty((m, N))
-    for k in range(N):
-        Psi[:, k] = w[N] / z[N] - w[k] / z[k]
+    Psi = (w[N] / z[N] - w[:N] / z[:N, None]).T
     Upsilon = np.full((N, N), length[N] / z[N]) + np.diag(length[:N] / z[:N])
 
     return BlockSystem(Lambda=Lam, Psi=Psi, Upsilon=Upsilon,
                        rhs=_load_vector(m, currents))
+
+
+def _stencil_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int32 (row, col) node pairs of the stiffness on a grid of ``n``
+    nodes a side, and the index of each pair's entry in ``_stencil``:
+    each node's diagonal, then each west-east and each south-north grid
+    edge, once in each direction."""
+    node = np.arange(n * n, dtype=np.int32).reshape(n, n)
+    at = node + np.arange(n, dtype=np.int32)[:, None]  # r * (n + 1) + c
+    we, sn = at[:, :-1] + n * (n + 1), at[:-1] + 2 * n * (n + 1)
+    west, east, south, north = node[:, :-1], node[:, 1:], node[:-1], node[1:]
+    triples = [(node, node, at), (west, east, we), (east, west, we),
+               (south, north, sn), (north, south, sn)]
+    return tuple(np.concatenate([t[i].ravel() for t in triples]) for i in range(3))
+
+
+def _stencil(mesh: Mesh, sigma: ConductivityField) -> np.ndarray:
+    """The stiffness entries at ``sigma``, at the indices ``_stencil_pairs``
+    gives, followed by one zero.
+
+    Each entry adds its triangles' terms in increasing triangle order, so
+    it is bitwise the sum of the triangles' element matrices taken in that
+    order: a node's diagonal adds ``sigma`` for a triangle whose right
+    angle it is (one term: two halves would round differently) and
+    ``sigma/2`` for one whose acute corner it is; an edge adds
+    ``-sigma/2`` for each triangle that has it as a leg.
+    """
+    n = mesh.side_nodes
+    w, size = n + 1, n * (n + 1)
+    # Lower, then upper triangles on the cell grid, cell (r, c) at
+    # [:, r + 1, c + 1] amid zeros, which add nothing to a sum.  The
+    # diagonal and the two edge blocks each hold n grid rows of stride w,
+    # so every term is one contiguous slice of a flattened plane; the
+    # entries past a grid row's end are never read.
+    s = np.zeros((2, n + 2, w))
+    s[:, 1:n, 1:n] = sigma.values.reshape(n - 1, n - 1, 2).transpose(2, 0, 1)
+    (lower, upper), (half_lower, half_upper) = s.reshape(2, -1), (s * 0.5).reshape(2, -1)
+    entries = np.zeros(3 * size + 1)
+    # Node (r, c) is the NE corner of upper (r-1, c-1), the NW corner of
+    # lower and upper (r-1, c), the SE corner of lower and upper (r, c-1)
+    # and the SW corner of lower (r, c).
+    np.add(upper[:size], half_lower[1:size + 1], out=entries[:size])
+    for term in half_upper[1:], half_lower[w:], half_upper[w:], lower[w + 1:]:
+        entries[:size] += term[:size]
+    # Edge (r, c)-(r, c+1) is the top leg of upper (r-1, c) and the bottom
+    # leg of lower (r, c); edge (r, c)-(r+1, c) is the right leg of upper
+    # (r, c-1) and the left leg of lower (r, c).
+    np.add(half_upper[1:size + 1], half_lower[w + 1:w + 1 + size], out=entries[size:2 * size])
+    np.add(half_upper[w:w + size], half_lower[w + 1:w + 1 + size], out=entries[2 * size:-1])
+    np.negative(entries[size:-1], out=entries[size:-1])
+    return entries
 
 
 def _load_vector(m: int, currents: CurrentPattern) -> np.ndarray:
@@ -298,45 +330,30 @@ class CemOperator:
     Built from one call to ``assemble_system`` at unit conductivity, which
     validates the setup and checks symmetry; its pattern is the operator's,
     entries zero at unit conductivity included.  Unknowns are in the
-    reference order: mesh nodes, then the electrode voltages.
+    reference order: mesh nodes, then the electrode voltages.  Each slot
+    keeps its fixed electrode entry and the index of its ``_stencil``
+    entry: the trailing zero for a slot no stiffness reaches.
     """
 
     def __init__(self, mesh: Mesh, setup: ElectrodeSetup):
-        unit = assemble_system(mesh, ConductivityField(np.ones(mesh.triangle_count)),
-                               setup, CurrentPattern(np.zeros(setup.count)))
+        unit = ConductivityField(np.ones(mesh.triangle_count))
+        M = assemble_system(mesh, unit, setup, CurrentPattern(np.zeros(setup.count))).full_matrix()
         self.mesh = mesh
         self.setup = setup
-
-        M = unit.full_matrix()
-        M.sort_indices()
         self._indices, self._indptr, self._shape = M.indices, M.indptr, M.shape
 
-        # Slot of each triangle's nonzero (row, col) entries: look them up in
-        # a table of the pattern that stores slot + 1 (a missing entry would
-        # read 0), one local entry of all triangles at a time.  The table
-        # reads the CSC arrays as CSR, so it is indexed (col, row).
+        # Slot of each stencil entry: look the pairs up in a table of the
+        # pattern that stores slot + 1.  The table reads the CSC arrays as
+        # CSR, so it is indexed (col, row).
         table = sp.csr_matrix((np.arange(1, M.nnz + 1, dtype=np.int32),
                                M.indices, M.indptr), shape=M.shape)
-        tri = mesh.triangles
-        T = mesh.triangle_count
-        slots = np.empty((T, len(_STIFF_NZ)), dtype=np.int32)
-        for k, (i, j) in enumerate(zip(_STIFF_ROWS, _STIFF_COLS)):
-            slots[:, k] = table[tri[:, j], tri[:, i]]
-        slots -= 1
-        # Column t holds triangle t's stiffness entries in their slots, so
-        # the stiffness at sigma is one product, summed in slot order.
-        self._scatter = sp.csc_matrix(
-            (np.tile(_STIFF_NZ, T), slots.reshape(-1),
-             np.arange(0, len(_STIFF_NZ) * T + 1, len(_STIFF_NZ))),
-            shape=(M.nnz, T))
+        rows, cols, at = _stencil_pairs(mesh.side_nodes)
+        self._map = np.full(M.nnz, -1, dtype=np.intp)  # -1: the trailing zero
+        self._map[np.asarray(table[cols, rows]).ravel() - 1] = at
 
         # What is left after the unit stiffness: the electrode trace mass,
         # Psi and Upsilon as assemble_system built them, up to rounding.
-        self._fixed = M.data - self._scatter @ np.ones(T)
-
-    def matrix(self, sigma: ConductivityField) -> sp.csc_matrix:
-        """A new block matrix at conductivity ``sigma``."""
-        return self._fill(self._new_matrix(), sigma)
+        self._fixed = M.data - np.take(_stencil(mesh, unit), self._map)
 
     def _new_matrix(self) -> sp.csc_matrix:
         """A matrix on this operator's pattern, its entries not yet set."""
@@ -347,7 +364,9 @@ class CemOperator:
         """``M``, a matrix on this operator's pattern, with its entries
         overwritten by the block matrix's at conductivity ``sigma``."""
         _check_sigma(self.mesh, sigma)
-        np.add(self._fixed, self._scatter @ sigma.values, out=M.data)
+        # mode "wrap" reads -1 as "raise" does, without buffering the output.
+        np.take(_stencil(self.mesh, sigma), self._map, out=M.data, mode="wrap")
+        M.data += self._fixed
         return M
 
 
@@ -536,10 +555,10 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
                   factor: LastFactor | None = None) -> ForwardSolution:
     """Solve the forward problem for the nodal potential and electrode voltages.
 
-    The conductivity is scattered into the factor's matrix, on the fixed
-    pattern of its operator, and ``LastFactor.solve`` chooses between PCG
-    and a new factorization, as the ``LastFactor`` docstring describes.  A
-    factorization is SuperLU's, in its multiple minimum-degree order of
+    The conductivity's stencil is gathered into the factor's matrix, on
+    the fixed pattern of its operator, and ``LastFactor.solve`` chooses
+    between PCG and a new factorization, as the ``LastFactor`` docstring
+    describes.  A factorization is SuperLU's, in its multiple minimum-degree order of
     ``M + Mᵀ`` (Liu, ACM TOMS 11(2), 1985), in symmetric mode without
     pivoting (the matrix is symmetric positive definite), and is refined
     once before giving up.  The solution meets the relative residual

@@ -10,8 +10,7 @@ import scipy.sparse as sp
 
 import cdii
 from cdii.csvio import _read_table
-from cdii.fem_cem import (_STIFF_COLS, _STIFF_NZ, _STIFF_ROWS, _edge_square_integral,
-                          _electrode_terms)
+from cdii.fem_cem import _edge_square_integral, _electrode_terms
 from cdii.mesh import _gradient_norm, triangle_gradients
 from cdii.weighted_gradient import (GRAD_FLOOR, _functional, _max_grad_change,
                                     _stop_threshold)
@@ -76,23 +75,42 @@ def _dissect(block: np.ndarray, parts: list[np.ndarray]) -> None:
         parts.append(block[:, mid])
 
 
-def scatter_reference(operator: cdii.CemOperator) -> sp.csc_matrix:
-    """The map from triangle conductivities to the slots of ``operator``'s
-    pattern, built as the operator first built it: one fancy-index lookup
-    of every triangle's seven nonzero (row, col) stiffness entries in a
-    copy of the pattern that stores slot + 1.  The reference that the
-    operator's lookup, one local entry at a time, is checked against."""
-    nnz = len(operator._indices)
-    slots = sp.csc_matrix((np.arange(1, nnz + 1, dtype=np.int32), operator._indices,
-                           operator._indptr), shape=operator._shape)
-    tri = operator.mesh.triangles
-    rows = tri[:, _STIFF_ROWS].reshape(-1)
-    cols = tri[:, _STIFF_COLS].reshape(-1)
-    slots = np.asarray(slots[rows, cols]).reshape(-1) - 1
-    T = operator.mesh.triangle_count
-    return sp.csc_matrix((np.tile(_STIFF_NZ, T), slots,
-                          np.arange(0, len(_STIFF_NZ) * T + 1, len(_STIFF_NZ))),
-                         shape=(nnz, T))
+# Element stiffness pattern: area * (grad_i . grad_j) is h-independent and
+# identical for lower and upper triangles in their local vertex orders.
+# Local vertices 1 and 2 of either triangle are the SE and NW corners of
+# its cell, whose coupling vanishes for every conductivity.
+_STIFF = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+
+
+def triplet_stiffness(mesh: cdii.Mesh, sigma: cdii.ConductivityField,
+                      setup: cdii.ElectrodeSetup) -> sp.csr_matrix:
+    """The stiffness block ``Lambda`` assembled per triangle: the seven
+    nonzero entries of ``_STIFF`` times each triangle's conductivity, one
+    local entry of all triangles at a time, then four trace-mass entries
+    per electrode edge, summed by ``tocsr``.  The independent reference
+    that ``assemble_system``'s stencil is checked against."""
+    tri = mesh.triangles
+    local_rows, local_cols = np.nonzero(_STIFF)
+    rows = [tri[:, i] for i in local_rows]
+    cols = [tri[:, j] for j in local_cols]
+    vals = [sigma.values * _STIFF[i, j] for i, j in zip(local_rows, local_cols)]
+    for e in setup.electrodes:
+        p, q = e.edges[:, 0], e.edges[:, 1]
+        c = mesh.h / (6.0 * e.impedance)
+        for row, col, val in ((p, p, 2.0 * c), (q, q, 2.0 * c), (p, q, c), (q, p, c)):
+            rows.append(row)
+            cols.append(col)
+            vals.append(np.full(len(p), val))
+    m = mesh.node_count
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(m, m)).tocsr()
+
+
+def operator_matrix(operator: cdii.CemOperator,
+                    sigma: cdii.ConductivityField) -> sp.csc_matrix:
+    """A new block matrix of ``operator`` at conductivity ``sigma``, filled
+    as a ``LastFactor`` fills its own."""
+    return operator._fill(operator._new_matrix(), sigma)
 
 
 def energy_value(mesh, sigma, setup, currents, candidate) -> float:

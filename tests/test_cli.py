@@ -35,9 +35,8 @@ BASE = {
 
 
 def write_config(path, out_dir, **overrides):
-    entries = dict(BASE)
+    entries = {**BASE, "output.dir": str(out_dir)}
     entries.update({k: str(v) for k, v in overrides.items()})
-    entries["output.dir"] = str(out_dir)
     text = "# test configuration\n\n"
     text += "\n".join(f"{k}={v}" for k, v in entries.items()) + "\n"
     path.write_text(text)
@@ -165,6 +164,7 @@ INVALID_VALUES = {
     "noise-nan": ({"noise.level": "nan"}, "noise.level"),
     "noise-inf": ({"noise.level": "inf"}, "noise.level"),
     "seed-negative": ({"noise.seed": "-1"}, "noise.seed"),
+    "output-nul": ({"output.dir": "a\0b"}, "output.dir"),
 }
 COMMANDS = ("forward", "simulate", "reconstruct", "calibrate", "pipeline")
 

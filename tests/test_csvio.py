@@ -108,12 +108,15 @@ def test_small_writers_match_reference_bytes(tmp_path):
                     [(str(r.iteration), fmt(r.objective), fmt(r.max_grad_diff),
                       fmt(r.wall_ms)) for r in log])
 
+    # Integers, as every value, are written '%.17g': a count as its digits.
     rows = [("relative_l2", 0.1), ("iterations", 16), ("count", np.int64(3)),
             ("converged", True), ("max_error", np.float64(1e-300)), ("big", 10 ** 20)]
     write_metrics(tmp_path / "metrics.csv", rows)
     reference_table(tmp_path / "metrics_ref.csv", "metric,value",
-                    [(n, str(v) if isinstance(v, (int, np.integer)) else fmt(v))
-                     for n, v in rows])
+                    [(n, fmt(v)) for n, v in rows])
+    assert [line.split(",")[1] for line in
+            (tmp_path / "metrics.csv").read_text().splitlines()[2:4]] == ["16", "3"]
+    assert read_metrics(tmp_path / "metrics.csv") == {n: float(v) for n, v in rows}
 
     for name in ("phi", "conv", "metrics"):
         new = (tmp_path / f"{name}.csv").read_bytes()

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import cdii.fem_cem
@@ -24,15 +25,17 @@ from cdii.fem_cem import (
 from cdii.mesh import _gradient_norm, build_uniform_mesh, locate_electrodes, triangle_gradients
 
 from helpers import (
+    _STIFF,
     dissection_order_reference,
     energy_derivative,
     energy_value,
     exact_linear_solution,
+    operator_matrix,
     pi_vector,
     quadratic_minimizer_oracle,
     random_case,
-    scatter_reference,
     start_reference,
+    triplet_stiffness,
     two_electrode_case,
 )
 
@@ -184,7 +187,7 @@ def test_operator_matches_reference_assembly(side_nodes, electrodes):
         sigma = ConductivityField(rng.uniform(0.1, 10.0, mesh.triangle_count))
         reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
         reference.sort_indices()
-        actual = operator.matrix(sigma)
+        actual = operator_matrix(operator, sigma)
         assert actual.shape == (size, size)
         assert np.array_equal(actual.indptr, reference.indptr)
         assert np.array_equal(actual.indices, reference.indices)
@@ -213,11 +216,11 @@ def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
         assert (se, nw) not in stored and (nw, se) not in stored
 
     operator = CemOperator(mesh, setup)
-    at_unit = operator.matrix(ones(mesh)).tocoo()
+    at_unit = operator_matrix(operator, ones(mesh)).tocoo()
     zero = at_unit.data == 0.0
     assert set(zip(at_unit.row[zero].tolist(), at_unit.col[zero].tolist())) == bottom_edges
     sigma = ConductivityField(np.random.default_rng(6).uniform(0.1, 10.0, mesh.triangle_count))
-    actual = operator.matrix(sigma)
+    actual = operator_matrix(operator, sigma)
     assert np.all(actual.data != 0.0)
 
     reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
@@ -228,45 +231,83 @@ def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
     assert np.max(np.abs(actual.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+# z = h/3 at h = 1/5: the bottom trace mass cancels the unit stiffness
+# along the bottom edges.
+CANCELLING_CASE = (6, [("bottom", (0.0, 1.0), (1 / 5) / 3), ("top", (0.0, 1.0), 0.1)])
+
+
+@pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES + [CANCELLING_CASE])
+def test_assembly_matches_triplet_reference(side_nodes, electrodes):
+    # The stencil and the per-triangle triplets give the same pattern, the
+    # same Lambda at unit sigma, where every partial sum of the stiffness
+    # is exact, and the same Lambda up to the order of its sums otherwise.
+    rng = np.random.default_rng(side_nodes)
+    mesh = build_uniform_mesh(side_nodes)
+    setup = locate_electrodes(mesh, [(side, span) for side, span, _ in electrodes],
+                              [z for _, _, z in electrodes])
+    currents = CurrentPattern(np.zeros(setup.count))
+    sigmas = [ones(mesh)] + [ConductivityField(rng.uniform(0.1, 10.0, mesh.triangle_count))
+                             for _ in range(3)]
+    for sigma in sigmas:
+        actual = assemble_system(mesh, sigma, setup, currents).Lambda
+        reference = triplet_stiffness(mesh, sigma, setup)
+        assert np.array_equal(actual.indptr, reference.indptr)
+        assert np.array_equal(actual.indices, reference.indices)
+        if sigma is sigmas[0]:
+            assert actual.data.tobytes() == reference.data.tobytes()
+        else:
+            scale = np.max(np.abs(reference.data))
+            assert np.max(np.abs(actual.data - reference.data)) <= 1e-14 * scale
+
+
+BINCOUNT_LAYOUTS = {
+    "two": [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))],
+    "three": [("bottom", (0.0, 1.0)), ("left", (0.0, 1.0)), ("top", (0.0, 1.0))],
+    "left-right": [("left", (0.0, 1.0)), ("right", (0.0, 1.0))],
+}
+
+
 @pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES + [
-    (60, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)])])
+    (60, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)])] + [
+    (n, [(side, span, Z) for side, span in layout])
+    for n in (2, 20, 61) for layout in BINCOUNT_LAYOUTS.values()])
 def test_operator_stiffness_is_bitwise_a_bincount(side_nodes, electrodes):
-    # The one sparse product adds the same products in the same order as a
-    # bincount of each triangle's weighted entries into their slots.
+    # Each slot adds the same products in the same order as a bincount of
+    # each triangle's weighted entries into their slots: increasing
+    # triangle order.
     mesh = build_uniform_mesh(side_nodes)
     setup = locate_electrodes(mesh, [(side, span) for side, span, _ in electrodes],
                               [z for _, _, z in electrodes])
     operator = CemOperator(mesh, setup)
     sigma = ConductivityField(np.random.default_rng(side_nodes).uniform(
         0.1, 10.0, mesh.triangle_count))
-    M = operator.matrix(sigma)
+    M = operator_matrix(operator, sigma)
     size = M.shape[0]
     # Slot of entry (row, col): the rank of col * size + row in the pattern.
     keys = np.repeat(np.arange(size), np.diff(M.indptr)) * size + M.indices
     assert np.all(np.diff(keys) > 0)
-    rows, cols = np.nonzero(cdii.fem_cem._STIFF)
+    rows, cols = np.nonzero(_STIFF)
     tri = mesh.triangles
     slots = np.searchsorted(keys, (tri[:, cols] * size + tri[:, rows]).reshape(-1))
-    weights = (sigma.values[:, None] * cdii.fem_cem._STIFF[rows, cols]).reshape(-1)
+    weights = (sigma.values[:, None] * _STIFF[rows, cols]).reshape(-1)
     expected = operator._fixed + np.bincount(slots, weights=weights, minlength=M.nnz)
     assert M.data.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("side_nodes", [2, 20, 61])
-@pytest.mark.parametrize("electrodes", [
-    [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))],
-    [("bottom", (0.0, 1.0)), ("left", (0.0, 1.0)), ("top", (0.0, 1.0))],
-    [("left", (0.0, 1.0)), ("right", (0.0, 1.0))]], ids=["two", "three", "left-right"])
-def test_operator_scatter_is_the_fancy_index_lookup(side_nodes, electrodes):
-    # One lookup per local stiffness entry finds the slots that one lookup
-    # of all seven entries of every triangle found.
-    mesh = build_uniform_mesh(side_nodes)
-    operator = CemOperator(mesh, locate_electrodes(mesh, electrodes, [Z] * len(electrodes)))
-    expected = scatter_reference(operator)
-    for name in ("data", "indices", "indptr"):
-        actual = getattr(operator._scatter, name)
-        assert actual.dtype == getattr(expected, name).dtype
-        assert np.array_equal(actual, getattr(expected, name)), name
+def test_operator_keeps_no_per_triangle_map():
+    # The pattern, the fixed entries and one index per slot: about three
+    # entries per stored nonzero, where a per-triangle map would add seven
+    # per triangle (over eight in all).
+    mesh = build_uniform_mesh(120)
+    setup = locate_electrodes(mesh, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))], [Z, Z])
+    operator = CemOperator(mesh, setup)
+    kept = 0
+    for value in vars(operator).values():
+        if sp.issparse(value):
+            kept += value.data.size + value.indices.size + value.indptr.size
+        elif isinstance(value, np.ndarray):
+            kept += value.size
+    assert kept <= 4 * len(operator._indices)
 
 
 def test_operator_build_peaks_in_its_assembly(monkeypatch):
@@ -298,7 +339,7 @@ def test_operator_build_peaks_in_its_assembly(monkeypatch):
 def test_operator_rejects_mismatched_sigma(equal_z_case):
     mesh, setup, _ = equal_z_case
     with pytest.raises(ValueError, match="conductivity"):
-        CemOperator(mesh, setup).matrix(ConductivityField(np.ones(3)))
+        operator_matrix(CemOperator(mesh, setup), ConductivityField(np.ones(3)))
 
 
 @pytest.mark.parametrize("electrodes,currents", [
@@ -315,7 +356,7 @@ def test_factor_fills_less_than_nested_dissection(electrodes, currents):
     sigma = ConductivityField(np.random.default_rng(60).uniform(0.5, 2.0, mesh.triangle_count))
     solve_forward(mesh, sigma, setup, CurrentPattern(np.array(currents)), factor=factor)
     assert factor.factorizations == 1
-    M = factor.operator.matrix(sigma)
+    M = operator_matrix(factor.operator, sigma)
     perm = np.concatenate([dissection_order_reference(mesh.side_nodes),
                            np.arange(mesh.node_count, M.shape[0])])
     dissected = spla.splu(M[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -482,7 +523,7 @@ def _relative_residual(operator, sigma, currents, sol):
     """``||M x - b|| / ||b||`` of a solution."""
     x = np.concatenate([sol.u, sol.U[:-1]])
     b = _load_vector(operator.mesh.node_count, currents)
-    return np.linalg.norm(operator.matrix(sigma) @ x - b) / np.linalg.norm(b)
+    return np.linalg.norm(operator_matrix(operator, sigma) @ x - b) / np.linalg.norm(b)
 
 
 @pytest.fixture()
@@ -531,7 +572,7 @@ def test_pcg_is_bitwise_scipy_cg(reuse_case, monkeypatch, exhausted):
     mesh, setup, currents, operator, first, second = reuse_case
     factor = LastFactor(operator)
     solve_forward(mesh, first, setup, currents, factor=factor)
-    M, b = operator.matrix(second), _load_vector(mesh.node_count, currents)
+    M, b = operator_matrix(operator, second), _load_vector(mesh.node_count, currents)
 
     def scipy_cg(maxiter):
         steps = 0
@@ -618,7 +659,7 @@ def test_kept_start_is_bitwise_the_start_from_raw_solutions(side_nodes, monkeypa
         values = values * rng.uniform(0.95, 1.05, mesh.triangle_count)
         sigma = ConductivityField(values)
         if solutions:
-            M = operator.matrix(sigma)
+            M = operator_matrix(operator, sigma)
             expected = start_reference(solutions[-cdii.fem_cem.PCG_RECENT:], M, b)
             assert factor._start(M, b).tobytes() == expected.tobytes()
         solutions.append(factor.solve(sigma, b))
@@ -629,7 +670,7 @@ def test_solves_leave_the_operators_matrices_alone(reuse_case):
     # Each factor refills a matrix of its own; a matrix the operator
     # returned is a new one, which no solve and no other matrix touches.
     mesh, setup, currents, operator, first, second = reuse_case
-    M1, M2 = operator.matrix(first), operator.matrix(second)
+    M1, M2 = operator_matrix(operator, first), operator_matrix(operator, second)
     bytes1, bytes2 = M1.data.tobytes(), M2.data.tobytes()
     factors = LastFactor(operator), LastFactor(operator)
     for factor in factors:
@@ -643,21 +684,21 @@ def test_solves_leave_the_operators_matrices_alone(reuse_case):
             assert not np.shares_memory(a, other)
     M1.data[:] = 0.0
     assert M2.data.tobytes() == bytes2
-    assert operator.matrix(first).data.tobytes() == bytes1
+    assert operator_matrix(operator, first).data.tobytes() == bytes1
 
 
 def test_solves_build_no_matrix(reuse_case, monkeypatch):
+    # A factor builds its matrix once, and its solves refill that one.
     mesh, setup, currents, operator, first, second = reuse_case
-    calls = []
-    matrix = CemOperator.matrix
-
-    def counted(self, sigma):
-        calls.append(sigma)
-        return matrix(self, sigma)
-
-    monkeypatch.setattr(CemOperator, "matrix", counted)
-    solve_forward(mesh, first, setup, currents)
     factor = LastFactor(operator)
+    calls = []
+    new_matrix = CemOperator._new_matrix
+
+    def counted(self):
+        calls.append(self)
+        return new_matrix(self)
+
+    monkeypatch.setattr(CemOperator, "_new_matrix", counted)
     for sigma in (first, second, first):
         solve_forward(mesh, sigma, setup, currents, factor=factor)
     assert factor.pcg_iterations > 0
