@@ -33,8 +33,9 @@ and the electrode trace mass as triplets; the operator takes its pattern
 and its electrode blocks from one call to it.
 
 Every solve goes through a ``LastFactor``, which holds the last
-factorization; the solves that pass the same one share it.  Its docstring
-holds the design.
+factorization; the solves that pass the same one share it.  Each solve
+runs preconditioned conjugate gradients on a factor, and a factorization
+only renews that preconditioner.  Its docstring holds the design.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ MAX_CURRENT = 1e100
 #: factorizations it saves cost.
 PCG_REFACTOR_CAP = 6
 
-#: Iteration limit of one PCG solve before it falls back to the direct
-#: factorization: about as many iterations as one factorization costs.
+#: Iteration limit of one PCG solve: about as many iterations as one
+#: factorization costs.  On the last factor, reaching it refactorizes; on a
+#: new factor, it fails the solve.
 PCG_MAX_ITER = 25
 
 #: A solve on a ``LastFactor`` starts PCG from the Galerkin combination of
@@ -374,16 +376,19 @@ class LastFactor:
     """The factor a sequence of forward solves on one operator shares.
 
     Successive conductivities of a reconstruction are close, so one
-    factorization preconditions the solves that follow it.  The first
-    solve factorizes directly.  Each later one runs conjugate gradients
-    preconditioned with the last SuperLU factor, started from the
-    combination of the last ``PCG_RECENT`` solutions that is best in the
-    new matrix's energy norm, unless the previous solve needed more than
-    ``PCG_REFACTOR_CAP`` iterations.  Every solve, direct or PCG, meets the
-    same true relative residual ``||M x - b|| / ||b|| <= SOLVER_TOL``,
-    checked as ``M @ x - b``.  A PCG solve that does not, or that takes more
-    than ``PCG_MAX_ITER`` iterations, falls back in the same call to the
-    direct factorization, and the new factor replaces the old.
+    factorization preconditions the solves that follow it.  Every solve
+    runs the same conjugate gradients loop, preconditioned with a SuperLU
+    factor, and meets the same true relative residual
+    ``||M x - b|| / ||b|| <= SOLVER_TOL``, checked as ``M @ x - b``.  A
+    solve uses the last factor, started from the combination of the last
+    ``PCG_RECENT`` solutions that is best in the new matrix's energy norm,
+    unless there is none or the previous solve needed more than
+    ``PCG_REFACTOR_CAP`` iterations.  Otherwise, or when PCG on the last
+    factor misses the contract within ``PCG_MAX_ITER`` iterations, the
+    solve factorizes its matrix, the new factor replacing the old, and
+    starts PCG from the new factor's solve of ``b``: an exact factor meets
+    the contract there in no step.  PCG on a new factor that misses the
+    contract fails the solve.
 
     The CG loop is written out, not called as ``scipy.sparse.linalg.cg``.
     It repeats scipy 1.17's recurrence and stopping test operation for
@@ -428,8 +433,8 @@ class LastFactor:
 
     def solve(self, sigma: ConductivityField, b: np.ndarray) -> np.ndarray:
         """``M⁻¹b`` for the block matrix ``M`` at conductivity ``sigma``, to
-        the relative residual ``SOLVER_TOL``: by PCG where it can,
-        otherwise by a new factorization.
+        the relative residual ``SOLVER_TOL``: by PCG on the last factor
+        where it can, otherwise by PCG on a new factorization.
 
         Raises
         ------
@@ -437,19 +442,30 @@ class LastFactor:
             If ``sigma`` does not hold one value per triangle of the
             operator's mesh.
         SolverError
-            If ``||b||`` overflows, so no residual test can hold, or the
-            direct factorization misses ``SOLVER_TOL``.
+            If ``||b||`` overflows, so no residual test can hold, or PCG on
+            a new factorization misses ``SOLVER_TOL``.
         """
         M = self.operator._fill(self._matrix, sigma)
         b_norm = _norm(b)
         if not b_norm < np.inf:
             raise SolverError("the norm of the load vector overflows, "
                               "so no residual test can hold")
-        x = self._pcg(M, b, b_norm)
-        if x is None:
-            self._lu, x = _factor_solve(M, b)
-            self._last_pcg = 0
+        # PCG on the last factor, unless there is none or the last solve
+        # needed more than the cap; then, or if it misses, a new factor.
+        met = self._lu is not None and self._last_pcg <= PCG_REFACTOR_CAP
+        if met:
+            x, met = self._pcg(M, b, b_norm, self._start(M, b))
+        if not met:
+            self._lu = None  # one factor alive at a time
+            self._lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                 relax=LU_RELAX, panel_size=LU_PANEL_SIZE,
+                                 options={"SymmetricMode": True})
             self.factorizations += 1
+            x, met = self._pcg(M, b, b_norm, self._lu.solve(b))
+            if not met:
+                res = _norm(M @ x - b) / b_norm
+                raise SolverError(f"linear solve stalled at relative residual {res:.3e} "
+                                  f"(tolerance {SOLVER_TOL:.1e})")
         self._keep(x)
         return x
 
@@ -486,18 +502,15 @@ class LastFactor:
         c = np.linalg.lstsq(W @ MW, W @ b, rcond=1e-14)[0]
         return c @ W
 
-    def _pcg(self, M: sp.csc_matrix, b: np.ndarray, b_norm: float) -> np.ndarray | None:
-        """Solve by PCG from the last factor and the start basis, in scipy's
-        ``cg`` loop written out, with ``b_norm = ||b||``, or return None:
-        without a factor, after a solve that needed more than
-        ``PCG_REFACTOR_CAP`` iterations, or when PCG misses the contract."""
-        if self._lu is None or self._last_pcg > PCG_REFACTOR_CAP:
-            self._lu = None  # one factor alive at a time while refactorizing
-            return None
+    def _pcg(self, M: sp.csc_matrix, b: np.ndarray, b_norm: float,
+             x: np.ndarray) -> tuple[np.ndarray, bool]:
+        """PCG preconditioned with the last factor from the start ``x``, in
+        scipy's ``cg`` loop written out, with ``b_norm = ||b||``; the last
+        iterate, and whether it met the contract within ``PCG_MAX_ITER``
+        steps."""
         if b_norm == 0.0:  # the solution, in no steps
             self._last_pcg = 0
-            return np.zeros_like(b)
-        x = self._start(M, b)
+            return np.zeros_like(b), True
         r = b - M @ x if x.any() else b.copy()
         tol = SOLVER_TOL * b_norm
         for steps in range(PCG_MAX_ITER):
@@ -519,10 +532,7 @@ class LastFactor:
             steps = PCG_MAX_ITER  # not converged, as scipy reports it
         self.pcg_iterations += steps
         self._last_pcg = steps
-        if steps == PCG_MAX_ITER or _norm(M @ x - b) > tol:
-            self._lu = None
-            return None
-        return x
+        return x, steps < PCG_MAX_ITER and _norm(M @ x - b) <= tol
 
 
 def _norm(v: np.ndarray) -> float:
@@ -531,37 +541,18 @@ def _norm(v: np.ndarray) -> float:
     return np.sqrt(v.dot(v))
 
 
-def _factor_solve(M: sp.csc_matrix, b: np.ndarray):
-    """Factorize ``M`` and solve, refining once; the factor and solution."""
-    lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   relax=LU_RELAX, panel_size=LU_PANEL_SIZE, options={"SymmetricMode": True})
-    x = lu.solve(b)
-
-    b_norm = _norm(b)
-    res = _norm(M @ x - b)
-    if b_norm > 0.0 and res > SOLVER_TOL * b_norm:
-        x = x + lu.solve(b - M @ x)
-        res = _norm(M @ x - b)
-        if res > SOLVER_TOL * b_norm:
-            raise SolverError(
-                f"linear solve stalled at relative residual {res / b_norm:.3e} "
-                f"(tolerance {SOLVER_TOL:.1e})"
-            )
-    return lu, x
-
-
 def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
                   currents: CurrentPattern, *,
                   factor: LastFactor | None = None) -> ForwardSolution:
     """Solve the forward problem for the nodal potential and electrode voltages.
 
     The conductivity's stencil is gathered into the factor's matrix, on
-    the fixed pattern of its operator, and ``LastFactor.solve`` chooses
-    between PCG and a new factorization, as the ``LastFactor`` docstring
-    describes.  A factorization is SuperLU's, in its multiple minimum-degree order of
-    ``M + Mᵀ`` (Liu, ACM TOMS 11(2), 1985), in symmetric mode without
-    pivoting (the matrix is symmetric positive definite), and is refined
-    once before giving up.  The solution meets the relative residual
+    the fixed pattern of its operator, and ``LastFactor.solve`` runs PCG
+    on the last factor or on a new factorization, as the ``LastFactor``
+    docstring describes.  A factorization is SuperLU's, in its multiple
+    minimum-degree order of ``M + Mᵀ`` (Liu, ACM TOMS 11(2), 1985), in
+    symmetric mode without pivoting (the matrix is symmetric positive
+    definite).  The solution meets the relative residual
     ``||M x - b|| / ||b|| <= SOLVER_TOL``.  Deterministic for identical
     inputs.
 

@@ -33,6 +33,11 @@ class ParameterError(ValueError):
         super().__init__(message)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -84,7 +89,7 @@ class Mesh:
 
     def __post_init__(self):
         n = self.side_nodes
-        if not isinstance(n, (int, np.integer)) or n < 2:
+        if not _is_integer(n) or n < 2:
             raise ValueError(f"side_nodes must be an integer >= 2, got {n!r}")
         n = int(n)
         h = 1.0 / (n - 1)

@@ -13,7 +13,7 @@ from .fem_cem import (
     interior_current,
     solve_forward,
 )
-from .mesh import ElectrodeSetup, Mesh, ParameterError, centroids
+from .mesh import ElectrodeSetup, Mesh, ParameterError, _is_integer, centroids
 from .weighted_gradient import InteriorData
 
 #: Noisy data is clamped from below at this floor.
@@ -75,13 +75,16 @@ def add_noise(data: InteriorData, level: float, seed: int) -> InteriorData:
     Raises
     ------
     ParameterError
-        Named ``level`` unless it is finite and nonnegative, ``seed`` if it
-        is negative; both are checked before the data is touched.  Named
-        ``level`` also if the noisy data is not finite: a level near the
-        largest double overflows where ``level * g`` does.
+        Named ``level`` unless it is finite and nonnegative, ``seed`` unless
+        it is a nonnegative integer, not a bool; both are checked before the
+        data is touched.  Named ``level`` also if the noisy data is not
+        finite: a level near the largest double overflows where
+        ``level * g`` does.
     """
     if not 0.0 <= level < np.inf:
         raise ParameterError("level", f"noise level must be finite and nonnegative, got {level}")
+    if not _is_integer(seed):
+        raise ParameterError("seed", f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ParameterError("seed", f"seed must be nonnegative, got {seed}")
     if level == 0.0:

@@ -30,7 +30,7 @@ from .fem_cem import (
     _electrode_terms,
     solve_forward,
 )
-from .mesh import ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm
+from .mesh import ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm, _is_integer
 
 #: Gradient magnitudes below this floor are treated as degenerate in the
 #: conductivity update; the clamp bounds the result anyway.
@@ -83,7 +83,7 @@ class ReconstructionConfig:
         _check_epsilon(self.epsilon)
         if not 0.0 < self.delta < np.inf:
             raise ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if not _is_integer(self.max_iter) or self.max_iter < 1:
             raise ParameterError("max_iter",
                                  f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 

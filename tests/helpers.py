@@ -342,6 +342,16 @@ def start_reference(recent: list[np.ndarray], M, b: np.ndarray) -> np.ndarray:
     return c @ W
 
 
+class InexactFactor:
+    """A SuperLU factor whose solves are 0.1% too large."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, b):
+        return 1.001 * self._lu.solve(b)
+
+
 def assert_objective_descent(result: cdii.ReconstructionResult, slack: float = 1e-8):
     """The logged objective must be non-increasing up to relative slack."""
     values = [rec.objective for rec in result.log]

@@ -14,7 +14,6 @@ from cdii.fem_cem import (
     ForwardSolution,
     LastFactor,
     SolverError,
-    _factor_solve,
     _load_vector,
     assemble_system,
     electrode_flux,
@@ -25,6 +24,7 @@ from cdii.fem_cem import (
 from cdii.mesh import _gradient_norm, build_uniform_mesh, locate_electrodes, triangle_gradients
 
 from helpers import (
+    InexactFactor,
     _STIFF,
     dissection_order_reference,
     energy_derivative,
@@ -388,11 +388,16 @@ def test_solve_shifted_impedance_gives_plain_height():
 
 
 def test_solve_zero_current(equal_z_case):
+    # ||b|| = 0 returns before PCG, whose first step would divide 0 by 0.
     mesh, setup, _ = equal_z_case
     currents = CurrentPattern(np.zeros(2))
-    sol = solve_forward(mesh, ones(mesh), setup, currents)
+    factor = LastFactor(CemOperator(mesh, setup))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_forward(mesh, ones(mesh), setup, currents, factor=factor)
     assert np.max(np.abs(sol.u)) == 0.0
     assert np.max(np.abs(sol.U)) == 0.0
+    assert (factor.factorizations, factor.pcg_iterations) == (1, 0)
 
 
 def test_solution_voltages_on_hyperplane():
@@ -499,7 +504,7 @@ def test_solve_rejects_foreign_operator(equal_z_case):
 
 
 def test_solve_enforces_residual_contract(equal_z_case, monkeypatch):
-    # No direct solve reaches 1e-30, so the refinement step runs and fails.
+    # PCG on the new factor cannot reach 1e-30 within its iteration limit.
     mesh, setup, currents = equal_z_case
     monkeypatch.setattr(cdii.fem_cem, "SOLVER_TOL", 1e-30)
     with pytest.raises(SolverError,
@@ -556,10 +561,22 @@ def test_failed_pcg_falls_back_to_the_direct_solve(reuse_case, monkeypatch):
     solve_forward(mesh, first, setup, currents, factor=factor)
     sol = solve_forward(mesh, second, setup, currents, factor=factor)
     assert (factor.factorizations, factor.pcg_iterations) == (2, 1)
-    # The fallback is the direct path itself: the same bytes as a plain solve.
+    # The fallback is a new factor's solve: the same bytes as a plain solve.
     direct = solve_forward(mesh, second, setup, currents)
     assert sol.u.tobytes() == direct.u.tobytes() and sol.U.tobytes() == direct.U.tobytes()
     assert _relative_residual(operator, second, currents, sol) <= cdii.fem_cem.SOLVER_TOL
+
+
+def test_inexact_new_factor_meets_the_contract_by_pcg(reuse_case, monkeypatch):
+    # A factor whose solves are 0.1% too large starts PCG 0.1% off, along
+    # the solution itself, so one step meets the contract.
+    mesh, setup, currents, operator, first, _ = reuse_case
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: InexactFactor(splu(*args, **kwargs)))
+    factor = LastFactor(operator)
+    sol = solve_forward(mesh, first, setup, currents, factor=factor)
+    assert (factor.factorizations, factor.pcg_iterations) == (1, 1)
+    assert _relative_residual(operator, first, currents, sol) <= cdii.fem_cem.SOLVER_TOL
 
 
 @pytest.mark.parametrize("exhausted", [False, True], ids=["converged", "exhausted"])
@@ -595,7 +612,7 @@ def test_pcg_is_bitwise_scipy_cg(reuse_case, monkeypatch, exhausted):
     assert factor.pcg_iterations == steps
     if exhausted:
         assert factor.factorizations == 2
-        assert ours.tobytes() == _factor_solve(M, b)[1].tobytes()
+        assert ours.tobytes() == LastFactor(operator).solve(second, b).tobytes()
     else:
         assert factor.factorizations == 1 and ours.tobytes() == x.tobytes()
 

@@ -249,7 +249,9 @@ def test_noise_rejects_negative_level():
 
 
 @pytest.mark.parametrize("name,level,seed", [("level", np.nan, 0), ("level", np.inf, 0),
-                                             ("seed", 0.01, -1), ("seed", 0.0, -1)])
+                                             ("seed", 0.01, -1), ("seed", 0.0, -1),
+                                             ("seed", 0.1, 1.5), ("seed", 0.1, True),
+                                             ("seed", 0.1, "1")])
 def test_noise_rejects_nonfinite_level_and_negative_seed(name, level, seed):
     with pytest.raises(ParameterError) as err:
         add_noise(InteriorData(np.array([1.0])), level, seed)

@@ -26,6 +26,7 @@ from cdii.mesh import ParameterError, _gradient_norm, triangle_gradients
 from cdii.phantom import gaussian_phantom, simulate_data
 
 from helpers import (
+    InexactFactor,
     assert_objective_descent,
     functional_value,
     minimum_value,
@@ -404,9 +405,9 @@ class _CountedFactor:
 
 def test_acceptance_reconstruction_shares_its_factorizations(monkeypatch):
     # Acceptance criterion 8's configuration through the library.  Every
-    # triangular solve does solver work: one per factorization (no
-    # refinement step is needed here) and one per PCG iteration, none to
-    # probe the preconditioner.
+    # triangular solve does solver work: one per factorization, for PCG's
+    # start on the new factor, and one per PCG iteration, none to probe
+    # the preconditioner.
     mesh, setup, currents, sigma_true, data, trace = _phantom_case(90)
     counts = {"solve": 0}
 
@@ -550,25 +551,16 @@ def test_solves_refuse_a_setup_located_on_another_mesh(located_on, solved_on, el
         simulate_data(mesh, sigma_true, foreign, currents)
 
 
-class _InexactFactor:
-    """A factor whose solves are 0.1% too large: refinement cannot reach 1e-10."""
-
-    def __init__(self, lu):
-        self._lu = lu
-
-    def solve(self, b):
-        return 1.001 * self._lu.solve(b)
-
-
 def test_reconstruct_solver_error_names_iteration_after_pcg_fallback(monkeypatch):
     # The first factorization is exact; PCG at iteration 1 stops at its one
-    # allowed step, and the direct fallback's factor fails the contract.
+    # allowed step, and so does PCG on the new, inexact factor: running out
+    # of steps is not convergence, so the solve fails.
     splu = scipy.sparse.linalg.splu
     factors = []
 
     def inexact_after_first(*args, **kwargs):
         factors.append(splu(*args, **kwargs))
-        return factors[-1] if len(factors) == 1 else _InexactFactor(factors[-1])
+        return factors[-1] if len(factors) == 1 else InexactFactor(factors[-1])
 
     class Linalg:
         def __getattr__(self, name):
@@ -603,7 +595,7 @@ def test_config_validation():
         ReconstructionConfig(epsilon=0.1, delta=1e-7, max_iter=0)
 
 
-@pytest.mark.parametrize("max_iter", [2.5, np.nan, 10.0, "10"])
+@pytest.mark.parametrize("max_iter", [2.5, np.nan, 10.0, "10", True])
 def test_max_iter_must_be_an_integer(max_iter):
     with pytest.raises(ParameterError, match="^max_iter must be an integer >= 1") as err:
         ReconstructionConfig(epsilon=0.1, delta=1e-7, max_iter=max_iter)
