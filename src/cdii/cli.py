@@ -394,7 +394,7 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("metrics", help="compare two per-triangle fields")
     q.add_argument("reference", help="reference field CSV")
     q.add_argument("candidate", help="candidate field CSV")
-    q.add_argument("--out", default="out", help="directory for metrics.csv")
+    q.add_argument("--out", default=PipelineConfig.output_dir, help="directory for metrics.csv")
     q.add_argument("--quiet", action="store_true", help="suppress progress output")
     return p
 

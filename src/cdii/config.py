@@ -12,9 +12,11 @@ constructors (the CLI names the key); only ``output.dir`` is checked here,
 as no constructor owns it.
 """
 
+import inspect
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+from .phantom import simulate_data
 from .weighted_gradient import ReconstructionConfig
 
 
@@ -49,7 +51,8 @@ class PipelineConfig:
     phantom_center: tuple[float, float] = _key("phantom.center", (0.5, 0.5))
     phantom_amplitude: float = _key("phantom.amplitude", 0.0)
     phantom_width: float = _key("phantom.width", 0.02)
-    gamma_side: str = _key("gamma.side", "right")
+    gamma_side: str = _key("gamma.side",
+                           inspect.signature(simulate_data).parameters["gamma_side"].default)
     noise_level: float = _key("noise.level", 0.0)
     noise_seed: int = _key("noise.seed", 0)
     output_dir: str = _key("output.dir", "out")

@@ -103,7 +103,7 @@ def read_trace(path) -> list[tuple[str, float]]:
         raise error
     rows = [(first.strip(), float(second)) for _, (first, second) in rows]
     if not rows:
-        raise ValueError(f"trace file {path} holds no samples")
+        raise ValueError(f"{path}: holds no samples")
     return rows
 
 

@@ -69,8 +69,8 @@ MAX_CURRENT = 1e100
 PCG_REFACTOR_CAP = 6
 
 #: Iteration limit of one PCG solve: about as many iterations as one
-#: factorization costs.  On the last factor, reaching it refactorizes; on a
-#: new factor, it fails the solve.
+#: factorization costs.  An iterate that misses the contract when PCG stops
+#: refactorizes on the last factor and fails the solve on a new one.
 PCG_MAX_ITER = 25
 
 #: A solve on a ``LastFactor`` starts PCG from the Galerkin combination of
@@ -378,27 +378,26 @@ class LastFactor:
     Successive conductivities of a reconstruction are close, so one
     factorization preconditions the solves that follow it.  Every solve
     runs the same conjugate gradients loop, preconditioned with a SuperLU
-    factor, and meets the same true relative residual
+    factor, for at most ``PCG_MAX_ITER`` steps while the recurred residual
+    misses the contract; a zero load takes none.  Its last iterate is
+    accepted by its true relative residual alone, whatever the step count:
     ``||M x - b|| / ||b|| <= SOLVER_TOL``, checked as ``M @ x - b``.  A
     solve uses the last factor, started from the combination of the last
     ``PCG_RECENT`` solutions that is best in the new matrix's energy norm,
     unless there is none or the previous solve needed more than
     ``PCG_REFACTOR_CAP`` iterations.  Otherwise, or when PCG on the last
-    factor misses the contract within ``PCG_MAX_ITER`` iterations, the
-    solve factorizes its matrix, the new factor replacing the old, and
-    starts PCG from the new factor's solve of ``b``: an exact factor meets
-    the contract there in no step.  PCG on a new factor that misses the
-    contract fails the solve.
+    factor misses the contract, the solve factorizes its matrix, the new
+    factor replacing the old, and starts PCG from the new factor's solve
+    of ``b``: an exact factor meets the contract there in no step.  PCG on
+    a new factor that misses the contract fails the solve.
 
     The CG loop is written out, not called as ``scipy.sparse.linalg.cg``.
-    It repeats scipy 1.17's recurrence and stopping test operation for
-    operation: the residual starts as ``b - M x`` (``b`` when the start is
-    zero), a step runs only while ``||r|| >= SOLVER_TOL * ||b||``, and
-    running out of ``PCG_MAX_ITER`` steps is not convergence.  Its iterates
-    are therefore bitwise scipy's, without scipy's per-call wrappers
+    It repeats scipy 1.17's recurrence operation for operation, so its
+    iterates are bitwise scipy's, without scipy's per-call wrappers
     (``make_system``, the ``LinearOperator`` around the factor and the
     step-counting callback), which cost more than a small solve's numerical
-    work (``BENCH_loop.json``).
+    work (``BENCH_loop.json``).  Only its stop differs: scipy steps while
+    ``||r|| >= SOLVER_TOL * ||b||`` and calls an exhausted loop unconverged.
 
     What does not change between solves is kept, not rebuilt:
 
@@ -450,22 +449,22 @@ class LastFactor:
         if not b_norm < np.inf:
             raise SolverError("the norm of the load vector overflows, "
                               "so no residual test can hold")
+        tol = SOLVER_TOL * b_norm
         # PCG on the last factor, unless there is none or the last solve
         # needed more than the cap; then, or if it misses, a new factor.
-        met = self._lu is not None and self._last_pcg <= PCG_REFACTOR_CAP
-        if met:
-            x, met = self._pcg(M, b, b_norm, self._start(M, b))
-        if not met:
+        res = np.inf  # no iterate yet
+        if self._lu is not None and self._last_pcg <= PCG_REFACTOR_CAP:
+            x, res = self._pcg(M, b, tol, self._start(M, b))
+        if not res <= tol:
             self._lu = None  # one factor alive at a time
             self._lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                  relax=LU_RELAX, panel_size=LU_PANEL_SIZE,
                                  options={"SymmetricMode": True})
             self.factorizations += 1
-            x, met = self._pcg(M, b, b_norm, self._lu.solve(b))
-            if not met:
-                res = _norm(M @ x - b) / b_norm
-                raise SolverError(f"linear solve stalled at relative residual {res:.3e} "
-                                  f"(tolerance {SOLVER_TOL:.1e})")
+            x, res = self._pcg(M, b, tol, self._lu.solve(b))
+            if not res <= tol:  # a NaN residual fails too
+                raise SolverError(f"linear solve stalled at relative residual "
+                                  f"{res / b_norm:.3e} (tolerance {SOLVER_TOL:.1e})")
         self._keep(x)
         return x
 
@@ -502,20 +501,15 @@ class LastFactor:
         c = np.linalg.lstsq(W @ MW, W @ b, rcond=1e-14)[0]
         return c @ W
 
-    def _pcg(self, M: sp.csc_matrix, b: np.ndarray, b_norm: float,
-             x: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _pcg(self, M: sp.csc_matrix, b: np.ndarray, tol: float,
+             x: np.ndarray) -> tuple[np.ndarray, float]:
         """PCG preconditioned with the last factor from the start ``x``, in
-        scipy's ``cg`` loop written out, with ``b_norm = ||b||``; the last
-        iterate, and whether it met the contract within ``PCG_MAX_ITER``
-        steps."""
-        if b_norm == 0.0:  # the solution, in no steps
-            self._last_pcg = 0
-            return np.zeros_like(b), True
-        r = b - M @ x if x.any() else b.copy()
-        tol = SOLVER_TOL * b_norm
-        for steps in range(PCG_MAX_ITER):
-            if _norm(r) < tol:
-                break
+        scipy's ``cg`` recurrence, stepping while ``||r|| > tol`` and fewer
+        than ``PCG_MAX_ITER`` steps have run; the last iterate and its true
+        residual norm ``||M x - b||``."""
+        r = b - M @ x
+        steps = 0
+        while _norm(r) > tol and steps < PCG_MAX_ITER:
             z = self._lu.solve(r)
             rho = np.dot(r, z)
             if steps:
@@ -528,11 +522,10 @@ class LastFactor:
             x += alpha * p
             r -= alpha * q
             rho_prev = rho
-        else:
-            steps = PCG_MAX_ITER  # not converged, as scipy reports it
+            steps += 1
         self.pcg_iterations += steps
         self._last_pcg = steps
-        return x, steps < PCG_MAX_ITER and _norm(M @ x - b) <= tol
+        return x, _norm(M @ x - b)
 
 
 def _norm(v: np.ndarray) -> float:

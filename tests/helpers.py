@@ -352,6 +352,20 @@ class InexactFactor:
         return 1.001 * self._lu.solve(b)
 
 
+class SkewedFactor:
+    """A SuperLU factor of ``M`` whose solves apply ``S M⁻¹ S`` for the
+    fixed diagonal ``S`` that holds 1 and 2 in turn: symmetric positive
+    definite, so PCG runs on it, but no multiple of ``M⁻¹``, so that one
+    PCG step cannot correct the start it gives."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, b):
+        s = np.where(np.arange(len(b)) % 2, 2.0, 1.0)
+        return s * self._lu.solve(s * b)
+
+
 def assert_objective_descent(result: cdii.ReconstructionResult, slack: float = 1e-8):
     """The logged objective must be non-increasing up to relative slack."""
     values = [rec.objective for rec in result.log]

@@ -1,3 +1,4 @@
+import inspect
 import logging
 import re
 import shutil
@@ -15,6 +16,7 @@ from cdii.csvio import (
     write_field,
 )
 from cdii.mesh import build_uniform_mesh
+from cdii.phantom import simulate_data
 from cdii.weighted_gradient import ReconstructionConfig
 
 from helpers import output_bytes, read_convergence
@@ -308,12 +310,24 @@ def test_range_fault_names_key_and_reason(overrides, key, message):
     assert str(err.value) == f"{key}: {message}"
 
 
+@pytest.mark.parametrize("line,message", [
+    ("recon.epsilon 0.1", "{cfg}:14: expected key=value, got 'recon.epsilon 0.1'"),
+    ("currents=-0.003,0.003", "currents: duplicate key"),
+], ids=["no-equals", "repeated-key"])
+def test_config_line_fault_exits_2(tmp_path, capsys, line, message):
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
+    cfg.write_text(cfg.read_text() + line + "\n")
+    assert run(["forward", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
+
+
 def test_config_defaults_are_the_dataclass_defaults():
     required = ("side_nodes", "electrodes", "currents")
     cfg = config_from_mapping(_without("recon.epsilon", "recon.delta"))
     defaults = PipelineConfig(**{name: getattr(cfg, name) for name in required})
     assert cfg == defaults
     assert cfg.max_iter == ReconstructionConfig.max_iter
+    assert cfg.gamma_side == inspect.signature(simulate_data).parameters["gamma_side"].default
 
 
 @pytest.mark.parametrize("command", ["forward", "simulate", "reconstruct", "calibrate",
@@ -465,6 +479,7 @@ CALIBRATE_INPUTS = {
     "trace-flat": (_flat_trace, "trace.csv: "),
     "trace-one-row": (_keep_rows("trace.csv", 1),
                       "trace.csv: need at least 2 distinct computed-potential values"),
+    "trace-header-only": (_keep_rows("trace.csv", 0), "trace.csv: holds no samples"),
     "v-short": (_keep_rows("v.csv", 99), "v.csv: "),
     "V-one-row": (_keep_rows("V.csv", 1), "V.csv: "),
     "V-three-voltages": (lambda out: write_field(out / "V.csv", "V", "V", "electrode",
@@ -590,6 +605,14 @@ def test_metrics_identical(tmp_path):
     assert metrics["relative_l2"] == 0.0
     assert metrics["absolute_l2"] == 0.0
     assert metrics["max_error"] == 0.0
+
+
+def test_metrics_writes_to_the_config_default_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    values = np.linspace(1.0, 2.0, 32)
+    write_field("r.csv", "sigma", "S/m", "triangle", values)
+    assert run(["metrics", "r.csv", "r.csv"]) == 0
+    assert read_metrics(tmp_path / PipelineConfig.output_dir / "metrics.csv")["max_error"] == 0.0
 
 
 def test_metrics_homogeneity(tmp_path):
@@ -802,6 +825,22 @@ def test_each_command_builds_one_operator(tmp_path, monkeypatch):
         built.clear()
         assert run([command, "--config", str(cfg)]) == 0
         assert len(built) == operators, command
+
+
+def test_calibrate_pools_a_swapped_trace_and_warns(tmp_path, caplog, valid_outputs):
+    # Two adjacent measured values swapped break monotonicity: calibration
+    # pools them into one breakpoint, warns and succeeds.
+    out = tmp_path / "out"
+    shutil.copytree(valid_outputs, out)
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    (i, a), (j, b) = (row.split(",") for row in rows[5:7])
+    rows[5:7] = [f"{i},{b}", f"{j},{a}"]
+    (out / "trace.csv").write_text("\n".join([header, *rows]) + "\n")
+    with caplog.at_level(logging.WARNING, logger="cdii"):
+        assert run(["calibrate", "--config", str(write_config(tmp_path / "run.cfg", out))]) == 0
+    assert "calibration pairs violated monotonicity and were pooled" in caplog.text
+    breakpoints = (out / "phi.csv").read_text().splitlines()[1:]
+    assert len(breakpoints) < len(rows)
 
 
 def test_calibrate_accepts_coordinate_trace(tmp_path):

@@ -203,6 +203,14 @@ def test_malformed_trace_row_names_file_and_line(tmp_path, row, reason):
     assert read_trace(path) == [("0", 1.5), ("1", 2.5), ("0.25", 3.5)]
 
 
+def test_trace_without_samples_names_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("# trace,V,node\n\n# a comment\n")
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == f"{path}: holds no samples"
+
+
 CONVERGENCE = "iteration,objective,max_grad_diff,wall_time_ms\n0,1.5,nan,2\n"
 METRICS = "metric,value\nrelative_l2,0.1\n"
 

@@ -388,7 +388,8 @@ def test_solve_shifted_impedance_gives_plain_height():
 
 
 def test_solve_zero_current(equal_z_case):
-    # ||b|| = 0 returns before PCG, whose first step would divide 0 by 0.
+    # A zero load starts PCG at r = 0, which the step test ||r|| > 0 stops
+    # before a first step would divide 0 by 0; r = 0 meets the contract.
     mesh, setup, _ = equal_z_case
     currents = CurrentPattern(np.zeros(2))
     factor = LastFactor(CemOperator(mesh, setup))
@@ -583,9 +584,10 @@ def test_inexact_new_factor_meets_the_contract_by_pcg(reuse_case, monkeypatch):
 def test_pcg_is_bitwise_scipy_cg(reuse_case, monkeypatch, exhausted):
     # scipy's cg and the written-out loop get the same start, tolerance,
     # iteration limit and preconditioner, and take the same steps to the same
-    # bytes.  With the limit at the number of steps cg needs, both run out of
-    # steps before their stopping test sees the residual that meets it, so
-    # neither has converged and the solve refactorizes.
+    # bytes.  With the limit at the number of steps cg needs, cg runs out of
+    # steps before its stopping test sees the residual that meets it and
+    # reports no convergence; the solve accepts that iterate by its true
+    # residual and keeps its factor.
     mesh, setup, currents, operator, first, second = reuse_case
     factor = LastFactor(operator)
     solve_forward(mesh, first, setup, currents, factor=factor)
@@ -607,14 +609,11 @@ def test_pcg_is_bitwise_scipy_cg(reuse_case, monkeypatch, exhausted):
     assert info == 0 and steps > 0
     if exhausted:
         monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", steps)
-        assert scipy_cg(steps)[1] == steps
+        x, info, _ = scipy_cg(steps)
+        assert info == steps
     ours = factor.solve(second, b)
-    assert factor.pcg_iterations == steps
-    if exhausted:
-        assert factor.factorizations == 2
-        assert ours.tobytes() == LastFactor(operator).solve(second, b).tobytes()
-    else:
-        assert factor.factorizations == 1 and ours.tobytes() == x.tobytes()
+    assert (factor.factorizations, factor.pcg_iterations) == (1, steps)
+    assert ours.tobytes() == x.tobytes()
 
 
 def test_refactorizes_after_a_solve_over_the_cap(reuse_case, monkeypatch):

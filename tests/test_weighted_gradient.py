@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -26,7 +28,7 @@ from cdii.mesh import ParameterError, _gradient_norm, triangle_gradients
 from cdii.phantom import gaussian_phantom, simulate_data
 
 from helpers import (
-    InexactFactor,
+    SkewedFactor,
     assert_objective_descent,
     functional_value,
     minimum_value,
@@ -552,29 +554,34 @@ def test_solves_refuse_a_setup_located_on_another_mesh(located_on, solved_on, el
 
 
 def test_reconstruct_solver_error_names_iteration_after_pcg_fallback(monkeypatch):
-    # The first factorization is exact; PCG at iteration 1 stops at its one
-    # allowed step, and so does PCG on the new, inexact factor: running out
-    # of steps is not convergence, so the solve fails.
+    # The first factorization is exact; PCG at iteration 1 misses the
+    # contract in its one allowed step, and so does PCG on the new, skewed
+    # factor, whose start one step cannot correct: the solve fails, naming
+    # the true residual it measured.
     splu = scipy.sparse.linalg.splu
     factors = []
 
-    def inexact_after_first(*args, **kwargs):
+    def skewed_after_first(*args, **kwargs):
         factors.append(splu(*args, **kwargs))
-        return factors[-1] if len(factors) == 1 else InexactFactor(factors[-1])
+        return factors[-1] if len(factors) == 1 else SkewedFactor(factors[-1])
 
     class Linalg:
         def __getattr__(self, name):
             return getattr(scipy.sparse.linalg, name)
 
-        splu = staticmethod(inexact_after_first)
+        splu = staticmethod(skewed_after_first)
 
     mesh, setup, currents, _, data, _ = _phantom_case(12)
     monkeypatch.setattr(cdii.fem_cem, "spla", Linalg())
     monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", 1)
-    with pytest.raises(SolverError, match=r"^iteration 1: linear solve stalled"):
+    message = (r"^iteration 1: linear solve stalled at relative residual (\S+) "
+               r"\(tolerance 1\.0e-10\)$")
+    with pytest.raises(SolverError, match=message) as info:
         reconstruct(mesh, data, setup, currents,
                     ReconstructionConfig(epsilon=0.1, delta=1e-7))
     assert len(factors) == 2
+    residual = float(re.match(message, str(info.value)).group(1))
+    assert residual > cdii.fem_cem.SOLVER_TOL
 
 
 def test_reconstruct_rejects_vanishing_data():
