@@ -15,9 +15,12 @@ metrics      compare two per-triangle fields, write metrics.csv
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 reconstruction hit the iteration cap (files are still written).  A
 configuration error is one stderr line keyed by the config key or the
-file at fault: a stage input that is missing, malformed (file and line)
-or not one value per triangle, node or electrode, a trace or metrics
-field it cannot use, or an output path that cannot be written.
+file at fault: a field file a command reads with a row that does not
+parse, an id out of order or a value that is not finite (file and line),
+a stage input that is missing or not one value per triangle, node or
+electrode, a trace or metrics field it cannot use, or an output path that
+cannot be written.  A solver failure is a linear solve that misses the
+residual contract or a singular factorization.
 
 File formats
 ------------
@@ -45,7 +48,6 @@ import numpy as np
 
 from .calibration import (
     BoundaryVoltageTrace,
-    PhiMap,
     apply_calibration,
     build_monotone_map,
     collect_pairs,
@@ -74,6 +76,7 @@ from .fem_cem import (
 from .mesh import (
     Mesh,
     ParameterError,
+    _grid_index,
     build_uniform_mesh,
     locate_electrodes,
     triangle_gradients,
@@ -87,9 +90,6 @@ from .weighted_gradient import (
 )
 
 log = logging.getLogger("cdii")
-
-#: Coordinate tokens in a measured trace must match a node this closely.
-TRACE_COORD_TOL = 1e-9
 
 
 @contextlib.contextmanager
@@ -193,13 +193,18 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
 
 def _field_values(path) -> np.ndarray:
     """The values of the field file ``path``, whose rows must carry the ids
-    0, 1, 2, ... in order, so that no value is taken for another entity's;
-    a row that does not is an error naming its line."""
+    0, 1, 2, ... in order, so that no value is taken for another entity's,
+    and finite values; a row that does not is an error naming its line."""
     _, ids, values = read_field(path)
     wrong = np.flatnonzero(ids != np.arange(len(ids)))
     if wrong.size:
         row = int(wrong[0])
         raise ValueError(f"{path}:{data_line(path, row)}: id {ids[row]}, expected {row}")
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row = int(bad[0][0])
+        raise ValueError(f"{path}:{data_line(path, row)}: value "
+                         f"{values[tuple(bad[0])]} is not finite")
     return values
 
 
@@ -276,15 +281,12 @@ def _trace_from_file(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltage
         if off_side.size:
             raise ValueError(f"node {off_side[0]} is not on side {gamma_side!r}")
     else:
-        axis = 0 if gamma_side in ("bottom", "top") else 1
-        coords = mesh.nodes[side_ids, axis]
-        ids = []
-        for token, _ in rows:
-            pos = float(token)
-            j = int(np.argmin(np.abs(coords - pos)))
-            if not abs(coords[j] - pos) <= TRACE_COORD_TOL:  # a NaN matches no node
-                raise ValueError(f"coordinate {pos} matches no node on side {gamma_side!r}")
-            ids.append(int(side_ids[j]))
+        coords = np.array([float(token) for token, _ in rows])
+        index = _grid_index(mesh, coords)
+        if (miss := np.flatnonzero(index < 0)).size:
+            raise ValueError(f"coordinate {coords[miss[0]]} matches no node on side "
+                             f"{gamma_side!r}")
+        ids = side_ids[index]
     try:
         return BoundaryVoltageTrace(node_ids=ids, values=values)
     except ValueError as exc:  # a repeated node is the rule the trace checks first
@@ -293,8 +295,12 @@ def _trace_from_file(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltage
         raise ValueError(f"{path}:{data_line(path, row)}: {exc}") from None
 
 
-def _calibrate(mesh: Mesh, result: ReconstructionResult, phi: PhiMap,
-               out: Path) -> ConductivityField:
+def _calibrate(mesh: Mesh, setup, result: ReconstructionResult,
+               trace: BoundaryVoltageTrace, out: Path) -> ConductivityField:
+    """Calibrate ``result`` by the trace of out/trace.csv; writes phi.csv and
+    sigma_final.csv.  Samples that give no map are an error naming that file."""
+    with _keyed(str(out / "trace.csv")):
+        phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
     if phi.repaired:
         log.warning("calibration pairs violated monotonicity and were pooled")
     sigma_final = apply_calibration(mesh, result, phi)
@@ -314,19 +320,16 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
     V = _stage_input(V_path, setup.count, "electrode")
     with _keyed(str(sigma_path)):
         sigma_v = ConductivityField(sigma_v)
-    with np.errstate(invalid="ignore"):  # ForwardSolution rejects a non-finite v
-        grad_v = triangle_gradients(mesh, v)
     try:
-        solution = ForwardSolution(u=v, U=V, grad_u=grad_v)
-    except ParameterError as exc:  # named by the field: u and grad_u come from v
-        path = V_path if exc.name == "U" else v_path
-        raise ConfigError(str(path), str(exc)) from None
+        with np.errstate(over="ignore"):  # ForwardSolution refuses an overflowed gradient
+            solution = ForwardSolution(u=v, U=V, grad_u=triangle_gradients(mesh, v))
+    except ParameterError as exc:  # V's zero sum, or v's gradient (v is finite)
+        raise ConfigError(str(V_path if exc.name == "U" else v_path), str(exc)) from None
     result = ReconstructionResult(sigma_v=sigma_v, solution=solution, log=[],
                                   converged=True, iterations=0)
     with _keyed(str(trace_path)):
         trace = _trace_from_file(mesh, cfg.gamma_side, trace_path)
-        phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
-    _calibrate(mesh, result, phi, out)
+    _calibrate(mesh, setup, result, trace, out)
     return 0
 
 
@@ -340,8 +343,7 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
                             LastFactor(operator))
     result = _reconstruct(rc, mesh, setup, currents, data.values, out,
                           LastFactor(operator))
-    phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
-    sigma_final = _calibrate(mesh, result, phi, out)
+    sigma_final = _calibrate(mesh, setup, result, trace, out)
 
     rows = _metric_rows(sigma_true.values, sigma_final.values)
     rows.append(("iterations", result.iterations))
@@ -359,11 +361,6 @@ def cmd_metrics(reference: str, candidate: str, out_dir: str) -> int:
         if values.ndim != 1 or not len(values):
             raise ConfigError("metrics", f"{path}: expected one value per row and at "
                               f"least one row, got shape {values.shape}")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            row = int(bad[0])
-            raise ConfigError("metrics", f"{path}:{data_line(path, row)}: value "
-                              f"{values[row]} is not finite")
     if ref.shape != cand.shape:
         raise ConfigError("metrics",
                           f"field shapes differ: {ref.shape} vs {cand.shape}")

@@ -441,8 +441,9 @@ class LastFactor:
             If ``sigma`` does not hold one value per triangle of the
             operator's mesh.
         SolverError
-            If ``||b||`` overflows, so no residual test can hold, or PCG on
-            a new factorization misses ``SOLVER_TOL``.
+            If ``||b||`` overflows, so no residual test can hold, SuperLU
+            cannot factorize ``M``, or PCG on a new factorization misses
+            ``SOLVER_TOL``.
         """
         M = self.operator._fill(self._matrix, sigma)
         b_norm = _norm(b)
@@ -457,9 +458,12 @@ class LastFactor:
             x, res = self._pcg(M, b, tol, self._start(M, b))
         if not res <= tol:
             self._lu = None  # one factor alive at a time
-            self._lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                 relax=LU_RELAX, panel_size=LU_PANEL_SIZE,
-                                 options={"SymmetricMode": True})
+            try:
+                self._lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                     relax=LU_RELAX, panel_size=LU_PANEL_SIZE,
+                                     options={"SymmetricMode": True})
+            except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+                raise SolverError(f"factorization failed: {exc}") from None
             self.factorizations += 1
             x, res = self._pcg(M, b, tol, self._lu.solve(b))
             if not res <= tol:  # a NaN residual fails too
@@ -563,7 +567,8 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
         If ``factor``'s operator was built for a different mesh or
         electrode setup, or an electrode was not located on ``mesh``.
     SolverError
-        If the residual contract cannot be met.
+        If the matrix cannot be factorized or the residual contract cannot
+        be met.
     """
     # The operator checked the setup's edges when it was built from these
     # objects, and the factor's solve checks sigma.

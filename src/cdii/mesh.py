@@ -21,8 +21,9 @@ import numpy as np
 
 SIDES = ("bottom", "right", "top", "left")
 
-#: Tolerance for matching electrode interval endpoints to grid nodes.
-ALIGN_TOL = 1e-12
+#: Tolerance for matching a coordinate along a side, an electrode interval's
+#: endpoint or a measured trace's, to a grid node.
+ALIGN_TOL = 1e-9
 
 
 class ParameterError(ValueError):
@@ -266,6 +267,14 @@ def _centroid_values(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return c.reshape(-1, *tail)
 
 
+def _grid_index(mesh: Mesh, coords) -> np.ndarray:
+    """Index along a side of the grid node within ``ALIGN_TOL`` of each of
+    ``coords``, or -1 where none is; a NaN matches no node."""
+    c = np.asarray(coords, dtype=float)
+    i = np.rint(np.clip(c, 0.0, 1.0) / mesh.h)
+    return np.where(np.abs(c - i * mesh.h) <= ALIGN_TOL, i, -1).astype(np.int64)
+
+
 def locate_electrodes(
     mesh: Mesh,
     side_spans: Sequence[tuple[str, tuple[float, float]]],
@@ -296,7 +305,6 @@ def locate_electrodes(
         raise ValueError(
             f"{len(side_spans)} spans but {len(impedances)} impedances"
         )
-    h = mesh.h
     electrodes = []
     for k, ((side, (lo, hi)), z) in enumerate(zip(side_spans, impedances)):
         if side not in SIDES:
@@ -305,12 +313,12 @@ def locate_electrodes(
             raise ParameterError(
                 f"[{k}].interval",
                 f"electrode {k}: interval ({lo}, {hi}) is empty or leaves [0, 1]")
-        i_lo, i_hi = round(lo / h), round(hi / h)
-        if abs(lo - i_lo * h) > ALIGN_TOL or abs(hi - i_hi * h) > ALIGN_TOL or i_lo == i_hi:
+        i_lo, i_hi = _grid_index(mesh, (lo, hi))
+        if min(i_lo, i_hi) < 0 or i_lo == i_hi:
             raise ParameterError(
                 f"[{k}].interval",
                 f"electrode {k}: interval ({lo}, {hi}) does not align with the "
-                f"grid of spacing {h}")
+                f"grid of spacing {mesh.h}")
         edge_ids = mesh.edges_on_side(side)[i_lo:i_hi]
         electrodes.append(
             Electrode(

@@ -41,8 +41,8 @@ def gaussian_phantom(mesh: Mesh, center: tuple[float, float], amplitude: float,
     if len(center) != 2 or not np.all(np.isfinite(center)):
         raise ParameterError("center", f"center must be two finite coordinates, got {center}")
     c = centroids(mesh)
-    d2 = (c[:, 0] - center[0]) ** 2 + (c[:, 1] - center[1]) ** 2
-    with np.errstate(over="ignore"):  # a tiny width: exp(-inf) is the exact 0
+    with np.errstate(over="ignore"):  # a far centre or a tiny width: exp(-inf) is the exact 0
+        d2 = (c[:, 0] - center[0]) ** 2 + (c[:, 1] - center[1]) ** 2
         bump = np.exp(-d2 / width)
     return ConductivityField(1.0 + amplitude * bump)
 

@@ -513,6 +513,20 @@ def test_solve_enforces_residual_contract(equal_z_case, monkeypatch):
         solve_forward(mesh, ones(mesh), setup, currents)
 
 
+def test_solve_names_a_failed_factorization(equal_z_case, monkeypatch):
+    # SuperLU raises a RuntimeError on a singular matrix; the solve raises
+    # it as a SolverError, which the CLI reports with exit 3.
+    mesh, setup, currents = equal_z_case
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(SolverError,
+                       match=r"^factorization failed: Factor is exactly singular$"):
+        solve_forward(mesh, ones(mesh), setup, currents)
+
+
 def test_solve_refuses_a_load_vector_whose_norm_overflows(equal_z_case):
     # ||b|| = inf would make every residual test pass.
     mesh, setup, _ = equal_z_case

@@ -8,6 +8,7 @@ import cdii
 from cdii.mesh import (
     Mesh,
     _gradient_norm,
+    _grid_index,
     build_uniform_mesh,
     centroids,
     locate_electrodes,
@@ -231,6 +232,22 @@ def test_locate_rejects_misaligned():
     with pytest.raises(ValueError, match="align"):
         locate_electrodes(m, [("bottom", (0.0, 0.5)), ("top", (0.0, 1.0))],
                           [1.0, 1.0])
+
+
+def test_locate_accepts_endpoints_within_align_tol():
+    # 1e-10 off a node is within ALIGN_TOL (1e-9); the edges come from the
+    # node's index, so the electrode is the exact full side.
+    m = build_uniform_mesh(12)
+    setup = locate_electrodes(m, [("bottom", (1e-10, 1.0 - 1e-10)), ("top", (0.0, 1.0))],
+                              [1.0, 1.0])
+    assert np.array_equal(setup.electrodes[0].edge_ids, m.edges_on_side("bottom"))
+
+
+def test_grid_index_matches_nodes_within_align_tol():
+    m = build_uniform_mesh(12)  # h = 1/11
+    coords = [0.0, -1e-10, 3 / 11 + 1e-10, 1.0 + 1e-10, 3 / 11 + 2e-9, 0.5,
+              -1 / 11, 2.0, 1e308, np.inf, np.nan]
+    assert _grid_index(m, coords).tolist() == [0, 0, 3, 11] + [-1] * 7
 
 
 def test_locate_rejects_bad_impedance():

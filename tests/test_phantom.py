@@ -31,6 +31,14 @@ def test_tiny_width_phantom_is_flat():
     assert np.all(sigma.values == 1.0)
 
 
+def test_far_centre_phantom_is_flat():
+    # The squared distance overflows to inf, whose bump is the exact 0,
+    # with no warning.
+    mesh = build_uniform_mesh(10)
+    sigma = gaussian_phantom(mesh, (1e200, 0.5), 0.8, 0.02)
+    assert np.all(sigma.values == 1.0)
+
+
 def test_phantom_validation():
     mesh = build_uniform_mesh(4)
     invalid = [
