@@ -11,7 +11,6 @@ from .calibration import (
     apply_calibration,
     build_monotone_map,
     collect_pairs,
-    side_trace,
 )
 from .config import ConfigError, PipelineConfig, load_config
 from .fem_cem import (
@@ -91,7 +90,6 @@ __all__ = [
     "locate_electrodes",
     "max_principle_excess",
     "reconstruct",
-    "side_trace",
     "simulate_data",
     "solve_forward",
     "triangle_gradients",

@@ -113,21 +113,6 @@ class BoundaryVoltageTrace:
         return int(repeated[0]) if len(repeated) else None
 
 
-def side_trace(mesh: Mesh, side: str, values: np.ndarray) -> BoundaryVoltageTrace:
-    """Trace covering one full mesh side, ordered by increasing coordinate.
-
-    A full side touching both electrode-adjacent corners realizes the
-    connectivity the calibration relies on in the two-electrode setup.
-    """
-    ids = mesh.nodes_on_side(side)
-    values = np.asarray(values, dtype=float)
-    if values.shape != ids.shape:
-        raise ValueError(
-            f"side {side!r} has {len(ids)} nodes but got {values.shape} values"
-        )
-    return BoundaryVoltageTrace(node_ids=ids.copy(), values=values.copy())
-
-
 def collect_pairs(mesh: Mesh, setup: ElectrodeSetup, recon: ReconstructionResult,
                   trace: BoundaryVoltageTrace) -> np.ndarray:
     """Pair computed with measured potential along the boundary curve.

@@ -15,21 +15,19 @@ metrics      compare two per-triangle fields, write metrics.csv
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 reconstruction hit the iteration cap (files are still written).  A
 configuration error is one stderr line keyed by the config key or the
-file at fault: a field file a command reads with a row that does not
-parse, an id out of order or a value that is not finite (file and line),
-a stage input that is missing or not one value per triangle, node or
-electrode, a trace or metrics field it cannot use, or an output path that
-cannot be written.  A solver failure is a linear solve that misses the
-residual contract or a singular factorization.
+file at fault: a field file or trace.csv a command reads with a row that
+does not parse or a value that is not finite, or a field file with an id
+out of order (file and line), a stage input that is missing or not one
+value per triangle, node or electrode, a trace or metrics field it cannot
+use, or an output path that cannot be written.  A solver failure is a
+linear solve that misses the residual contract or a singular factorization.
 
 File formats
 ------------
 Field files carry a "# quantity,unit,entity" header then id,value rows
-with 17 significant digits.  trace.csv rows are node_id,value, the node on
-gamma.side; a measured trace may instead carry the coordinate along that
-side in its first column (a file of bare integers is keyed by node id; any
-decimal point or exponent switches the whole file to coordinates).  phi.csv
-is a two-column s,t table of the calibration map.
+with 17 significant digits.  trace.csv rows are key,value, each key a node
+on gamma.side or a coordinate along it (csvio.read_trace states which).
+phi.csv is a two-column s,t table of the calibration map.
 convergence.csv columns: iteration,objective,max_grad_diff,wall_time_ms
 (wall time is the one machine-dependent output).  metrics.csv rows:
 relative_l2, absolute_l2, max_error, iterations, converged.
@@ -191,6 +189,16 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _finite(path, values: np.ndarray) -> np.ndarray:
+    """``values``, read from ``path``; one that is not finite is an error naming its line."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row = int(bad[0][0])
+        raise ValueError(f"{path}:{data_line(path, row)}: value "
+                         f"{values[tuple(bad[0])]} is not finite")
+    return values
+
+
 def _field_values(path) -> np.ndarray:
     """The values of the field file ``path``, whose rows must carry the ids
     0, 1, 2, ... in order, so that no value is taken for another entity's,
@@ -200,12 +208,7 @@ def _field_values(path) -> np.ndarray:
     if wrong.size:
         row = int(wrong[0])
         raise ValueError(f"{path}:{data_line(path, row)}: id {ids[row]}, expected {row}")
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        row = int(bad[0][0])
-        raise ValueError(f"{path}:{data_line(path, row)}: value "
-                         f"{values[tuple(bad[0])]} is not finite")
-    return values
+    return _finite(path, values)
 
 
 def _stage_input(path: Path, count: int, entity: str) -> np.ndarray:
@@ -260,33 +263,20 @@ def cmd_reconstruct(cfg: PipelineConfig) -> int:
 
 
 def _trace_from_file(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltageTrace:
-    """The trace of the file ``path``; a repeated node is an error naming its line."""
-    rows = read_trace(path)
-    # The first column keys the whole file: bare integers throughout mean
-    # node ids; any decimal point or exponent switches to coordinates along
-    # the measurement side.
-    keyed_by_id = all(not any(c in token for c in ".eE") for token, _ in rows)
-    values = np.array([value for _, value in rows])
+    """The trace of the file ``path``, its keys placed on ``gamma_side``: node
+    ids must lie on it, coordinates must match its nodes.  A value that is not
+    finite or a repeated node is an error naming its line."""
+    keys, values = read_trace(path)
+    _finite(path, values)
     side_ids = mesh.nodes_on_side(gamma_side)
-    if keyed_by_id:
-        ids = []
-        for row, (token, _) in enumerate(rows):
-            try:  # "nan" and "inf" parse as floats but not as ids
-                ids.append(int(token))
-            except ValueError:
-                raise ValueError(f"{path}:{data_line(path, row)}: "
-                                 f"cannot parse {token!r} as int") from None
-        ids = np.array(ids)
-        off_side = np.setdiff1d(ids, side_ids)
-        if off_side.size:
-            raise ValueError(f"node {off_side[0]} is not on side {gamma_side!r}")
-    else:
-        coords = np.array([float(token) for token, _ in rows])
-        index = _grid_index(mesh, coords)
+    ids = keys
+    if keys.dtype == float:
+        index = _grid_index(mesh, keys)
         if (miss := np.flatnonzero(index < 0)).size:
-            raise ValueError(f"coordinate {coords[miss[0]]} matches no node on side "
-                             f"{gamma_side!r}")
+            raise ValueError(f"coordinate {keys[miss[0]]} matches no node on side {gamma_side!r}")
         ids = side_ids[index]
+    elif (off_side := np.setdiff1d(ids, side_ids)).size:
+        raise ValueError(f"node {off_side[0]} is not on side {gamma_side!r}")
     try:
         return BoundaryVoltageTrace(node_ids=ids, values=values)
     except ValueError as exc:  # a repeated node is the rule the trace checks first

@@ -64,10 +64,9 @@ def _parse_lines(text: str, source: str) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (eq and key):
             raise ConfigError(f"{source}:{lineno}", f"expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
         if key in mapping:
             raise ConfigError(key, "duplicate key")
         mapping[key] = value

@@ -45,17 +45,23 @@ def _data_rows(text: str):
             yield lineno, line.split(",")
 
 
-def _malformed(path, rows, parsers) -> ValueError | None:
-    """The error of the first of ``rows`` whose tokens ``parsers`` reject, if any."""
+def _parsed(path, rows, parsers) -> list[tuple]:
+    """The tokens of each of ``rows`` parsed by ``parsers``, column by column.
+    The first row that does not parse raises ``ValueError`` naming the file
+    and its 1-based line."""
+    parsed = []
     for line, tokens in rows:
         if len(tokens) != len(parsers):
-            return ValueError(f"{path}:{line}: {len(tokens)} columns, expected {len(parsers)}")
+            raise ValueError(f"{path}:{line}: {len(tokens)} columns, expected {len(parsers)}")
+        row = []
         for token, parse in zip(tokens, parsers):
             try:
-                parse(token)
+                row.append(parse(token))
             except ValueError:
-                return ValueError(f"{path}:{line}: cannot parse {token!r} as {parse.__name__}")
-    return None
+                raise ValueError(f"{path}:{line}: cannot parse {token!r} as "
+                                 f"{parse.__name__}") from None
+        parsed.append(tuple(row))
+    return parsed
 
 
 def read_field(path) -> tuple[tuple[str, str, str], np.ndarray, np.ndarray]:
@@ -77,9 +83,8 @@ def read_field(path) -> tuple[tuple[str, str, str], np.ndarray, np.ndarray]:
         table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
                            comments="#", ndmin=1)
     except ValueError as exc:
-        error = (_malformed(path, _data_rows(text), [int] + [float] * k)
-                 or ValueError(f"{path}: {exc}"))
-        raise error from None
+        _parsed(path, _data_rows(text), [int] + [float] * k)  # names the line if it can
+        raise ValueError(f"{path}: {exc}") from None
     values = table["v"][:, 0] if k == 1 else table["v"]
     return header, np.ascontiguousarray(table["id"]), np.ascontiguousarray(values)
 
@@ -93,18 +98,24 @@ def write_trace(path, node_ids: np.ndarray, values: np.ndarray) -> None:
     write_field(path, "trace", "V", "node", values, ids=node_ids)
 
 
-def read_trace(path) -> list[tuple[str, float]]:
-    """Raw trace rows as (first-column token, value); the first column may
-    hold a node id or a coordinate along the curve.  A row that is not two
-    numbers raises ``ValueError`` naming the file and its 1-based line."""
+def read_trace(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a trace file of ``key,value`` rows; returns (keys, values).
+
+    The first column keys the whole file: int64 node ids, unless some key
+    holds ``.``, ``e`` or ``E``, which makes every key a float coordinate
+    along the measurement side.  Values may be non-finite.  A row that does
+    not parse, or an id beyond int64, raises ``ValueError`` naming the file
+    and its 1-based line; a file without samples raises one naming the file."""
     rows = list(_data_rows(Path(path).read_text()))
-    error = _malformed(path, rows, [float, float])
-    if error:
-        raise error
-    rows = [(first.strip(), float(second)) for _, (first, second) in rows]
     if not rows:
         raise ValueError(f"{path}: holds no samples")
-    return rows
+    key = float if any(c in tokens[0] for _, tokens in rows for c in ".eE") else int
+    keys, values = zip(*_parsed(path, rows, [key, float]))
+    bound = np.iinfo(np.int64)
+    for (line, _), k in zip(rows, keys):
+        if key is int and not bound.min <= k <= bound.max:
+            raise ValueError(f"{path}:{line}: node id {k} is out of the int64 range")
+    return np.array(keys, dtype=np.int64 if key is int else float), np.array(values)
 
 
 def write_phi(path, phi) -> None:
@@ -119,14 +130,8 @@ def write_convergence(path, log) -> None:
 
 
 def _read_table(path, parsers) -> list[tuple]:
-    """The rows after the header line, parsed column by column by ``parsers``.
-    A row that does not parse raises ``ValueError`` naming the file and its
-    1-based line."""
-    rows = list(islice(_data_rows(Path(path).read_text()), 1, None))
-    error = _malformed(path, rows, parsers)
-    if error:
-        raise error
-    return [tuple(parse(token) for parse, token in zip(parsers, tokens)) for _, tokens in rows]
+    """The rows after the header line, parsed by ``parsers`` as ``_parsed`` does."""
+    return _parsed(path, islice(_data_rows(Path(path).read_text()), 1, None), parsers)
 
 
 def write_metrics(path, rows: list[tuple[str, float]]) -> None:

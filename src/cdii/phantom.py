@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import BoundaryVoltageTrace, side_trace
+from .calibration import BoundaryVoltageTrace
 from .fem_cem import (
     ConductivityField,
     CurrentPattern,
@@ -54,16 +54,17 @@ def simulate_data(mesh: Mesh, sigma_true: ConductivityField, setup: ElectrodeSet
     """Forward-solve a known conductivity and sample the measurements.
 
     Returns the per-triangle current-density magnitude, the potential trace
-    along the named boundary side, and the generating solution.  The
-    solution is returned for verification only; reconstruction must see
-    nothing but the magnitude and the trace.  ``factor`` is passed on to
-    ``solve_forward``, so a caller that holds the operator does not build
-    it again.
+    at every node of the named side, and the generating solution.  A full
+    side that touches both electrode-adjacent corners gives calibration the
+    connectivity it relies on.  The solution is returned for verification
+    only; reconstruction must see nothing but the magnitude and the trace.
+    ``factor`` is passed on to ``solve_forward``, so a caller that holds the
+    operator does not build it again.
     """
     sol = solve_forward(mesh, sigma_true, setup, currents, factor=factor)
     _, a = interior_current(mesh, sigma_true, sol)
-    trace = side_trace(mesh, gamma_side, sol.u[mesh.nodes_on_side(gamma_side)])
-    return InteriorData(a), trace, sol
+    ids = mesh.nodes_on_side(gamma_side)
+    return InteriorData(a), BoundaryVoltageTrace(ids, sol.u[ids]), sol
 
 
 def add_noise(data: InteriorData, level: float, seed: int) -> InteriorData:

@@ -11,7 +11,6 @@ from cdii.calibration import (
     apply_calibration,
     build_monotone_map,
     collect_pairs,
-    side_trace,
 )
 from cdii.fem_cem import ConductivityField, solve_forward
 from cdii.mesh import build_uniform_mesh, triangle_gradients
@@ -51,7 +50,8 @@ def run_unit_data_case(side_nodes=12, z1=8.3e-3):
 
 def test_pairs_self_calibration_lie_on_diagonal():
     mesh, setup, _, result = run_unit_data_case()
-    trace = side_trace(mesh, "right", result.solution.u[mesh.nodes_on_side("right")])
+    gamma = mesh.nodes_on_side("right")
+    trace = BoundaryVoltageTrace(gamma, result.solution.u[gamma])
     pairs = collect_pairs(mesh, setup, result, trace)
     assert np.allclose(pairs[:, 0], pairs[:, 1], atol=1e-14)
 
@@ -62,7 +62,7 @@ def test_pairs_closed_form_measurement():
     mesh, setup, _, result = run_unit_data_case()
     gamma = mesh.nodes_on_side("right")
     measured = mesh.nodes[gamma, 1]
-    pairs = collect_pairs(mesh, setup, result, side_trace(mesh, "right", measured))
+    pairs = collect_pairs(mesh, setup, result, BoundaryVoltageTrace(gamma, measured))
     assert len(pairs) == mesh.side_nodes
     assert np.allclose(pairs[:, 0], np.sort(measured), atol=1e-12)
     assert np.allclose(pairs[:, 1], np.sort(measured), atol=1e-12)
@@ -73,7 +73,7 @@ def test_pairs_keep_trace_order():
     y = mesh.nodes[:, 1]
     u = np.sin(3.0 * y)  # not monotone along the right side
     gamma = mesh.nodes_on_side("right")
-    pairs = collect_pairs(mesh, None, fake_result(mesh, u), side_trace(mesh, "right", y[gamma]))
+    pairs = collect_pairs(mesh, None, fake_result(mesh, u), BoundaryVoltageTrace(gamma, y[gamma]))
     assert np.array_equal(pairs, np.column_stack([u[gamma], y[gamma]]))
 
 
@@ -93,7 +93,7 @@ def test_map_sorts_pairs_even_for_nonmonotone_potential():
     u = np.sin(3.0 * y)  # not monotone along the right side
     result = fake_result(mesh, u)
     gamma = mesh.nodes_on_side("right")
-    trace = side_trace(mesh, "right", y[gamma])
+    trace = BoundaryVoltageTrace(gamma, y[gamma])
     phi = build_monotone_map(collect_pairs(mesh, None, result, trace))
     assert np.all(np.diff(phi.breakpoints) > 0)
 
@@ -103,7 +103,7 @@ def test_map_merges_duplicate_potentials():
     u = np.zeros(mesh.node_count)
     u[mesh.nodes_on_side("right")] = [0.0, 0.0, 1.0, 1.0]
     result = fake_result(mesh, u)
-    trace = side_trace(mesh, "right", np.array([0.1, 0.3, 0.9, 1.1]))
+    trace = BoundaryVoltageTrace(mesh.nodes_on_side("right"), np.array([0.1, 0.3, 0.9, 1.1]))
     phi = build_monotone_map(collect_pairs(mesh, None, result, trace))
     assert phi.breakpoints == pytest.approx([0.0, 1.0])
     assert phi.values == pytest.approx([0.2, 1.0])
@@ -112,7 +112,7 @@ def test_map_merges_duplicate_potentials():
 def test_map_requires_two_distinct():
     mesh = build_uniform_mesh(4)
     result = fake_result(mesh, np.zeros(mesh.node_count))
-    trace = side_trace(mesh, "right", np.linspace(0, 1, 4))
+    trace = BoundaryVoltageTrace(mesh.nodes_on_side("right"), np.linspace(0, 1, 4))
     pairs = collect_pairs(mesh, None, result, trace)
     with pytest.raises(ValueError, match="^need at least 2 distinct computed-potential values$"):
         build_monotone_map(pairs)
@@ -277,7 +277,8 @@ def test_calibration_divides_by_the_slope_at_the_vertex_mean(side_nodes):
 
 def test_identity_map_keeps_sigma():
     mesh, setup, _, result = run_unit_data_case()
-    trace = side_trace(mesh, "right", result.solution.u[mesh.nodes_on_side("right")])
+    gamma = mesh.nodes_on_side("right")
+    trace = BoundaryVoltageTrace(gamma, result.solution.u[gamma])
     phi = build_monotone_map(collect_pairs(mesh, setup, result, trace))
     sigma_final = apply_calibration(mesh, result, phi)
     assert np.allclose(sigma_final.values, result.sigma_v.values, rtol=1e-9)
@@ -315,10 +316,10 @@ def test_scaling_measured_trace_scales_sigma_inversely():
     measured = mesh.nodes[gamma, 1]
     c = 2.5
     phi = build_monotone_map(collect_pairs(
-        mesh, setup, result, side_trace(mesh, "right", c * measured)))
+        mesh, setup, result, BoundaryVoltageTrace(gamma, c * measured)))
     sigma_final = apply_calibration(mesh, result, phi)
     base = apply_calibration(mesh, result, build_monotone_map(collect_pairs(
-        mesh, setup, result, side_trace(mesh, "right", measured))))
+        mesh, setup, result, BoundaryVoltageTrace(gamma, measured))))
     assert np.allclose(sigma_final.values, base.values / c, rtol=1e-12)
 
 
@@ -327,7 +328,7 @@ def test_translating_measured_trace_keeps_sigma():
     gamma = mesh.nodes_on_side("right")
     measured = mesh.nodes[gamma, 1]
     base = apply_calibration(mesh, result, build_monotone_map(collect_pairs(
-        mesh, setup, result, side_trace(mesh, "right", measured))))
+        mesh, setup, result, BoundaryVoltageTrace(gamma, measured))))
     shifted = apply_calibration(mesh, result, build_monotone_map(collect_pairs(
-        mesh, setup, result, side_trace(mesh, "right", measured + 0.7))))
+        mesh, setup, result, BoundaryVoltageTrace(gamma, measured + 0.7))))
     assert np.allclose(shifted.values, base.values, rtol=1e-12)

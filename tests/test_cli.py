@@ -313,7 +313,8 @@ def test_range_fault_names_key_and_reason(overrides, key, message):
 @pytest.mark.parametrize("line,message", [
     ("recon.epsilon 0.1", "{cfg}:14: expected key=value, got 'recon.epsilon 0.1'"),
     ("currents=-0.003,0.003", "currents: duplicate key"),
-], ids=["no-equals", "repeated-key"])
+    ("=5", "{cfg}:14: expected key=value, got '=5'"),
+], ids=["no-equals", "repeated-key", "empty-key"])
 def test_config_line_fault_exits_2(tmp_path, capsys, line, message):
     cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
     cfg.write_text(cfg.read_text() + line + "\n")
@@ -502,8 +503,14 @@ CALIBRATE_INPUTS = {
     "sigma_v-inf": (_set_row("sigma_v.csv", 4, "3,inf"),
                     "sigma_v.csv:5: value inf is not finite"),
     "sigma_v-short": (_keep_rows("sigma_v.csv", 100), "sigma_v.csv: "),
-    "trace-nan": (_set_row("trace.csv", 2, "23,nan"), "trace.csv: "),
-    "trace-inf": (_set_row("trace.csv", 2, "23,inf"), "trace.csv: "),
+    "trace-nan": (_set_row("trace.csv", 2, "23,nan"), "trace.csv:3: value nan is not finite"),
+    "trace-inf": (_set_row("trace.csv", 2, "23,inf"), "trace.csv:3: value inf is not finite"),
+    # One coordinate key makes every key a coordinate: node 11 reads as 11.0.
+    "trace-ids-and-a-coordinate": (_set_row("trace.csv", 2, "0.5,0.1"),
+                                   "trace.csv: coordinate 11.0 matches no node on side 'right'"),
+    "trace-node-beyond-int64": (_set_row("trace.csv", 2, "99999999999999999999,0.1"),
+                                "trace.csv:3: node id 99999999999999999999 is out of "
+                                "the int64 range"),
     "v-nan": (_set_row("v.csv", 2, "1,nan"), "v.csv:3: value nan is not finite"),
     "v-inf": (_set_row("v.csv", 2, "1,inf"), "v.csv:3: value inf is not finite"),
     "V-nan": (_set_row("V.csv", 2, "1,nan"), "V.csv:3: value nan is not finite"),

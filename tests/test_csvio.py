@@ -189,18 +189,30 @@ def test_malformed_row_names_file_and_line(tmp_path, row, reason):
 
 @pytest.mark.parametrize("row,reason", [
     ("30,abc", "cannot parse 'abc' as float"),
-    ("x,0.5", "cannot parse 'x' as float"),
+    ("x,0.5", "cannot parse 'x' as int"),
     ("30", "1 columns, expected 2"),
     ("30,0.5,1", "3 columns, expected 2"),
-], ids=["token", "word-key", "short", "long"])
+    ("99999999999999999999,0.5", "node id 99999999999999999999 is out of the int64 range"),
+], ids=["token", "word-key", "short", "long", "id-beyond-int64"])
 def test_malformed_trace_row_names_file_and_line(tmp_path, row, reason):
     path = tmp_path / "trace.csv"
     path.write_text(PREFIX + row + "\n3,4.5\n")
     with pytest.raises(ValueError) as err:
         read_trace(path)
     assert str(err.value) == f"{path}:6: {reason}"
-    path.write_text(PREFIX + "0.25,3.5\n")
-    assert read_trace(path) == [("0", 1.5), ("1", 2.5), ("0.25", 3.5)]
+
+
+def test_trace_keys_are_ids_unless_one_is_a_coordinate(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(PREFIX + "2,3.5\n")
+    keys, values = read_trace(path)
+    assert keys.dtype == np.int64 and keys.tolist() == [0, 1, 2]
+    assert values.tolist() == [1.5, 2.5, 3.5]
+    # One decimal point switches the whole file to coordinates.
+    path.write_text(PREFIX + "0.5,3.5\n")
+    keys, values = read_trace(path)
+    assert keys.dtype == float and keys.tolist() == [0.0, 1.0, 0.5]
+    assert values.tolist() == [1.5, 2.5, 3.5]
 
 
 def test_trace_without_samples_names_file(tmp_path):
