@@ -81,28 +81,25 @@ class PhiMap:
 @dataclass(frozen=True)
 class BoundaryVoltageTrace:
     """Measured potential samples at distinct boundary nodes (V), finite;
-    the node ids are integers, or floats of integral value."""
+    the node ids are integers of a dtype that casts to int64, never floats."""
 
     node_ids: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.node_ids)
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, refused below
-            ids = raw.astype(np.int64)
+        ids = np.asarray(self.node_ids)
         v = np.asarray(self.values, dtype=float)
         if ids.ndim != 1 or ids.shape != v.shape:
             raise ValueError("trace needs matching 1-d node ids and values")
         if len(ids) == 0:
             raise ValueError("trace is empty")
-        if len(bad := np.flatnonzero(ids != raw)):
-            raise ValueError(f"trace node ids must be integers; sample {bad[0]} "
-                             f"holds {raw[bad[0]]}")
+        if ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64):
+            raise ValueError(f"trace node ids must be int64-castable integers, got {ids.dtype}")
         if (row := self.first_repeated(ids)) is not None:
             raise ValueError(f"trace node {ids[row]} occurs twice; sample {row} repeats it")
         if not np.all(np.isfinite(v)):
             raise ValueError("trace values must be finite")
-        object.__setattr__(self, "node_ids", _frozen(ids))
+        object.__setattr__(self, "node_ids", _frozen(ids.astype(np.int64)))
         object.__setattr__(self, "values", _frozen(v))
 
     @staticmethod

@@ -68,6 +68,7 @@ from .fem_cem import (
     ForwardSolution,
     LastFactor,
     SolverError,
+    _check_currents,
     interior_current,
     solve_forward,
 )
@@ -117,6 +118,7 @@ def _build_problem(cfg: PipelineConfig):
                                   [es.z for es in cfg.electrodes])
     with _keyed("currents"):
         currents = CurrentPattern(np.asarray(cfg.currents))
+        _check_currents(setup, currents)
     with _keyed("recon."):
         rc = ReconstructionConfig(epsilon=cfg.epsilon, delta=cfg.delta, max_iter=cfg.max_iter)
     with _keyed("gamma.side"):
@@ -279,9 +281,10 @@ def _trace_from_file(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltage
         raise ValueError(f"node {off_side[0]} is not on side {gamma_side!r}")
     try:
         return BoundaryVoltageTrace(node_ids=ids, values=values)
-    except ValueError as exc:  # a repeated node is the rule the trace checks first
-        if (row := BoundaryVoltageTrace.first_repeated(ids)) is None:
-            raise
+    except ValueError as exc:
+        # The ids are nonempty, 1-d and int64 (read_trace, side_ids) and the
+        # values finite (_finite): a repeated node is the one fault left here.
+        row = BoundaryVoltageTrace.first_repeated(ids)
         raise ValueError(f"{path}:{data_line(path, row)}: {exc}") from None
 
 
@@ -347,13 +350,12 @@ def cmd_metrics(reference: str, candidate: str, out_dir: str) -> int:
     with _keyed("metrics"):
         ref = _field_values(reference)
         cand = _field_values(candidate)
-    for path, values in ((reference, ref), (candidate, cand)):
-        if values.ndim != 1 or not len(values):
-            raise ConfigError("metrics", f"{path}: expected one value per row and at "
-                              f"least one row, got shape {values.shape}")
-    if ref.shape != cand.shape:
-        raise ConfigError("metrics",
-                          f"field shapes differ: {ref.shape} vs {cand.shape}")
+        for path, values in ((reference, ref), (candidate, cand)):
+            if values.ndim != 1 or not len(values):
+                raise ValueError(f"{path}: expected one value per row and at "
+                                 f"least one row, got shape {values.shape}")
+        if ref.shape != cand.shape:
+            raise ValueError(f"field shapes differ: {ref.shape} vs {cand.shape}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_metrics(out / "metrics.csv", _metric_rows(ref, cand))

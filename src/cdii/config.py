@@ -7,9 +7,9 @@ ignored.  Electrodes are indexed: ``electrodes[0].side``,
 ``electrodes[0].z``.  ``PipelineConfig`` is the schema: each field names
 its key, and its annotation and default are the value's type and default.
 ``mesh.side_nodes``, ``currents`` and two or more electrodes are required.
-Errors name the offending key.  Value ranges are checked by the domain
-constructors (the CLI names the key); only ``output.dir`` is checked here,
-as no constructor owns it.
+Errors name the offending key.  Value ranges, and one current per
+electrode, are checked by the domain (the CLI names the key); only
+``output.dir`` is checked here, as no constructor owns it.
 """
 
 import inspect
@@ -136,9 +136,6 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
                  if f.metadata else _take_electrodes(mapping))
         for f in fields(PipelineConfig)})
 
-    if len(cfg.currents) != len(cfg.electrodes):
-        raise ConfigError("currents",
-                          f"{len(cfg.currents)} currents for {len(cfg.electrodes)} electrodes")
     if not cfg.output_dir:
         raise ConfigError("output.dir", "must not be empty")
     if "\0" in cfg.output_dir:

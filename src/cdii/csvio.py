@@ -47,8 +47,8 @@ def _data_rows(text: str):
 
 def _parsed(path, rows, parsers) -> list[tuple]:
     """The tokens of each of ``rows`` parsed by ``parsers``, column by column.
-    The first row that does not parse raises ``ValueError`` naming the file
-    and its 1-based line."""
+    Numbers are ASCII without ``_``, as ``np.loadtxt`` reads them.  The first
+    row that does not parse raises ``ValueError`` naming the file and line."""
     parsed = []
     for line, tokens in rows:
         if len(tokens) != len(parsers):
@@ -56,8 +56,10 @@ def _parsed(path, rows, parsers) -> list[tuple]:
         row = []
         for token, parse in zip(tokens, parsers):
             try:
+                if parse is not str and (not token.isascii() or "_" in token):
+                    raise ValueError
                 row.append(parse(token))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ValueError(f"{path}:{line}: cannot parse {token!r} as "
                                  f"{parse.__name__}") from None
         parsed.append(tuple(row))
@@ -67,9 +69,9 @@ def _parsed(path, rows, parsers) -> list[tuple]:
 def read_field(path) -> tuple[tuple[str, str, str], np.ndarray, np.ndarray]:
     """Read a field file; returns ((quantity, unit, entity), ids, values).
 
-    Values are 1-d when rows carry a single value, else (n, k).  Ids parse
-    as int64, which rejects "5.5" as ``int`` does.  A row that does not
-    parse raises ``ValueError`` naming the file and its 1-based line."""
+    Values are 1-d when rows carry a single value, else (n, k).  Ids are
+    int64, and no number holds ``_`` or a non-ASCII digit; a row that does
+    not parse raises ``ValueError`` naming the file and its 1-based line."""
     text = Path(path).read_text()
     first = text.partition("\n")[0].strip()
     parts = tuple(p.strip() for p in first.lstrip("#").split(","))
@@ -83,7 +85,7 @@ def read_field(path) -> tuple[tuple[str, str, str], np.ndarray, np.ndarray]:
         table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
                            comments="#", ndmin=1)
     except ValueError as exc:
-        _parsed(path, _data_rows(text), [int] + [float] * k)  # names the line if it can
+        _parsed(path, _data_rows(text), [np.int64] + [float] * k)  # names the line if it can
         raise ValueError(f"{path}: {exc}") from None
     values = table["v"][:, 0] if k == 1 else table["v"]
     return header, np.ascontiguousarray(table["id"]), np.ascontiguousarray(values)
@@ -104,18 +106,14 @@ def read_trace(path) -> tuple[np.ndarray, np.ndarray]:
     The first column keys the whole file: int64 node ids, unless some key
     holds ``.``, ``e`` or ``E``, which makes every key a float coordinate
     along the measurement side.  Values may be non-finite.  A row that does
-    not parse, or an id beyond int64, raises ``ValueError`` naming the file
+    not parse, as in ``read_field``, raises ``ValueError`` naming the file
     and its 1-based line; a file without samples raises one naming the file."""
     rows = list(_data_rows(Path(path).read_text()))
     if not rows:
         raise ValueError(f"{path}: holds no samples")
-    key = float if any(c in tokens[0] for _, tokens in rows for c in ".eE") else int
+    key = float if any(c in tokens[0] for _, tokens in rows for c in ".eE") else np.int64
     keys, values = zip(*_parsed(path, rows, [key, float]))
-    bound = np.iinfo(np.int64)
-    for (line, _), k in zip(rows, keys):
-        if key is int and not bound.min <= k <= bound.max:
-            raise ValueError(f"{path}:{line}: node id {k} is out of the int64 range")
-    return np.array(keys, dtype=np.int64 if key is int else float), np.array(values)
+    return np.array(keys, dtype=key), np.array(values)
 
 
 def write_phi(path, phi) -> None:

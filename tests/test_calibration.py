@@ -242,13 +242,17 @@ def test_trace_rejects_nonfinite_values(value):
         BoundaryVoltageTrace(node_ids=np.array([3, 7]), values=np.array([0.5, value]))
 
 
-@pytest.mark.parametrize("ids,row", [([1.5, 2.7], 0), ([3.0, 7.2], 1), ([3.0, np.nan], 1),
-                                     ([np.inf, 7.0], 0)],
-                         ids=["fraction", "second-fraction", "nan", "inf"])
-def test_trace_rejects_node_ids_that_are_not_integers(ids, row):
-    with pytest.raises(ValueError, match=f"^trace node ids must be integers; sample {row} "):
+@pytest.mark.parametrize("ids", [[1.5, 2.7], [3.0, 7.2], [3.0, np.nan], [np.inf, 7.0],
+                                 [3.0, 7.0], np.array([3, 7], dtype=np.uint64), [True, False]],
+                         ids=["fraction", "second-fraction", "nan", "inf", "integral-floats",
+                              "uint64", "bool"])
+def test_trace_rejects_node_ids_that_are_not_integers(ids):
+    # The dtype decides, so integral floats are refused too.
+    dtype = np.asarray(ids).dtype
+    message = f"^trace node ids must be int64-castable integers, got {dtype}$"
+    with pytest.raises(ValueError, match=message):
         BoundaryVoltageTrace(node_ids=ids, values=np.zeros(len(ids)))
-    trace = BoundaryVoltageTrace(node_ids=[3.0, 7.0], values=[0.5, 0.25])
+    trace = BoundaryVoltageTrace(node_ids=np.array([3, 7], dtype=np.int32), values=[0.5, 0.25])
     assert trace.node_ids.dtype == np.int64 and list(trace.node_ids) == [3, 7]
 
 

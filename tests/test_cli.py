@@ -99,6 +99,13 @@ def test_missing_required_key(tmp_path, capsys):
     assert "electrodes[0]" in capsys.readouterr().err
 
 
+def test_out_flag_overrides_output_dir(tmp_path):
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "configured")
+    assert run(["forward", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "u.csv").is_file()
+    assert not (tmp_path / "configured").exists()
+
+
 def test_unbalanced_currents(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
                        currents="-0.001,0.003")
@@ -296,6 +303,9 @@ RANGE_FAULTS = {
     "center-inf": ({"phantom.center": "inf,0.5"}, "phantom.center",
                    "center must be two finite coordinates, got (inf, 0.5)"),
     "seed-negative": ({"noise.seed": "-1"}, "noise.seed", "seed must be nonnegative, got -1"),
+    # Counted by fem_cem._check_currents; INVALID_VALUES runs it in every command.
+    "three-currents": ({"currents": "-0.003,0.001,0.002"}, "currents",
+                       "3 currents for 2 electrodes"),
     "gamma-on-electrode": ({"gamma.side": "top"}, "gamma.side",
                            "measurement curve overlaps electrodes[1]; it must join "
                            "the electrodes without covering them"),
@@ -403,7 +413,11 @@ MALFORMED_ROWS = {
     "inf": ("3,inf", "value inf is not finite"),
     "negative": ("3,-0.5", "current-density magnitude must be finite and nonnegative; "
                            "triangle 3 holds -0.5"),
-    "fractional-id": ("3.5,0.001", "cannot parse '3.5' as int"),
+    "fractional-id": ("3.5,0.001", "cannot parse '3.5' as int64"),
+    # np.loadtxt refuses these without a line; the reader names it.
+    "underscore-id": ("0_3,0.001", "cannot parse '0_3' as int64"),
+    "id-beyond-int64": ("99999999999999999999,0.001",
+                        "cannot parse '99999999999999999999' as int64"),
     "zero": ("3,0", "interior data must be bounded away from zero, min is 0.000e+00"),
     "wrong-id": ("7,0.001", "id 7, expected 3"),
 }
@@ -509,8 +523,12 @@ CALIBRATE_INPUTS = {
     "trace-ids-and-a-coordinate": (_set_row("trace.csv", 2, "0.5,0.1"),
                                    "trace.csv: coordinate 11.0 matches no node on side 'right'"),
     "trace-node-beyond-int64": (_set_row("trace.csv", 2, "99999999999999999999,0.1"),
-                                "trace.csv:3: node id 99999999999999999999 is out of "
-                                "the int64 range"),
+                                "trace.csv:3: cannot parse '99999999999999999999' as int64"),
+    # Python's int reads both as node 23, the node this row holds.
+    "trace-node-underscore": (_set_row("trace.csv", 2, "2_3,0.1"),
+                              "trace.csv:3: cannot parse '2_3' as int64"),
+    "trace-node-arabic-indic": (_set_row("trace.csv", 2, "\u0662\u0663,0.1"),
+                                "trace.csv:3: cannot parse '\u0662\u0663' as int64"),
     "v-nan": (_set_row("v.csv", 2, "1,nan"), "v.csv:3: value nan is not finite"),
     "v-inf": (_set_row("v.csv", 2, "1,inf"), "v.csv:3: value inf is not finite"),
     "V-nan": (_set_row("V.csv", 2, "1,nan"), "V.csv:3: value nan is not finite"),

@@ -169,16 +169,30 @@ def test_read_field_keeps_nonfinite_values(tmp_path):
 
 PREFIX = "# a,A/m^2,triangle\n0,1.5\n\n# a comment\n1,2.5\n"  # next row: line 6
 
+# Numbers that Python's int and float read but np.loadtxt does not: every
+# reader refuses them, naming file and line.
+NUMBER_SYNTAX = [
+    ("1_0,1.0", "cannot parse '1_0' as int64"),
+    ("\u0663,1.0", "cannot parse '\u0663' as int64"),  # Arabic-Indic 3
+    ("2,\u0661.\u0665", "cannot parse '\u0661.\u0665' as float"),  # Arabic-Indic 1.5
+    ("2,1_0.5", "cannot parse '1_0.5' as float"),
+]
+NUMBER_SYNTAX_IDS = ["underscore-id", "arabic-indic-id", "arabic-indic-value",
+                     "underscore-value"]
+
 
 @pytest.mark.parametrize("row,reason", [
     ("2,abc", "cannot parse 'abc' as float"),
     ("2,1.0x", "cannot parse '1.0x' as float"),
-    ("5.5,1.0", "cannot parse '5.5' as int"),
-    ("1e3,1.0", "cannot parse '1e3' as int"),
-    ("x,1.0", "cannot parse 'x' as int"),
+    ("5.5,1.0", "cannot parse '5.5' as int64"),
+    ("1e3,1.0", "cannot parse '1e3' as int64"),
+    ("x,1.0", "cannot parse 'x' as int64"),
     ("2", "1 columns, expected 2"),
     ("2,1.0,3.0", "3 columns, expected 2"),
-], ids=["token", "suffix", "fractional-id", "exponent-id", "word-id", "short", "long"])
+    ("99999999999999999999,1.0", "cannot parse '99999999999999999999' as int64"),
+    *NUMBER_SYNTAX,
+], ids=["token", "suffix", "fractional-id", "exponent-id", "word-id", "short", "long",
+        "id-beyond-int64", *NUMBER_SYNTAX_IDS])
 def test_malformed_row_names_file_and_line(tmp_path, row, reason):
     path = tmp_path / "a.csv"
     path.write_text(PREFIX + row + "\n3,4.5\n")
@@ -189,11 +203,12 @@ def test_malformed_row_names_file_and_line(tmp_path, row, reason):
 
 @pytest.mark.parametrize("row,reason", [
     ("30,abc", "cannot parse 'abc' as float"),
-    ("x,0.5", "cannot parse 'x' as int"),
+    ("x,0.5", "cannot parse 'x' as int64"),
     ("30", "1 columns, expected 2"),
     ("30,0.5,1", "3 columns, expected 2"),
-    ("99999999999999999999,0.5", "node id 99999999999999999999 is out of the int64 range"),
-], ids=["token", "word-key", "short", "long", "id-beyond-int64"])
+    ("99999999999999999999,0.5", "cannot parse '99999999999999999999' as int64"),
+    *NUMBER_SYNTAX,
+], ids=["token", "word-key", "short", "long", "id-beyond-int64", *NUMBER_SYNTAX_IDS])
 def test_malformed_trace_row_names_file_and_line(tmp_path, row, reason):
     path = tmp_path / "trace.csv"
     path.write_text(PREFIX + row + "\n3,4.5\n")
