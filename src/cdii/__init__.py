@@ -14,14 +14,12 @@ from .calibration import (
 )
 from .config import ConfigError, PipelineConfig, load_config
 from .fem_cem import (
-    BlockSystem,
     CemOperator,
     ConductivityField,
     CurrentPattern,
     ForwardSolution,
     LastFactor,
     SolverError,
-    assemble_system,
     electrode_flux,
     interior_current,
     max_principle_excess,
@@ -55,7 +53,6 @@ from .weighted_gradient import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSystem",
     "BoundaryVoltageTrace",
     "CemOperator",
     "ConductivityField",
@@ -77,7 +74,6 @@ __all__ = [
     "SolverError",
     "add_noise",
     "apply_calibration",
-    "assemble_system",
     "build_monotone_map",
     "build_uniform_mesh",
     "centroids",

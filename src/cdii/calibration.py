@@ -18,13 +18,10 @@ from .fem_cem import ConductivityField
 from .mesh import ElectrodeSetup, Mesh, _centroid_values, _frozen
 from .weighted_gradient import ReconstructionResult
 
-#: ``build_monotone_map`` merges pairs whose sorted computed potentials differ
-#: by at most this from the one before.
-MERGE_TOL = 1e-12
-
-#: Adjacent measured values of the map that differ by at most this, relative
-#: to the largest magnitude, differ only by the rounding of their averages;
-#: they count as equal and are pooled.
+#: Adjacent sorted values of either coordinate of the map that differ by at
+#: most this, relative to that coordinate's largest magnitude, differ only by
+#: rounding and count as equal: computed potentials merge, measured values
+#: pool.  Being relative, the rule reads the same in any current unit.
 VALUE_RTOL = 1e-12
 
 
@@ -146,21 +143,22 @@ def build_monotone_map(pairs: np.ndarray) -> PhiMap:
     """Fit the monotone piecewise-linear calibration map through the pairs.
 
     The ``(s, t)`` rows may come in any order: they are sorted by ``s``,
-    and rows whose ``s`` differ by at most ``MERGE_TOL`` are averaged into
-    one; at least two distinct ``s`` must remain.  Consecutive slopes must
-    be positive; when the measured values violate that (noise,
-    discretization), adjacent violators are averaged and each
+    and rows whose ``s`` differ by at most ``VALUE_RTOL`` times the largest
+    ``|s|`` are averaged into one; at least two distinct ``s`` must remain.
+    Consecutive slopes must be positive; when the measured values violate
+    that (noise, discretization), adjacent violators are averaged and each
     pooled block collapses to a single breakpoint at its mean computed
-    potential, which restores strict monotonicity.  Values within
-    ``VALUE_RTOL`` of each other count as equal, so each increase of the
-    map exceeds rounding.  The result interpolates the (possibly repaired)
-    pairs and extends with constant end slopes.
+    potential, which restores strict monotonicity.  Measured values within
+    ``VALUE_RTOL`` times the largest ``|t|`` of each other count as equal,
+    so each increase of the map exceeds rounding.  The result interpolates
+    the (possibly repaired) pairs and extends with constant end slopes.
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
         raise ValueError("pairs must be a nonempty (n, 2) array of (s, t) rows")
     arr = arr[np.argsort(arr[:, 0], kind="stable")]
-    group = np.concatenate([[0], np.cumsum(np.diff(arr[:, 0]) > MERGE_TOL)])
+    s_tol = VALUE_RTOL * float(np.max(np.abs(arr[:, 0])))
+    group = np.concatenate([[0], np.cumsum(np.diff(arr[:, 0]) > s_tol)])
     count = np.bincount(group)
     s = np.bincount(group, weights=arr[:, 0]) / count
     t = np.bincount(group, weights=arr[:, 1]) / count

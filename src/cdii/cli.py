@@ -347,15 +347,17 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
 
 
 def cmd_metrics(reference: str, candidate: str, out_dir: str) -> int:
-    with _keyed("metrics"):
-        ref = _field_values(reference)
-        cand = _field_values(candidate)
-        for path, values in ((reference, ref), (candidate, cand)):
+    fields = []
+    for path in (reference, candidate):
+        with _keyed(path):
+            values = _field_values(path)
             if values.ndim != 1 or not len(values):
-                raise ValueError(f"{path}: expected one value per row and at "
-                                 f"least one row, got shape {values.shape}")
-        if ref.shape != cand.shape:
-            raise ValueError(f"field shapes differ: {ref.shape} vs {cand.shape}")
+                raise ValueError("expected one value per row and at least one row, "
+                                 f"got shape {values.shape}")
+        fields.append(values)
+    ref, cand = fields
+    if ref.shape != cand.shape:
+        raise ConfigError("metrics", f"field shapes differ: {ref.shape} vs {cand.shape}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_metrics(out / "metrics.csv", _metric_rows(ref, cand))

@@ -16,7 +16,7 @@ from .fem_cem import (
 from .mesh import ElectrodeSetup, Mesh, ParameterError, _is_integer, centroids
 from .weighted_gradient import InteriorData
 
-#: Noisy data is clamped from below at this floor.
+#: A noisy value is at least this fraction of its clean value.
 NOISE_FLOOR = 1e-6
 
 
@@ -71,7 +71,8 @@ def add_noise(data: InteriorData, level: float, seed: int) -> InteriorData:
     """Multiplicative Gaussian noise ``a * (1 + level * g)``, seed-deterministic.
 
     Uses numpy's PCG64 generator, so identical seeds give identical data on
-    every platform.  Noisy values are clamped from below at ``NOISE_FLOOR``.
+    every platform.  The factor ``1 + level * g`` is clamped from below at
+    ``NOISE_FLOOR``, a fraction, so the clamp reads the same in any unit.
 
     Raises
     ------
@@ -92,7 +93,7 @@ def add_noise(data: InteriorData, level: float, seed: int) -> InteriorData:
         return InteriorData(data.values.copy())
     g = np.random.default_rng(seed).standard_normal(len(data.values))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        noisy = np.maximum(data.values * (1.0 + level * g), NOISE_FLOOR)
+        noisy = data.values * np.maximum(1.0 + level * g, NOISE_FLOOR)
     bad = InteriorData.first_invalid(noisy)
     if bad is not None:
         raise ParameterError("level", f"noise level {level} overflows the noisy data; "

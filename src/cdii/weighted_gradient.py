@@ -32,10 +32,6 @@ from .fem_cem import (
 )
 from .mesh import ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm, _is_integer
 
-#: Gradient magnitudes below this floor are treated as degenerate in the
-#: conductivity update; the clamp bounds the result anyway.
-GRAD_FLOOR = 1e-14
-
 
 @dataclass(frozen=True)
 class InteriorData:
@@ -138,17 +134,18 @@ def clamp_conductivity(data: InteriorData, grad_norm: np.ndarray,
                        epsilon: float) -> ConductivityField:
     """Conductivity update ``clamp(a / grad_norm, eps, 1/eps)``, ``grad_norm = |grad u|``.
 
-    Triangles whose gradient magnitude falls below ``GRAD_FLOOR`` map to
-    the upper bound ``1/eps``.
+    Only a zero gradient magnitude is degenerate: its ratio, infinite or
+    0/0, maps to the upper bound ``1/eps``.  No threshold is in the data's
+    units, so the update reads the same in any current unit.
     """
     _check_epsilon(epsilon)
     grad_norm = np.asarray(grad_norm, dtype=float)
     if grad_norm.shape != data.values.shape:
         raise ValueError("gradient magnitudes do not match the interior data")
-    with np.errstate(over="ignore"):  # an overflow to inf is clipped below
-        ratio = data.values / np.maximum(grad_norm, GRAD_FLOOR)
+    with np.errstate(all="ignore"):  # a/0 = inf and 0/0 = NaN are mapped below
+        ratio = data.values / grad_norm
     values = np.clip(ratio, epsilon, 1.0 / epsilon)
-    values[grad_norm < GRAD_FLOOR] = 1.0 / epsilon
+    values[grad_norm == 0.0] = 1.0 / epsilon
     return ConductivityField(values)
 
 

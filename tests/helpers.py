@@ -12,8 +12,7 @@ import cdii
 from cdii.csvio import _read_table
 from cdii.fem_cem import _edge_square_integral, _electrode_terms
 from cdii.mesh import _gradient_norm, triangle_gradients
-from cdii.weighted_gradient import (GRAD_FLOOR, _functional, _max_grad_change,
-                                    _stop_threshold)
+from cdii.weighted_gradient import _functional, _max_grad_change, _stop_threshold
 
 #: Tolerance for the per-electrode shift constraint of a reparameterization.
 SHIFT_TOL = 1e-10
@@ -221,7 +220,7 @@ def transform_conductivity(mesh, sigma, solution, setup,
     norm_u = _gradient_norm(solution.grad_u)
     norm_v = _gradient_norm(grad_v)
     values = sigma.values.copy()
-    live = norm_u >= GRAD_FLOOR
+    live = norm_u > 0.0
     values[live] = sigma.values[live] * norm_u[live] / norm_v[live]
     return cdii.ConductivityField(values)
 

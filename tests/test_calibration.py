@@ -154,9 +154,25 @@ def test_map_rejects_degenerate_input():
     with pytest.raises(ValueError):
         build_monotone_map(np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
-        build_monotone_map(np.array([[0.0, 0.3], [1e-15, 0.7]]))  # one s value
+        # One s value: the two differ by 1e-13 relative, within VALUE_RTOL.
+        build_monotone_map(np.array([[1.0, 0.3], [1.0 + 1e-13, 0.7]]))
     with pytest.raises(ValueError, match="no increase"):
         build_monotone_map(np.array([[0.0, 0.5], [0.5, 0.5], [1.0, 0.5]]))
+
+
+def test_map_is_the_same_in_any_unit():
+    # Both equality rules are relative to their coordinate's largest
+    # magnitude: pairs scaled by a power of two, which scales exactly, merge
+    # (s = 1 and 1 + 1e-13) and pool (t = 0.5 then 0.45) as at unit scale.
+    pairs = np.array([[0.0, 0.1], [1.0, 0.2], [1.0 + 1e-13, 0.25], [2.0, 0.5],
+                      [2.5, 0.45], [3.0, 0.9]])
+    phi = build_monotone_map(pairs)
+    assert phi.repaired and len(phi.breakpoints) == 4
+    for scale in (2.0 ** -50, 2.0 ** 40):
+        scaled = build_monotone_map(pairs * scale)
+        assert scaled.repaired
+        np.testing.assert_array_equal(scaled.breakpoints, phi.breakpoints * scale)
+        np.testing.assert_array_equal(scaled.values, phi.values * scale)
 
 
 # Potentials on a 1e-6 V grid within +-1 V, so that draws repeat and merge.

@@ -306,6 +306,9 @@ RANGE_FAULTS = {
     # Counted by fem_cem._check_currents; INVALID_VALUES runs it in every command.
     "three-currents": ({"currents": "-0.003,0.001,0.002"}, "currents",
                        "3 currents for 2 electrodes"),
+    # Refused by CurrentPattern before the count is compared.
+    "one-current": ({"currents": "0.003"}, "currents",
+                    "need one current per electrode (at least two)"),
     "gamma-on-electrode": ({"gamma.side": "top"}, "gamma.side",
                            "measurement curve overlaps electrodes[1]; it must join "
                            "the electrodes without covering them"),
@@ -609,7 +612,7 @@ def test_metrics_malformed_or_missing_file_exits_2(tmp_path, capsys):
     (tmp_path / "c.csv").write_text("# sigma,S/m,triangle\n0,1\n1,1\n3,1\n2,1\n")
     assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "c.csv"), *out]) == 2
     assert capsys.readouterr().err == \
-        f"config error: metrics: {tmp_path / 'c.csv'}:4: id 3, expected 2\n"
+        f"config error: {tmp_path / 'c.csv'}:4: id 3, expected 2\n"
 
 
 # Both files hold the same field; it is not one value per row, or it is empty.
@@ -626,8 +629,21 @@ def test_metrics_rejects_field_not_one_value_per_row(tmp_path, capsys, text, sha
     assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "c.csv"),
                 "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: metrics: {tmp_path / 'r.csv'}: expected one value per row and "
+        f"config error: {tmp_path / 'r.csv'}: expected one value per row and "
         f"at least one row, got shape {shape}\n")
+
+
+def test_metrics_names_an_input_file_called_metrics(tmp_path, capsys, monkeypatch):
+    # The fault is keyed by the file, here one named like the command.
+    monkeypatch.chdir(tmp_path)
+    write_field("r.csv", "sigma", "S/m", "triangle", np.ones(3))
+    (tmp_path / "metrics").write_text("# sigma,S/m,triangle\n")
+    assert run(["metrics", "r.csv", "metrics"]) == 2
+    assert capsys.readouterr().err == ("config error: metrics: expected one value per row "
+                                       "and at least one row, got shape (0,)\n")
+    (tmp_path / "metrics").write_text("# sigma,S/m,triangle\n0,1\n1,nan\n2,1\n")
+    assert run(["metrics", "r.csv", "metrics"]) == 2
+    assert capsys.readouterr().err == "config error: metrics:3: value nan is not finite\n"
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -637,7 +653,7 @@ def test_metrics_rejects_a_value_that_is_not_finite(tmp_path, capsys, token):
     assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "c.csv"),
                 "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: metrics: {tmp_path / 'c.csv'}:4: value {float(token)} is not finite\n")
+        f"config error: {tmp_path / 'c.csv'}:4: value {float(token)} is not finite\n")
     assert not (tmp_path / "metrics.csv").exists()
 
 
@@ -688,7 +704,8 @@ def test_metrics_shape_mismatch(tmp_path, capsys):
     write_field(tmp_path / "c.csv", "sigma", "S/m", "triangle", np.ones(12))
     assert run(["metrics", str(tmp_path / "r.csv"), str(tmp_path / "c.csv"),
                 "--out", str(tmp_path)]) == 2
-    assert "shape" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "config error: metrics: field shapes differ: (10,) vs (12,)\n"
 
 
 # ---------------------------------------------------------------- pipeline
@@ -873,11 +890,13 @@ def test_each_command_builds_one_operator(tmp_path, monkeypatch):
         assert len(built) == operators, command
 
 
-def test_pipeline_calibrates_as_calibrate_does(tmp_path, capsys):
-    # At ±1e-12 A the trace's computed potentials lie within MERGE_TOL of each
-    # other and merge into one breakpoint: the pipeline and the staged
-    # calibrate name the same trace.csv.
-    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", currents="-1e-12,1e-12")
+def test_pipeline_calibrates_as_calibrate_does(tmp_path, capsys, monkeypatch):
+    # With VALUE_RTOL at 2 every sample's computed potential merges with the
+    # one before, since no step exceeds the span, which is at most twice the
+    # largest magnitude: the pipeline and the staged calibrate name the same
+    # trace.csv.
+    monkeypatch.setattr(cdii.calibration, "VALUE_RTOL", 2.0)
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
     message = (f"config error: {tmp_path / 'out' / 'trace.csv'}: need at least 2 distinct "
                "computed-potential values\n")
     assert run(["pipeline", "--config", str(cfg)]) == 2

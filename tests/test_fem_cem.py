@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -102,6 +103,56 @@ def test_solution_must_be_finite(name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite; entry 1 ") as info:
         ForwardSolution(**fields)
     assert info.value.name == name
+
+
+def _refusal_case():
+    """A 4² mesh with the README electrodes, its unit solution, and a 5² mesh."""
+    mesh, setup, currents = two_electrode_case(4, Z, Z, ALPHA)
+    return mesh, setup, currents, solve_forward(mesh, ones(mesh), setup, currents), \
+        build_uniform_mesh(5)
+
+
+# Each library refusal reachable from library input, by the start of its message.
+LIBRARY_REFUSALS = {
+    "unknown-side": (lambda mesh, *_: mesh.nodes_on_side("diag"),
+                     "unknown side tag 'diag'"),
+    "spans-and-impedances": (lambda mesh, *_: locate_electrodes(
+        mesh, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))], [Z]),
+        "2 spans but 1 impedances"),
+    "one-electrode": (lambda mesh, setup, *_: cdii.ElectrodeSetup(setup.electrodes[:1]),
+                      "at least two electrodes are required"),
+    "electrode-without-edges": (lambda *_: cdii.Electrode(
+        edge_ids=np.zeros(0, dtype=np.int64), edges=np.zeros((0, 2), dtype=np.int64),
+        impedance=Z), "electrode has no edges (zero surface measure)"),
+    "conductivity-2d": (lambda *_: ConductivityField(np.ones((2, 2))),
+                        "conductivity values must be a 1-d array"),
+    "interior-data-2d": (lambda *_: cdii.InteriorData(np.ones((2, 2))),
+                         "interior data must be a 1-d array"),
+    "trace-shapes": (lambda *_: cdii.BoundaryVoltageTrace(np.arange(3), np.zeros(2)),
+                     "trace needs matching 1-d node ids and values"),
+    "trace-empty": (lambda *_: cdii.BoundaryVoltageTrace(np.zeros(0, dtype=np.int64),
+                                                         np.zeros(0)),
+                    "trace is empty"),
+    "map-one-breakpoint": (lambda *_: cdii.PhiMap(np.array([0.0]), np.array([1.0])),
+                           "map needs n >= 2 breakpoints and n values"),
+    "pairs-one-column": (lambda *_: cdii.build_monotone_map(np.ones((3, 1))),
+                         "pairs must be a nonempty (n, 2) array of (s, t) rows"),
+    "current-other-mesh": (lambda mesh, setup, currents, sol, other: interior_current(
+        mesh, ones(other), sol), "conductivity has 32 values for 18 triangles"),
+    "solution-other-mesh": (lambda mesh, setup, currents, sol, other: interior_current(
+        other, ones(other), sol), "solution gradients do not match the mesh"),
+    "reconstruct-other-mesh": (lambda mesh, setup, currents, sol, other: cdii.reconstruct(
+        mesh, cdii.InteriorData(np.ones(other.triangle_count)), setup, currents,
+        cdii.ReconstructionConfig(epsilon=0.1, delta=1e-7)),
+        "interior data does not match the mesh"),
+}
+
+
+@pytest.mark.parametrize("refuse,message", LIBRARY_REFUSALS.values(),
+                         ids=LIBRARY_REFUSALS.keys())
+def test_library_refuses_malformed_input(refuse, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        refuse(*_refusal_case())
 
 
 # ------------------------------------------------------------- assembly

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdii.fem_cem import ConductivityField, interior_current, solve_forward
 from cdii.mesh import ParameterError, build_uniform_mesh, centroids
-from cdii.phantom import add_noise, gaussian_phantom, simulate_data
+from cdii.phantom import NOISE_FLOOR, add_noise, gaussian_phantom, simulate_data
 from cdii.weighted_gradient import InteriorData
 
 from helpers import transform_conductivity, two_electrode_case
@@ -246,9 +246,17 @@ def test_noise_empirical_level():
 
 
 def test_noise_floor():
-    data = InteriorData(np.array([0.0, 1.0]))
-    out = add_noise(data, 0.5, seed=3)
-    assert out.values[0] == 1e-6
+    # At level 10, draws with g < -0.1 take 1 + level*g below NOISE_FLOOR:
+    # those values keep that fraction of the clean one.  The floor is a
+    # fraction, so data scaled by a power of two noises to exactly the
+    # scaled result, 3e-15 A/m² as 3 A/m².
+    clean = np.array([1.0, 3e-15, 2.0, 5e-3] * 5)
+    noisy = add_noise(InteriorData(clean), 10.0, seed=3).values
+    floored = noisy == clean * NOISE_FLOOR
+    assert floored.any() and not floored.all()
+    assert np.all(noisy >= clean * NOISE_FLOOR)
+    scaled = add_noise(InteriorData(clean * 2.0 ** -50), 10.0, seed=3).values
+    assert np.array_equal(scaled, noisy * 2.0 ** -50)
 
 
 def test_noise_rejects_negative_level():

@@ -1,6 +1,9 @@
 """The README's library example runs against the package as it is, its
-config example names every key, and the package exports what it lists."""
+config example names every key, the names it cites exist, and the package
+exports what it lists."""
 
+import importlib
+import pkgutil
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -37,3 +40,33 @@ def test_package_all_is_sorted_unique_and_resolves():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(cdii, name)]
     assert not missing, missing
+
+
+def _unresolved(text: str) -> list[str]:
+    """The inline code spans of ``text`` that name no object of the package:
+    ``module.NAME`` with ``module`` ``cdii`` or one of its submodules, config
+    keys and file names aside, and ALL-CAPS constants of any submodule."""
+    modules = {info.name: importlib.import_module(f"cdii.{info.name}")
+               for info in pkgutil.iter_modules(cdii.__path__)}
+    modules["cdii"] = cdii
+    keys = {f.metadata["key"] for f in fields(PipelineConfig) if f.metadata}
+    missing = []
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.DOTALL)):
+        dotted = re.fullmatch(r"(\w+)\.(\w+)", span)
+        if re.fullmatch(r"[A-Z][A-Z0-9_]+", span):
+            found = any(hasattr(module, span) for module in modules.values())
+        elif dotted and dotted[1] in modules and span not in keys \
+                and dotted[2] not in ("csv", "py", "cfg", "json", "md"):
+            found = hasattr(modules[dotted[1]], dotted[2])
+        else:
+            continue
+        if not found:
+            missing.append(span)
+    return missing
+
+
+def test_readme_names_resolve_in_the_package():
+    assert not _unresolved(README.read_text())
+    assert _unresolved("`calibration.MERGE_TOL`, `GRAD_FLOOR`, `cdii.nowhere`, "
+                       "`mesh.side_nodes`, `cli.py`") == \
+        ["calibration.MERGE_TOL", "GRAD_FLOOR", "cdii.nowhere"]

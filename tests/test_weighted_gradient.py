@@ -25,7 +25,7 @@ from cdii.weighted_gradient import (
 )
 from cdii.calibration import apply_calibration, build_monotone_map, collect_pairs
 from cdii.mesh import ParameterError, _gradient_norm, triangle_gradients
-from cdii.phantom import gaussian_phantom, simulate_data
+from cdii.phantom import add_noise, gaussian_phantom, simulate_data
 
 from helpers import (
     SkewedFactor,
@@ -161,6 +161,11 @@ def test_clamp_lower():
 def test_clamp_degenerate_gradient():
     data = InteriorData(np.array([1.0]))
     assert clamp_conductivity(data, np.array([0.0]), 0.1).values[0] == 10.0
+    # Only a zero magnitude is degenerate: 0/0 maps to 1/eps too, with no
+    # warning, and a tiny nonzero magnitude gives its plain ratio.
+    data = InteriorData(np.array([0.0, 2.0 ** -100, 2.0 ** -100]))
+    values = clamp_conductivity(data, np.array([0.0, 2.0 ** -101, 2.0 ** -110]), 0.1).values
+    assert values.tolist() == [10.0, 2.0, 10.0]
 
 
 def test_clamp_of_an_overflowing_ratio_is_the_upper_bound():
@@ -467,22 +472,30 @@ def test_error_shrinks_under_mesh_refinement():
 def test_delta_scaled_with_current_squared_stops_at_the_same_iterate():
     # The stop threshold delta*eps/essinf(a) falls as 1/I and the gradient
     # change grows as I, while the iterates do not depend on I: at 30², the
-    # README problem stops after 16 iterations at ±3 mA with delta 1e-7 and
-    # at ±3 A with delta 1e-7 * (1e3)² = 0.1.
-    runs = []
-    for current, delta in ((3e-3, 1e-7), (3.0, 0.1)):
-        mesh, setup, currents = two_electrode_case(30, 8.3e-3, 8.3e-3, current)
-        sigma_true = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.02)
-        data, trace, _ = simulate_data(mesh, sigma_true, setup, currents)
-        result = reconstruct(mesh, data, setup, currents,
-                             ReconstructionConfig(epsilon=0.1, delta=delta))
-        assert (result.converged, result.iterations) == (True, 16), current
-        sigma = apply_calibration(mesh, result, build_monotone_map(
-            collect_pairs(mesh, setup, result, trace)))
-        runs.append((result.sigma_v.values, rel_l2(sigma.values, sigma_true.values)))
-    (milli_sigma, milli_error), (unit_sigma, unit_error) = runs
-    np.testing.assert_allclose(unit_sigma, milli_sigma, rtol=1e-12, atol=0.0)
-    assert unit_error == pytest.approx(milli_error, rel=1e-12, abs=0.0)
+    # README problem stops after 16 iterations at ±3 mA with delta 1e-7, at
+    # ±3 A with delta 1e-7 * (1e3)² = 0.1 and at ±3e-15 A with 1e-31.  The
+    # clamp, the calibration map and the noise floor are unit-free too, so
+    # with 1% noise ±3 mA at 2e-6 and ±3e-15 A at 2e-30 stop after 3.
+    cases = {0.0: ([(3e-3, 1e-7), (3.0, 0.1), (3e-15, 1e-31)], 16),
+             0.01: ([(3e-3, 2e-6), (3e-15, 2e-30)], 3)}
+    for noise, (runs, iterations) in cases.items():
+        outcomes = []
+        for current, delta in runs:
+            mesh, setup, currents = two_electrode_case(30, 8.3e-3, 8.3e-3, current)
+            sigma_true = gaussian_phantom(mesh, (0.5, 0.5), 0.8, 0.02)
+            data, trace, _ = simulate_data(mesh, sigma_true, setup, currents)
+            data = add_noise(data, noise, seed=0)
+            result = reconstruct(mesh, data, setup, currents,
+                                 ReconstructionConfig(epsilon=0.1, delta=delta))
+            assert (result.converged, result.iterations) == (True, iterations), current
+            sigma = apply_calibration(mesh, result, build_monotone_map(
+                collect_pairs(mesh, setup, result, trace)))
+            outcomes.append((result.sigma_v.values, rel_l2(sigma.values, sigma_true.values)))
+        (milli_sigma, milli_error), *others = outcomes
+        for (current, _), (sigma_v, error) in zip(runs[1:], others):
+            np.testing.assert_allclose(sigma_v, milli_sigma, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{current} A, noise {noise}")
+            assert error == pytest.approx(milli_error, rel=1e-12, abs=0.0), (current, noise)
 
 
 def test_reconstruct_is_bitwise_repeatable():
