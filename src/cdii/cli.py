@@ -15,12 +15,13 @@ metrics      compare two per-triangle fields, write metrics.csv
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 reconstruction hit the iteration cap (files are still written).  A
 configuration error is one stderr line keyed by the config key or the
-file at fault: a field file or trace.csv a command reads with a row that
-does not parse or a value that is not finite, or a field file with an id
-out of order (file and line), a stage input that is missing or not one
-value per triangle, node or electrode, a trace or metrics field it cannot
-use, or an output path that cannot be written.  A solver failure is a
-linear solve that misses the residual contract or a singular factorization.
+file at fault: a file a command reads that is missing or a directory, a
+field file or trace.csv with a row that does not parse or a value that is
+not finite, or a field file with an id out of order (file and line), a
+stage input that is not one value per triangle, node or electrode, a
+trace or metrics field it cannot use, or an output path that cannot be
+written.  A solver failure is a linear solve that misses the residual
+contract or a singular factorization.
 
 File formats
 ------------
@@ -50,7 +51,7 @@ from .calibration import (
     build_monotone_map,
     collect_pairs,
 )
-from .config import ConfigError, PipelineConfig, load_config
+from .config import ConfigError, PipelineConfig, file_error, load_config
 from .csvio import (
     data_line,
     read_field,
@@ -93,13 +94,14 @@ log = logging.getLogger("cdii")
 
 @contextlib.contextmanager
 def _keyed(key: str):
-    """Raise a ValueError or OSError as a ConfigError under ``key`` plus the
-    name a ``ParameterError`` carries (``"recon."`` + ``"epsilon"``).  A
-    message that already starts with ``key``, as a file's ``path:line: ``
-    does, keeps its own location as the key, so the key is named once."""
+    """Raise a ValueError as a ConfigError under ``key`` plus the name a
+    ``ParameterError`` carries (``"recon."`` + ``"epsilon"``).  A message
+    that already starts with ``key``, as a file's ``path:line: `` does,
+    keeps its own location as the key, so the key is named once.  A file
+    that cannot be read is ``main``'s to report (``config.file_error``)."""
     try:
         yield
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         message = str(exc)
         if message.startswith(f"{key}:"):
             at = message.index(": ", len(key))
@@ -213,13 +215,18 @@ def _field_values(path) -> np.ndarray:
     return _finite(path, values)
 
 
+def _stage_file(path: Path) -> Path:
+    """``path``, which an earlier stage writes; missing, it is an error."""
+    if not path.exists():
+        raise ConfigError(str(path), "not found; run the earlier stages first")
+    return path
+
+
 def _stage_input(path: Path, count: int, entity: str) -> np.ndarray:
     """The ``count`` values, one per ``entity``, of the field file an
     earlier stage wrote to ``path``; any fault is keyed by the file."""
     with _keyed(str(path)):
-        if not path.exists():
-            raise FileNotFoundError("not found; run the earlier stages first")
-        values = _field_values(path)
+        values = _field_values(_stage_file(path))
         if values.shape != (count,):
             raise ValueError(f"expected {count} {entity} values, got shape {values.shape}")
     return values
@@ -321,7 +328,7 @@ def cmd_calibrate(cfg: PipelineConfig) -> int:
     result = ReconstructionResult(sigma_v=sigma_v, solution=solution, log=[],
                                   converged=True, iterations=0)
     with _keyed(str(trace_path)):
-        trace = _trace_from_file(mesh, cfg.gamma_side, trace_path)
+        trace = _trace_from_file(mesh, cfg.gamma_side, _stage_file(trace_path))
     _calibrate(mesh, setup, result, trace, out)
     return 0
 
@@ -418,8 +425,8 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # an output directory or file that cannot be written
-        print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a file that cannot be read, or an output that cannot be written
+        print(f"config error: {file_error(exc)}", file=sys.stderr)
         return 2
 
 

@@ -119,11 +119,22 @@ def _take_electrodes(mapping) -> tuple[ElectrodeSpec, ...]:
     return tuple(specs)
 
 
+def file_error(exc: OSError) -> ConfigError:
+    """The error of a file that cannot be read or written, keyed by its
+    path once: ``not found``, ``is a directory`` or the system's reason,
+    without the errno."""
+    reason = {FileNotFoundError: "not found",
+              IsADirectoryError: "is a directory"}.get(type(exc), exc.strerror)
+    return ConfigError(str(exc.filename), reason)
+
+
 def load_config(path) -> PipelineConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise file_error(exc) from None
+    except UnicodeDecodeError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
     return config_from_mapping(_parse_lines(text, str(path)))
 

@@ -333,8 +333,10 @@ class CemOperator:
     validates the setup and checks symmetry; its pattern is the operator's,
     entries zero at unit conductivity included.  Unknowns are in the
     reference order: mesh nodes, then the electrode voltages.  Each slot
-    keeps its fixed electrode entry and the index of its ``_stencil``
-    entry: the trailing zero for a slot no stiffness reaches.
+    keeps the index of its ``_stencil`` entry: the trailing zero for a slot
+    no stiffness reaches.  The fixed electrode entries are kept as the
+    slots where they are nonzero and their values, a few per electrode
+    edge and voltage.
     """
 
     def __init__(self, mesh: Mesh, setup: ElectrodeSetup):
@@ -355,11 +357,13 @@ class CemOperator:
 
         # What is left after the unit stiffness: the electrode trace mass,
         # Psi and Upsilon as assemble_system built them, up to rounding.
-        self._fixed = M.data - np.take(_stencil(mesh, unit), self._map)
+        fixed = M.data - np.take(_stencil(mesh, unit), self._map)
+        self._fixed_slots = np.flatnonzero(fixed)
+        self._fixed_values = fixed[self._fixed_slots]
 
     def _new_matrix(self) -> sp.csc_matrix:
         """A matrix on this operator's pattern, its entries not yet set."""
-        return sp.csc_matrix((np.empty(len(self._fixed)), self._indices, self._indptr),
+        return sp.csc_matrix((np.empty(len(self._indices)), self._indices, self._indptr),
                              shape=self._shape)
 
     def _fill(self, M: sp.csc_matrix, sigma: ConductivityField) -> sp.csc_matrix:
@@ -368,7 +372,10 @@ class CemOperator:
         _check_sigma(self.mesh, sigma)
         # mode "wrap" reads -1 as "raise" does, without buffering the output.
         np.take(_stencil(self.mesh, sigma), self._map, out=M.data, mode="wrap")
-        M.data += self._fixed
+        # Bitwise the add of a dense fixed vector: every other slot would
+        # add +0.0, which changes only a -0.0, and a stencil entry is -0.0
+        # only where every sigma * 0.5 in it underflows to zero.
+        M.data[self._fixed_slots] += self._fixed_values
         return M
 
 
@@ -409,7 +416,9 @@ class LastFactor:
       direction, then the differences of successive recent solutions,
       newest first.  Each row is computed once, when its solution
       arrives, as Fischer's projection keeps its basis (Comput. Methods
-      Appl. Mech. Engrg. 163, 1998).
+      Appl. Mech. Engrg. 163, 1998).  It is allocated by the first solve,
+      after its factorization, so a factor that solves once holds none
+      while SuperLU factors.
 
     It also holds the last factor, the last solution and how many PCG
     iterations the last solve took, and counts the factorizations and PCG
@@ -425,8 +434,8 @@ class LastFactor:
         self._matrix = operator._new_matrix()
         self._last = None  # the last solution
         # The start basis, as the rows of W in _start's order; the first
-        # _rows rows are in use.
-        self._basis = np.zeros((PCG_RECENT, self._matrix.shape[0]))
+        # _rows rows are in use.  Empty until the first solution arrives.
+        self._basis = np.zeros((0, self._matrix.shape[0]))
         self._rows = 0
         self._last_pcg = 0
 
@@ -477,6 +486,8 @@ class LastFactor:
         differences move down a row, the oldest dropping out past
         ``PCG_RECENT`` rows, and ``x``'s direction and its difference from
         the last solution take the first two rows."""
+        if not len(self._basis):
+            self._basis = np.zeros((PCG_RECENT, len(x)))
         W = self._basis
         rows = self._rows = min(self._rows + 1, len(W))
         W[2:rows] = W[1:rows - 1]

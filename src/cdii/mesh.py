@@ -63,7 +63,9 @@ class Mesh:
 
     ``Mesh(side_nodes)`` checks that ``side_nodes`` is an integer >= 2 and
     derives every other attribute from it; two meshes are equal when their
-    side counts are.
+    side counts are.  It stores the spacing and the boundary edges; the
+    node coordinates and the triangles, one row per node or triangle, are
+    computed on each access and not kept, since a solve reads neither.
 
     Attributes
     ----------
@@ -71,11 +73,6 @@ class Mesh:
         Nodes per side; the total node count is ``side_nodes**2``.
     h : float
         Grid spacing, ``1 / (side_nodes - 1)``.
-    nodes : ndarray, shape (m, 2)
-        Node coordinates, row-major from the southwest corner.
-    triangles : ndarray, shape (n_tri, 3)
-        Vertex indices in the local order the plane basis functions are
-        defined in (lower: SW, SE, NW; upper: NE, SE, NW).
     boundary_edges : ndarray, shape (n_edges, 2)
         Node pairs of the boundary edges, grouped by side in the order
         bottom, right, top, left and oriented along increasing coordinate;
@@ -84,8 +81,6 @@ class Mesh:
 
     side_nodes: int
     h: float = field(init=False, repr=False, compare=False)
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    triangles: np.ndarray = field(init=False, repr=False, compare=False)
     boundary_edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,25 +88,30 @@ class Mesh:
         if not _is_integer(n) or n < 2:
             raise ValueError(f"side_nodes must be an integer >= 2, got {n!r}")
         n = int(n)
-        h = 1.0 / (n - 1)
-
-        ids = np.arange(n * n)
-        nodes = np.column_stack([(ids % n) * h, (ids // n) * h])
-
-        cr, cc = np.meshgrid(np.arange(n - 1), np.arange(n - 1), indexing="ij")
-        base = (cr * n + cc).ravel()  # SW node of each cell, cell-major west->east
-        tri = np.empty((2 * (n - 1) ** 2, 3), dtype=np.int64)
-        tri[0::2] = np.column_stack([base, base + 1, base + n])          # lower
-        tri[1::2] = np.column_stack([base + n + 1, base + 1, base + n])  # upper
-
         sides = [_side_nodes(n, side) for side in SIDES]
         edges = np.vstack([np.column_stack([s[:-1], s[1:]]) for s in sides])
-
         object.__setattr__(self, "side_nodes", n)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "nodes", _frozen(nodes))
-        object.__setattr__(self, "triangles", _frozen(tri))
+        object.__setattr__(self, "h", 1.0 / (n - 1))
         object.__setattr__(self, "boundary_edges", _frozen(edges))
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Node coordinates, shape (m, 2), row-major from the southwest corner."""
+        n, h = self.side_nodes, self.h
+        ids = np.arange(n * n)
+        return _frozen(np.column_stack([(ids % n) * h, (ids // n) * h]))
+
+    @property
+    def triangles(self) -> np.ndarray:
+        """Vertex indices, shape (n_tri, 3), in the local order the plane
+        basis functions are defined in (lower: SW, SE, NW; upper: NE, SE, NW)."""
+        n = self.side_nodes
+        cr, cc = np.meshgrid(np.arange(n - 1), np.arange(n - 1), indexing="ij")
+        base = (cr * n + cc).ravel()  # SW node of each cell, cell-major west->east
+        tri = np.empty((self.triangle_count, 3), dtype=np.int64)
+        tri[0::2] = np.column_stack([base, base + 1, base + n])          # lower
+        tri[1::2] = np.column_stack([base + n + 1, base + 1, base + n])  # upper
+        return _frozen(tri)
 
     @property
     def node_count(self) -> int:
@@ -119,7 +119,7 @@ class Mesh:
 
     @property
     def triangle_count(self) -> int:
-        return len(self.triangles)
+        return 2 * (self.side_nodes - 1) ** 2
 
     @property
     def triangle_area(self) -> float:

@@ -486,6 +486,13 @@ def _reversed_ids(name):
     return edit
 
 
+def _directory(name):
+    def edit(out):
+        (out / name).unlink()
+        (out / name).mkdir()
+    return edit
+
+
 def _flat_trace(out):
     lines = (out / "trace.csv").read_text().splitlines()
     rows = [line.split(",")[0] + ",0.5" for line in lines[1:]]
@@ -542,6 +549,13 @@ CALIBRATE_INPUTS = {
     "v-gradient-overflow": (_set_row("v.csv", 2, "1,1e308"),
                             "v.csv: grad_u must be finite; entry 0 holds"),
     "v-reversed-ids": (_reversed_ids("v.csv"), "v.csv:2: id 143, expected 0"),
+    # A stage input that is missing or a directory, named once without an errno.
+    "trace-missing": (lambda out: (out / "trace.csv").unlink(),
+                      "trace.csv: not found; run the earlier stages first"),
+    "trace-directory": (_directory("trace.csv"), "trace.csv: is a directory"),
+    "sigma_v-missing": (lambda out: (out / "sigma_v.csv").unlink(),
+                        "sigma_v.csv: not found; run the earlier stages first"),
+    "V-directory": (_directory("V.csv"), "V.csv: is a directory"),
 }
 
 
@@ -595,6 +609,39 @@ def test_unwritable_output_exits_2_naming_path(tmp_path, capsys, valid_outputs,
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"config error: {path}: ")
+
+
+# A file a command reads, by the command that reads it.
+READ_FILES = {
+    "metrics-reference": ("r.csv", "metrics"),
+    "metrics-candidate": ("c.csv", "metrics"),
+    "config": ("run.cfg", "forward"),
+    "stage-input": ("out/a.csv", "reconstruct"),
+}
+FILE_FAULTS = {"missing": "not found", "directory": "is a directory"}
+
+
+@pytest.mark.parametrize("fault", FILE_FAULTS)
+@pytest.mark.parametrize("name,command", READ_FILES.values(), ids=READ_FILES.keys())
+def test_unreadable_input_exits_2_naming_it_once(tmp_path, capsys, name, command, fault):
+    # Named once, without Python's errno text; a missing stage input says
+    # how to make it.
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
+    assert run(["simulate", "--config", str(cfg)]) == 0
+    for field in ("r.csv", "c.csv"):
+        write_field(tmp_path / field, "sigma", "S/m", "triangle", np.ones(4))
+    path = tmp_path / name
+    path.unlink()
+    if fault == "directory":
+        path.mkdir()
+    args = (["metrics", str(tmp_path / "r.csv"), str(tmp_path / "c.csv"), "--out", str(tmp_path)]
+            if command == "metrics" else [command, "--config", str(cfg)])
+    reason = FILE_FAULTS[fault]
+    if command == "reconstruct" and fault == "missing":
+        reason += "; run the earlier stages first"
+    capsys.readouterr()
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {reason}\n"
 
 
 # ----------------------------------------------------------------- metrics

@@ -341,13 +341,16 @@ def test_operator_stiffness_is_bitwise_a_bincount(side_nodes, electrodes):
     tri = mesh.triangles
     slots = np.searchsorted(keys, (tri[:, cols] * size + tri[:, rows]).reshape(-1))
     weights = (sigma.values[:, None] * _STIFF[rows, cols]).reshape(-1)
-    expected = operator._fixed + np.bincount(slots, weights=weights, minlength=M.nnz)
+    fixed = np.zeros(M.nnz)
+    fixed[operator._fixed_slots] = operator._fixed_values
+    expected = fixed + np.bincount(slots, weights=weights, minlength=M.nnz)
     assert M.data.tobytes() == expected.tobytes()
 
 
 def test_operator_keeps_no_per_triangle_map():
-    # The pattern, the fixed entries and one index per slot: about three
-    # entries per stored nonzero, where a per-triangle map would add seven
+    # The pattern and one index per slot: about two entries per stored
+    # nonzero, the fixed entries a few per electrode edge, where a dense
+    # fixed vector would add one per nonzero and a per-triangle map seven
     # per triangle (over eight in all).
     mesh = build_uniform_mesh(120)
     setup = locate_electrodes(mesh, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))], [Z, Z])
@@ -358,7 +361,7 @@ def test_operator_keeps_no_per_triangle_map():
             kept += value.data.size + value.indices.size + value.indptr.size
         elif isinstance(value, np.ndarray):
             kept += value.size
-    assert kept <= 4 * len(operator._indices)
+    assert kept <= 2.5 * len(operator._indices)
 
 
 def test_operator_build_peaks_in_its_assembly(monkeypatch):
@@ -618,6 +621,16 @@ def test_reused_factor_solves_to_the_contract(reuse_case):
     assert np.linalg.norm(sol.u - direct.u) <= 1e-8 * np.linalg.norm(direct.u)
     assert np.linalg.norm(sol.U - direct.U) <= 1e-8 * np.linalg.norm(direct.U)
     assert _relative_residual(operator, second, currents, sol) <= cdii.fem_cem.SOLVER_TOL
+
+
+def test_factor_allocates_its_start_basis_on_its_first_solve(reuse_case):
+    # A factor that solves once holds no basis while SuperLU factors.
+    mesh, setup, currents, operator, first, _ = reuse_case
+    factor = LastFactor(operator)
+    assert sum(v.size for v in vars(factor).values() if isinstance(v, np.ndarray)) == 0
+    solve_forward(mesh, first, setup, currents, factor=factor)
+    size = mesh.node_count + setup.count - 1
+    assert factor._basis.shape == (cdii.fem_cem.PCG_RECENT, size)
 
 
 def test_failed_pcg_falls_back_to_the_direct_solve(reuse_case, monkeypatch):

@@ -38,6 +38,25 @@ def test_triangle_count_formula(n):
     assert m.triangle_count == 2 * (n - 1) ** 2
 
 
+@pytest.mark.parametrize("n", [2, 3, 90])
+def test_nodes_and_triangles_are_derived_on_access(n):
+    # Row-major nodes at (c h, r h); cell (r, c) has its SW node r n + c,
+    # lower (SW, SE, NW) before upper (NE, SE, NW).
+    m = build_uniform_mesh(n)
+    h = 1.0 / (n - 1)
+    nodes = np.array([(c * h, r * h) for r in range(n) for c in range(n)])
+    sw = [r * n + c for r in range(n - 1) for c in range(n - 1)]
+    triangles = np.array([t for b in sw for t in ((b, b + 1, b + n), (b + n + 1, b + 1, b + n))],
+                         dtype=np.int64).reshape(-1, 3)
+    assert m.nodes.dtype == float and m.nodes.tobytes() == nodes.tobytes()
+    assert m.triangles.dtype == np.int64 and m.triangles.tobytes() == triangles.tobytes()
+    assert m.triangle_count == len(triangles)
+    # Each access computes them anew: the mesh keeps no array with a row
+    # per node or per triangle, only its 4 (n - 1) boundary edges.
+    assert m.nodes is not m.nodes and m.triangles is not m.triangles
+    assert sum(v.size for v in vars(m).values() if isinstance(v, np.ndarray)) == 8 * (n - 1)
+
+
 def test_rejects_degenerate_grid():
     for bad in (1, 0, -3, 2.0, "4", None):
         message = f"^side_nodes must be an integer >= 2, got {re.escape(repr(bad))}$"

@@ -1,8 +1,9 @@
 """The README's library example runs against the package as it is, its
 config example names every key, the names it cites exist, and the package
-exports what it lists."""
+exports what it lists; every checked-in benchmark record states its run."""
 
 import importlib
+import json
 import pkgutil
 import re
 from dataclasses import fields
@@ -12,7 +13,8 @@ import cdii
 from cdii.config import PipelineConfig, _parse_lines, config_from_mapping
 from helpers import rel_l2
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_converges():
@@ -70,3 +72,17 @@ def test_readme_names_resolve_in_the_package():
     assert _unresolved("`calibration.MERGE_TOL`, `GRAD_FLOOR`, `cdii.nowhere`, "
                        "`mesh.side_nodes`, `cli.py`") == \
         ["calibration.MERGE_TOL", "GRAD_FLOOR", "cdii.nowhere"]
+
+
+def test_bench_files_state_what_was_run_against_what():
+    # A performance claim ships with a checked-in run: each BENCH_*.json at
+    # the root says what it measured, against which parent commit, where,
+    # and its end-to-end results.
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        assert isinstance(record["what"], str) and record["what"], path.name
+        assert re.fullmatch(r"[0-9a-f]{40}", record["parent_commit"]), path.name
+        assert isinstance(record["env"], dict) and record["env"], path.name
+        assert isinstance(record["end_to_end"], dict) and record["end_to_end"], path.name
