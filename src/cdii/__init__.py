@@ -22,7 +22,6 @@ from .fem_cem import (
     SolverError,
     electrode_flux,
     interior_current,
-    max_principle_excess,
     solve_forward,
 )
 from .mesh import (
@@ -84,7 +83,6 @@ __all__ = [
     "interior_current",
     "load_config",
     "locate_electrodes",
-    "max_principle_excess",
     "reconstruct",
     "simulate_data",
     "solve_forward",

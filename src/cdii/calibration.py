@@ -165,17 +165,12 @@ def build_monotone_map(pairs: np.ndarray) -> PhiMap:
     if len(s) < 2:
         raise ValueError("need at least 2 distinct computed-potential values")
 
-    tol = VALUE_RTOL * float(np.max(np.abs(t)))
-    repaired = bool(np.any(np.diff(t) <= tol))
-    if repaired:
-        pooled, block = _pool_adjacent_violators(t, tol)
-        counts = np.bincount(block)
-        s = np.bincount(block, weights=s) / counts
-        t = pooled
+    t, block = _pool_adjacent_violators(t, VALUE_RTOL * float(np.max(np.abs(t))))
+    s = np.bincount(block, weights=s) / np.bincount(block)
     if len(s) < 2:
         raise ValueError("measured values have no increase; the map would be flat")
 
-    return PhiMap(breakpoints=s, values=t, repaired=repaired)
+    return PhiMap(breakpoints=s, values=t, repaired=len(t) < len(block))
 
 
 def apply_calibration(mesh: Mesh, recon: ReconstructionResult,

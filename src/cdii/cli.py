@@ -17,11 +17,15 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure,
 configuration error is one stderr line keyed by the config key or the
 file at fault: a file a command reads that is missing or a directory, a
 field file or trace.csv with a row that does not parse or a value that is
-not finite, or a field file with an id out of order (file and line), a
-stage input that is not one value per triangle, node or electrode, a
-trace or metrics field it cannot use, or an output path that cannot be
-written.  A solver failure is a linear solve that misses the residual
-contract or a singular factorization.
+not finite, a field file with an id out of order, or a trace.csv key that
+is no node of gamma.side (file and line), a stage input that is not one
+value per triangle, node or electrode, a trace or metrics field it cannot
+use, or an output path that cannot be written.  A solver failure is a
+linear solve that misses the residual contract or a singular
+factorization.
+
+Each config command takes --config, --out (overrides output.dir) and
+--quiet; the config alone sets every other value, noise.seed included.
 
 File formats
 ------------
@@ -273,8 +277,9 @@ def cmd_reconstruct(cfg: PipelineConfig) -> int:
 
 def _trace_from_file(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltageTrace:
     """The trace of the file ``path``, its keys placed on ``gamma_side``: node
-    ids must lie on it, coordinates must match its nodes.  A value that is not
-    finite or a repeated node is an error naming its line."""
+    ids must lie on it, coordinates must match its nodes.  A key that does
+    not, a value that is not finite or a repeated node is an error naming
+    its line."""
     keys, values = read_trace(path)
     _finite(path, values)
     side_ids = mesh.nodes_on_side(gamma_side)
@@ -282,10 +287,14 @@ def _trace_from_file(mesh: Mesh, gamma_side: str, path: Path) -> BoundaryVoltage
     if keys.dtype == float:
         index = _grid_index(mesh, keys)
         if (miss := np.flatnonzero(index < 0)).size:
-            raise ValueError(f"coordinate {keys[miss[0]]} matches no node on side {gamma_side!r}")
+            row = int(miss[0])
+            raise ValueError(f"{path}:{data_line(path, row)}: coordinate {keys[row]} "
+                             f"matches no node on side {gamma_side!r}")
         ids = side_ids[index]
-    elif (off_side := np.setdiff1d(ids, side_ids)).size:
-        raise ValueError(f"node {off_side[0]} is not on side {gamma_side!r}")
+    elif (off_side := np.flatnonzero(~np.isin(ids, side_ids))).size:
+        row = int(off_side[0])
+        raise ValueError(f"{path}:{data_line(path, row)}: node {ids[row]} "
+                         f"is not on side {gamma_side!r}")
     try:
         return BoundaryVoltageTrace(node_ids=ids, values=values)
     except ValueError as exc:
@@ -379,7 +388,6 @@ def _parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--config", required=True, help="path to key=value config")
         q.add_argument("--out", help="override output.dir")
-        q.add_argument("--seed", type=int, help="override noise.seed")
         q.add_argument("--quiet", action="store_true", help="suppress progress output")
         return q
 
@@ -416,8 +424,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, noise_seed=args.seed)
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,10 +6,11 @@ ignored.  Electrodes are indexed: ``electrodes[0].side``,
 ``electrodes[0].interval`` (two comma-separated coordinates), and
 ``electrodes[0].z``.  ``PipelineConfig`` is the schema: each field names
 its key, and its annotation and default are the value's type and default.
-``mesh.side_nodes``, ``currents`` and two or more electrodes are required.
-Errors name the offending key.  Value ranges, and one current per
-electrode, are checked by the domain (the CLI names the key); only
-``output.dir`` is checked here, as no constructor owns it.
+``mesh.side_nodes`` and ``currents`` are required.  Errors name the
+offending key.  Value ranges, the electrode count and one current per
+electrode are checked by the domain (the CLI names the key, ``electrodes``
+for the count); only ``output.dir`` is checked here, as no constructor
+owns it.
 """
 
 import inspect
@@ -113,9 +114,6 @@ def _take_electrodes(mapping) -> tuple[ElectrodeSpec, ...]:
                                    *_take(mapping, f"electrodes[{k}].interval", _pair),
                                    _take(mapping, f"electrodes[{k}].z", float)))
         k += 1
-    if len(specs) < 2:
-        raise ConfigError("electrodes[0].side",
-                          "at least two electrodes are required")
     return tuple(specs)
 
 

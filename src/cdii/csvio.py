@@ -27,14 +27,12 @@ def _write_rows(path, header: str, row: str, *columns) -> None:
             f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def write_field(path, quantity: str, unit: str, entity: str,
-                values: np.ndarray, ids: np.ndarray | None = None) -> None:
+def write_field(path, quantity: str, unit: str, entity: str, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
     row = "%d" + ",%.17g" * values.shape[1] + "\n"
-    _write_rows(path, f"# {quantity},{unit},{entity}", row,
-                np.arange(len(values)) if ids is None else ids, *values.T)
+    _write_rows(path, f"# {quantity},{unit},{entity}", row, np.arange(len(values)), *values.T)
 
 
 def _data_rows(text: str):
@@ -97,7 +95,7 @@ def data_line(path, row: int) -> int:
 
 
 def write_trace(path, node_ids: np.ndarray, values: np.ndarray) -> None:
-    write_field(path, "trace", "V", "node", values, ids=node_ids)
+    _write_rows(path, "# trace,V,node", "%d,%.17g\n", node_ids, values)
 
 
 def read_trace(path) -> tuple[np.ndarray, np.ndarray]:

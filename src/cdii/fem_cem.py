@@ -626,22 +626,3 @@ def interior_current(mesh: Mesh, sigma: ConductivityField,
     a = sigma.values * _gradient_norm(solution.grad_u)
     return J, a
 
-
-def max_principle_excess(mesh: Mesh, setup: ElectrodeSetup,
-                         solution: ForwardSolution) -> float:
-    """How far the potential's range off the electrodes leaves its range on them.
-
-    The continuum potential attains its extrema on the electrode closures;
-    the discrete scheme is not guaranteed monotone, so this is a diagnostic:
-    nonpositive means the discrete solution honors the principle, a positive
-    value is the worst overshoot (in V).
-    """
-    electrode_nodes = np.unique(np.concatenate([e.nodes() for e in setup.electrodes]))
-    mask = np.zeros(mesh.node_count, dtype=bool)
-    mask[electrode_nodes] = True
-    if mask.all():
-        return 0.0
-    u = solution.u
-    over = float(u[~mask].max() - u[mask].max())
-    under = float(u[mask].min() - u[~mask].min())
-    return max(over, under)

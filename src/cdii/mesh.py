@@ -152,9 +152,6 @@ class Electrode:
         if len(self.edge_ids) == 0:
             raise ValueError("electrode has no edges (zero surface measure)")
 
-    def nodes(self) -> np.ndarray:
-        return np.unique(self.edges)
-
 
 @dataclass(frozen=True)
 class ElectrodeSetup:

@@ -89,8 +89,6 @@ def add_noise(data: InteriorData, level: float, seed: int) -> InteriorData:
         raise ParameterError("seed", f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ParameterError("seed", f"seed must be nonnegative, got {seed}")
-    if level == 0.0:
-        return InteriorData(data.values.copy())
     g = np.random.default_rng(seed).standard_normal(len(data.values))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         noisy = data.values * np.maximum(1.0 + level * g, NOISE_FLOOR)

@@ -167,6 +167,30 @@ def minimum_value(mesh, setup, solution) -> float:
     return -0.5 * val
 
 
+def electrode_nodes(electrode: cdii.Electrode) -> np.ndarray:
+    """The sorted ids of the nodes an electrode's edges join."""
+    return np.unique(electrode.edges)
+
+
+def max_principle_excess(mesh: cdii.Mesh, setup: cdii.ElectrodeSetup,
+                         solution: cdii.ForwardSolution) -> float:
+    """How far the potential's range off the electrodes leaves its range on them.
+
+    The continuum potential attains its extrema on the electrode closures;
+    the discrete scheme is not guaranteed monotone, so this is a diagnostic:
+    nonpositive means the discrete solution honors the principle, a positive
+    value is the worst overshoot (in V).
+    """
+    mask = np.zeros(mesh.node_count, dtype=bool)
+    mask[np.concatenate([electrode_nodes(e) for e in setup.electrodes])] = True
+    if mask.all():
+        return 0.0
+    u = solution.u
+    over = float(u[~mask].max() - u[mask].max())
+    under = float(u[mask].min() - u[~mask].min())
+    return max(over, under)
+
+
 def should_stop(grad_n, grad_prev, delta, epsilon, essinf_a) -> bool:
     """The reconstruction loop's stop rule: the sup over triangles of the
     gradient change is at or below ``delta * epsilon / essinf_a``."""
@@ -203,7 +227,7 @@ def transform_conductivity(mesh, sigma, solution, setup,
 
     shifts = []
     for k, e in enumerate(setup.electrodes):
-        t = u[e.nodes()]
+        t = u[electrode_nodes(e)]
         c = np.asarray(phi(t), dtype=float) - t
         if np.ptp(c) > SHIFT_TOL:
             raise ValueError(

@@ -96,7 +96,17 @@ def test_missing_required_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mesh.side_nodes=8\n")
     assert run(["forward", "--config", str(cfg)]) == 2
-    assert "electrodes[0]" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: currents: missing required key\n"
+
+
+def test_one_electrode_config_exits_2_naming_electrodes(tmp_path, capsys):
+    # ElectrodeSetup holds the count rule; the CLI keys its error.
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", currents="0")
+    lines = cfg.read_text().splitlines()
+    cfg.write_text("\n".join(line for line in lines if "electrodes[1]" not in line) + "\n")
+    assert run(["forward", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: electrodes: at least two electrodes are required\n"
 
 
 def test_out_flag_overrides_output_dir(tmp_path):
@@ -251,9 +261,6 @@ PARSE_FAULTS = {
     "side_nodes-missing": (_without("mesh.side_nodes"), "mesh.side_nodes", "missing required key"),
     "currents-missing": (_without("currents"), "currents", "missing required key"),
     "z-missing": (_without("electrodes[1].z"), "electrodes[1].z", "missing required key"),
-    "one-electrode": ({**_without("electrodes[1].side", "electrodes[1].interval",
-                                  "electrodes[1].z"), "currents": "0"},
-                      "electrodes[0].side", "at least two electrodes are required"),
     "stray-electrode": ({**BASE, "electrodes[3].z": "0.01"}, "electrodes[3].z", "unknown key"),
     "interval-one-value": ({**BASE, "electrodes[0].interval": "0"},
                            "electrodes[0].interval", "expected 2 values, got 1"),
@@ -508,11 +515,14 @@ CALIBRATE_INPUTS = {
     "trace-node-inf": (_set_row("trace.csv", 2, "inf,0.1"), "trace.csv:3: "),
     # A NaN coordinate is no distance from any node: it must match none.
     "trace-coordinate-nan": (lambda out: (out / "trace.csv").write_text(
-        "# trace,V,node\n0.5454545454545454,-0.001\nnan,0\n1.0,0.001\n"), "trace.csv: "),
+        "# trace,V,node\n0.5454545454545454,-0.001\nnan,0\n1.0,0.001\n"),
+        "trace.csv:3: coordinate nan matches no node on side 'right'"),
     "trace-repeated-node": (_set_row("trace.csv", 2, "11,0.0005"),
                             "trace.csv:3: trace node 11 occurs twice"),
-    "trace-node-on-electrode": (_set_row("trace.csv", 2, "5,0.1"), "trace.csv: "),
-    "trace-node-interior": (_set_row("trace.csv", 2, "25,0.1"), "trace.csv: "),
+    "trace-node-on-electrode": (_set_row("trace.csv", 2, "5,0.1"),
+                                "trace.csv:3: node 5 is not on side 'right'"),
+    "trace-node-interior": (_set_row("trace.csv", 2, "25,0.1"),
+                            "trace.csv:3: node 25 is not on side 'right'"),
     "trace-flat": (_flat_trace, "trace.csv: "),
     "trace-one-row": (_keep_rows("trace.csv", 1),
                       "trace.csv: need at least 2 distinct computed-potential values"),
@@ -531,7 +541,7 @@ CALIBRATE_INPUTS = {
     "trace-inf": (_set_row("trace.csv", 2, "23,inf"), "trace.csv:3: value inf is not finite"),
     # One coordinate key makes every key a coordinate: node 11 reads as 11.0.
     "trace-ids-and-a-coordinate": (_set_row("trace.csv", 2, "0.5,0.1"),
-                                   "trace.csv: coordinate 11.0 matches no node on side 'right'"),
+                                   "trace.csv:2: coordinate 11.0 matches no node on side 'right'"),
     "trace-node-beyond-int64": (_set_row("trace.csv", 2, "99999999999999999999,0.1"),
                                 "trace.csv:3: cannot parse '99999999999999999999' as int64"),
     # Python's int reads both as node 23, the node this row holds.
@@ -838,10 +848,21 @@ def test_pipeline_three_electrodes(tmp_path):
     # longer symmetric, and the calibration curve still joins the electrodes.
     # Measured: 29 iterations to relative_l2 0.0039 with gamma on the right
     # and 0.0030 on the left; 13 iterations to 0.0088 with the bottom
-    # electrode over 0.2-0.8.
+    # electrode over 0.2-0.8.  Four electrodes, bottom and top each split at
+    # 0.4/0.6 with unequal currents: 51 iterations to 0.0030 at delta 1e-9;
+    # at 1e-7 the stop fires after 4 iterations at 0.0256.
     layouts = {"gamma-right": ({}, 0.01),
                "gamma-left": ({"gamma.side": "left"}, 0.006),
-               "bottom-0.2-0.8": ({"electrodes[0].interval": "0.2,0.8"}, 0.015)}
+               "bottom-0.2-0.8": ({"electrodes[0].interval": "0.2,0.8"}, 0.015),
+               "four-asymmetric": ({"electrodes[0].interval": "0,0.4",
+                                    "electrodes[1].side": "bottom",
+                                    "electrodes[1].interval": "0.6,1",
+                                    "electrodes[2].interval": "0,0.4",
+                                    "electrodes[3].side": "top",
+                                    "electrodes[3].interval": "0.6,1",
+                                    "electrodes[3].z": "0.0083",
+                                    "currents": "-0.002,-0.001,0.0015,0.0015",
+                                    "recon.delta": "1e-9"}, 0.005)}
     for name, (overrides, bound) in layouts.items():
         cfg = write_config(tmp_path / f"{name}.cfg", tmp_path / name,
                            **{"mesh.side_nodes": "61",
@@ -877,22 +898,14 @@ def test_pipeline_determinism(tmp_path):
         output_bytes(tmp_path / "out_b", PIPELINE_FILES)
 
 
-def test_seed_override_changes_noise(tmp_path):
-    overrides = {"noise.level": "0.01"}
-    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", **overrides)
-    run(["simulate", "--config", str(cfg)])
-    _, _, a0 = read_field(tmp_path / "out" / "a.csv")
-    assert main(["simulate", "--config", str(cfg), "--seed", "123",
-                 "--quiet"]) == 0
-    _, _, a1 = read_field(tmp_path / "out" / "a.csv")
-    assert not np.array_equal(a0, a1)
-
-
-def test_negative_seed_override_exits_2_naming_key(tmp_path, capsys):
+def test_seed_flag_exits_2(tmp_path, capsys):
+    # noise.seed is set in the config only: --seed is an unknown option.
     cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", **{"noise.level": "0.01"})
-    assert main(["simulate", "--config", str(cfg), "--seed", "-5", "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err == "config error: noise.seed: seed must be nonnegative, got -5\n"
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--config", str(cfg), "--seed", "1", "--quiet"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stepwise_matches_pipeline_and_hides_truth(tmp_path):

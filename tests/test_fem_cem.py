@@ -19,7 +19,6 @@ from cdii.fem_cem import (
     assemble_system,
     electrode_flux,
     interior_current,
-    max_principle_excess,
     solve_forward,
 )
 from cdii.mesh import _gradient_norm, build_uniform_mesh, locate_electrodes, triangle_gradients
@@ -31,6 +30,7 @@ from helpers import (
     energy_derivative,
     energy_value,
     exact_linear_solution,
+    max_principle_excess,
     operator_matrix,
     pi_vector,
     quadratic_minimizer_oracle,

@@ -14,7 +14,7 @@ from cdii.mesh import (
     locate_electrodes,
     triangle_gradients,
 )
-from helpers import basis_gradients, centroids_reference
+from helpers import basis_gradients, centroids_reference, electrode_nodes
 
 
 def signed_area(nodes, tri):
@@ -217,7 +217,7 @@ def test_locate_full_bottom():
     setup = locate_electrodes(m, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))],
                               [0.1, 0.1])
     assert len(setup.electrodes[0].edge_ids) == 3
-    assert np.array_equal(m.nodes[setup.electrodes[0].nodes()][[0, -1], 0], [0.0, 1.0])
+    assert np.array_equal(m.nodes[electrode_nodes(setup.electrodes[0])][[0, -1], 0], [0.0, 1.0])
 
 
 def test_locate_two_full_sides():
@@ -226,7 +226,7 @@ def test_locate_two_full_sides():
                               [8.3e-3, 8.3e-3])
     assert setup.count == 2
     for e, y in zip(setup.electrodes, (0.0, 1.0)):
-        assert np.array_equal(m.nodes[e.nodes()][[0, -1]], [[0.0, y], [1.0, y]])
+        assert np.array_equal(m.nodes[electrode_nodes(e)][[0, -1]], [[0.0, y], [1.0, y]])
     assert np.allclose(setup.impedances, 8.3e-3)
 
 
@@ -235,7 +235,7 @@ def test_locate_partial_spans():
     setup = locate_electrodes(m, [("left", (0.25, 0.75)), ("right", (0.0, 0.5))],
                               [1.0, 2.0])
     assert len(setup.electrodes[0].edge_ids) == 2
-    assert np.array_equal(m.nodes[setup.electrodes[0].nodes()][[0, -1], 1], [0.25, 0.75])
+    assert np.array_equal(m.nodes[electrode_nodes(setup.electrodes[0])][[0, -1], 1], [0.25, 0.75])
     assert len(setup.electrodes[1].edge_ids) == 2
 
 

@@ -7,7 +7,7 @@ from cdii.mesh import ParameterError, build_uniform_mesh, centroids
 from cdii.phantom import NOISE_FLOOR, add_noise, gaussian_phantom, simulate_data
 from cdii.weighted_gradient import InteriorData
 
-from helpers import transform_conductivity, two_electrode_case
+from helpers import electrode_nodes, transform_conductivity, two_electrode_case
 
 
 def test_flat_phantom():
@@ -130,8 +130,8 @@ def _phase_map(solution, setup, f, p):
     range by -c and the top one's by +c: ``t - c cos(pi s^p)``, with ``s`` the
     place of ``t`` in the gap between the two ranges, clipped to [0, 1].  With
     ``c = f gap / (pi p)``, phi' is at least ``1 - |f|``."""
-    low = solution.u[setup.electrodes[0].nodes()].max()
-    gap = solution.u[setup.electrodes[1].nodes()].min() - low
+    low = solution.u[electrode_nodes(setup.electrodes[0])].max()
+    gap = solution.u[electrode_nodes(setup.electrodes[1])].min() - low
     assert gap > 0.0
     c = f * gap / (np.pi * p)
     return lambda t: t - c * np.cos(np.pi * np.clip((t - low) / gap, 0.0, 1.0) ** p)
@@ -207,14 +207,14 @@ def test_transform_rejects_nonconstant_electrode_shift():
     mesh, setup, currents = two_electrode_case(10, 1.0 + z1, z1, 1.0)
     sigma = ConductivityField(np.ones(mesh.triangle_count))
     sol = solve_forward(mesh, sigma, setup, currents)
-    top = sol.u[setup.electrodes[1].nodes()]
+    top = sol.u[electrode_nodes(setup.electrodes[1])]
     assert np.ptp(top) < 1e-12  # potential is constant on each electrode here
 
     # force a genuinely varying electrode range with an uneven conductivity
     rng = np.random.default_rng(0)
     bumpy = ConductivityField(rng.uniform(0.5, 2.0, mesh.triangle_count))
     sol_b = solve_forward(mesh, bumpy, setup, currents)
-    assert np.ptp(sol_b.u[setup.electrodes[1].nodes()]) > 1e-6
+    assert np.ptp(sol_b.u[electrode_nodes(setup.electrodes[1])]) > 1e-6
     with pytest.raises(ValueError, match="constant shift"):
         transform_conductivity(mesh, bumpy, sol_b, setup,
                                lambda t: t + 0.05 * t ** 2)

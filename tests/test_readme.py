@@ -1,6 +1,7 @@
 """The README's library example runs against the package as it is, its
-config example names every key, the names it cites exist, and the package
-exports what it lists; every checked-in benchmark record states its run."""
+config example names every key, its flags are the CLI's, the names it cites
+exist, and the package exports what it lists; every checked-in benchmark
+record states its run."""
 
 import importlib
 import json
@@ -10,6 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import cdii
+from cdii.cli import _COMMANDS, _parser
 from cdii.config import PipelineConfig, _parse_lines, config_from_mapping
 from helpers import rel_l2
 
@@ -34,6 +36,18 @@ def test_readme_config_example_names_every_key():
     keys = {f.metadata["key"] for f in fields(PipelineConfig) if f.metadata}
     keys |= {f"electrodes[0].{part}" for part in ("side", "interval", "z")}
     assert keys <= set(mapping), sorted(keys - set(mapping))
+
+
+def test_readme_flags_are_the_config_commands_options():
+    # A flag added to or dropped from the parser or the README in one place
+    # only fails here.
+    sentence = re.search(r"^Flags: (.*?)\n\n", README.read_text(), re.DOTALL | re.MULTILINE)[1]
+    named = set(re.findall(r"`(--[\w-]+)", sentence))
+    commands = _parser()._subparsers._group_actions[0].choices
+    for command in _COMMANDS:
+        options = {option for action in commands[command]._actions
+                   for option in action.option_strings if option not in ("-h", "--help")}
+        assert options == named, command
 
 
 def test_package_all_is_sorted_unique_and_resolves():
