@@ -21,8 +21,8 @@ not finite, a field file with an id out of order, or a trace.csv key that
 is no node of gamma.side (file and line), a stage input that is not one
 value per triangle, node or electrode, a trace or metrics field it cannot
 use, or an output path that cannot be written.  A solver failure is a
-linear solve that misses the residual contract or a singular
-factorization.
+linear solve that meets neither its relative residual nor the
+backward-error floor, or a singular factorization.
 
 Each config command takes --config, --out (overrides output.dir) and
 --quiet; the config alone sets every other value, noise.seed included.

@@ -35,7 +35,10 @@ and its electrode blocks from one call to it.
 Every solve goes through a ``LastFactor``, which holds the last
 factorization; the solves that pass the same one share it.  Each solve
 runs preconditioned conjugate gradients on a factor, and a factorization
-only renews that preconditioner.  Its docstring holds the design.
+only renews that preconditioner.  A solve meets the relative residual its
+caller asks for, ``SOLVER_TOL`` unless it asks for another, or a backward
+error of 18 units of roundoff (``BACKWARD_TOL``).  The ``LastFactor``
+docstring holds the design.
 """
 
 from __future__ import annotations
@@ -49,8 +52,21 @@ import scipy.sparse.linalg as spla
 from .mesh import (ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm,
                    triangle_gradients)
 
-#: Relative-residual tolerance of every linear solve.
+#: Relative-residual tolerance of a linear solve whose caller names none:
+#: every solve but a reconstruction's loose iterates.
 SOLVER_TOL = 1e-10
+
+#: A solve is also accepted when its residual is at most this multiple of
+#: ``||M||_inf ||x||_2 + ||b||_2``: a normwise backward error of 18 units
+#: of roundoff, 2^-53 each (Rigal & Gaches, J. ACM 14(3), 1967; Higham,
+#: Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+#: sec. 7.1).  ``M`` is symmetric, so ``||M||_2 <= ||M||_inf``.  Rounding
+#: alone leaves such a residual, and it can exceed ``SOLVER_TOL ||b||``
+#: when ``||b||``, which holds only the currents, is small against
+#: ``||M|| ||x||``: for impedances far apart, such as 1 and 1e6.  A floor of
+#: 90 units (1e-14) moved ``relative_l2`` by 5e-5 relative at z = 1e4, so
+#: it stays a small multiple.
+BACKWARD_TOL = 2e-15
 
 #: Relative tolerance for the zero-sum current / voltage invariants.
 ZERO_SUM_TOL = 1e-12
@@ -205,11 +221,18 @@ def _check_sigma(mesh: Mesh, sigma: ConductivityField) -> None:
                          f"{mesh.triangle_count} triangles")
 
 
-def _edge_square_integral(u: np.ndarray, U_k: float, edges: np.ndarray, h: float) -> float:
-    """Exact integral of (u - U_k)^2 over an electrode's edges."""
-    wp = u[edges[:, 0]] - U_k
-    wq = u[edges[:, 1]] - U_k
-    return float(np.sum(wp * wp + wp * wq + wq * wq)) * h / 3.0
+def _edge_penalty(u: np.ndarray, U_k: float, edges: np.ndarray, h: float,
+                  impedance: float) -> float:
+    """Exact ``(1/2z) integral (u - U_k)^2`` over an electrode's edges.
+
+    Each difference is divided by ``sqrt(z)`` before it is squared: ``u -
+    U_k`` grows as ``z``, so its square would overflow at impedances where
+    the penalty, which grows as ``z`` too, is still finite.
+    """
+    scale = 1.0 / np.sqrt(impedance)
+    wp = (u[edges[:, 0]] - U_k) * scale
+    wq = (u[edges[:, 1]] - U_k) * scale
+    return float(np.sum(wp * wp + wp * wq + wq * wq)) * h / 6.0
 
 
 def _electrode_terms(val: float, mesh: Mesh, setup: ElectrodeSetup,
@@ -217,7 +240,7 @@ def _electrode_terms(val: float, mesh: Mesh, setup: ElectrodeSetup,
     """The running sum ``val`` continued, in this order, by each electrode's
     ``(1/2z_k) integral (u - U_k)^2`` and then minus the current work ``I . U``."""
     for k, e in enumerate(setup.electrodes):
-        val += _edge_square_integral(u, U[k], e.edges, mesh.h) / (2.0 * e.impedance)
+        val += _edge_penalty(u, U[k], e.edges, mesh.h, e.impedance)
     return val - float(np.dot(currents.values, U))
 
 
@@ -386,17 +409,21 @@ class LastFactor:
     factorization preconditions the solves that follow it.  Every solve
     runs the same conjugate gradients loop, preconditioned with a SuperLU
     factor, for at most ``PCG_MAX_ITER`` steps while the recurred residual
-    misses the contract; a zero load takes none.  Its last iterate is
-    accepted by its true relative residual alone, whatever the step count:
-    ``||M x - b|| / ||b|| <= SOLVER_TOL``, checked as ``M @ x - b``.  A
-    solve uses the last factor, started from the combination of the last
-    ``PCG_RECENT`` solutions that is best in the new matrix's energy norm,
-    unless there is none or the previous solve needed more than
-    ``PCG_REFACTOR_CAP`` iterations.  Otherwise, or when PCG on the last
-    factor misses the contract, the solve factorizes its matrix, the new
-    factor replacing the old, and starts PCG from the new factor's solve
-    of ``b``: an exact factor meets the contract there in no step.  PCG on
-    a new factor that misses the contract fails the solve.
+    misses the relative tolerance ``tol`` the solve was given; a zero load
+    takes none.  Its last iterate is accepted by its true residual alone,
+    whatever the step count, checked as ``M @ x - b``: when ``||M x - b|| <=
+    tol ||b||``, or else when ``||M x - b|| <= BACKWARD_TOL (||M||_inf ||x||
+    + ||b||)``, the residual rounding alone can leave.  ``||M||_inf`` is
+    computed only for an iterate that misses ``tol``.  A solve uses the
+    last factor, started from the combination of the last ``PCG_RECENT``
+    solutions that is best in the new matrix's energy norm, unless there
+    is none or the previous solve needed more than ``PCG_REFACTOR_CAP``
+    iterations.  Otherwise, or when PCG on the last factor is not
+    accepted, the solve factorizes its matrix, the new factor replacing
+    the old, and starts PCG from the new factor's solve of ``b``: an exact
+    factor is accepted there in no step.  PCG on a new factor that is not
+    accepted fails the solve.  ``refine`` continues the last solve to
+    ``SOLVER_TOL`` by the same rules, started from its solution.
 
     The CG loop is written out, not called as ``scipy.sparse.linalg.cg``.
     It repeats scipy 1.17's recurrence operation for operation, so its
@@ -404,7 +431,7 @@ class LastFactor:
     (``make_system``, the ``LinearOperator`` around the factor and the
     step-counting callback), which cost more than a small solve's numerical
     work (``BENCH_loop.json``).  Only its stop differs: scipy steps while
-    ``||r|| >= SOLVER_TOL * ||b||`` and calls an exhausted loop unconverged.
+    ``||r|| >= tol * ||b||`` and calls an exhausted loop unconverged.
 
     What does not change between solves is kept, not rebuilt:
 
@@ -439,10 +466,12 @@ class LastFactor:
         self._rows = 0
         self._last_pcg = 0
 
-    def solve(self, sigma: ConductivityField, b: np.ndarray) -> np.ndarray:
+    def solve(self, sigma: ConductivityField, b: np.ndarray,
+              tol: float | None = None) -> np.ndarray:
         """``M⁻¹b`` for the block matrix ``M`` at conductivity ``sigma``, to
-        the relative residual ``SOLVER_TOL``: by PCG on the last factor
-        where it can, otherwise by PCG on a new factorization.
+        the relative residual ``tol`` (``SOLVER_TOL`` if None) or the
+        backward error ``BACKWARD_TOL``: by PCG on the last factor where it
+        can, otherwise by PCG on a new factorization.
 
         Raises
         ------
@@ -451,21 +480,48 @@ class LastFactor:
             operator's mesh.
         SolverError
             If ``||b||`` overflows, so no residual test can hold, SuperLU
-            cannot factorize ``M``, or PCG on a new factorization misses
-            ``SOLVER_TOL``.
+            cannot factorize ``M``, or PCG on a new factorization meets
+            neither bound; the message names both.
         """
-        M = self.operator._fill(self._matrix, sigma)
+        x = self._solve(self.operator._fill(self._matrix, sigma), b, tol, self._start)
+        self._keep(x)
+        return x
+
+    def refine(self, b: np.ndarray) -> np.ndarray:
+        """The last solve's solution continued to the relative residual
+        ``SOLVER_TOL``: PCG on the same matrix, started from that solution,
+        as ``solve`` runs it.  The start basis keeps the solution it
+        started from.
+
+        Raises
+        ------
+        ValueError
+            If this factor has solved nothing yet.
+        SolverError
+            As ``solve``.
+        """
+        if self._last is None:
+            raise ValueError("no solve to refine")
+        return self._solve(self._matrix, b, None, lambda M, b: self._last.copy())
+
+    def _solve(self, M: sp.csc_matrix, b: np.ndarray, tol: float | None,
+               start) -> np.ndarray:
+        """``M⁻¹b`` to ``tol`` by PCG from ``start(M, b)`` on the last
+        factor, or from a new factorization's solve."""
         b_norm = _norm(b)
         if not b_norm < np.inf:
             raise SolverError("the norm of the load vector overflows, "
                               "so no residual test can hold")
-        tol = SOLVER_TOL * b_norm
+        rtol = SOLVER_TOL if tol is None else tol
+        bound = rtol * b_norm
         # PCG on the last factor, unless there is none or the last solve
-        # needed more than the cap; then, or if it misses, a new factor.
-        res = np.inf  # no iterate yet
+        # needed more than the cap; then, or if it is not accepted, a new
+        # factor.
+        accepted = False
         if self._lu is not None and self._last_pcg <= PCG_REFACTOR_CAP:
-            x, res = self._pcg(M, b, tol, self._start(M, b))
-        if not res <= tol:
+            x, res = self._pcg(M, b, bound, start(M, b))
+            accepted = res <= bound or res <= _backward_floor(M, x, b_norm)
+        if not accepted:
             self._lu = None  # one factor alive at a time
             try:
                 self._lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -474,11 +530,11 @@ class LastFactor:
             except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
                 raise SolverError(f"factorization failed: {exc}") from None
             self.factorizations += 1
-            x, res = self._pcg(M, b, tol, self._lu.solve(b))
-            if not res <= tol:  # a NaN residual fails too
+            x, res = self._pcg(M, b, bound, self._lu.solve(b))
+            if not (res <= bound or res <= _backward_floor(M, x, b_norm)):  # NaN fails
                 raise SolverError(f"linear solve stalled at relative residual "
-                                  f"{res / b_norm:.3e} (tolerance {SOLVER_TOL:.1e})")
-        self._keep(x)
+                                  f"{res / b_norm:.3e} (tolerance {rtol:.1e}, backward-error "
+                                  f"floor {_backward_floor(M, x, b_norm) / b_norm:.1e})")
         return x
 
     def _keep(self, x: np.ndarray) -> None:
@@ -549,9 +605,18 @@ def _norm(v: np.ndarray) -> float:
     return np.sqrt(v.dot(v))
 
 
+def _backward_floor(M: sp.csc_matrix, x: np.ndarray, b_norm: float) -> float:
+    """``BACKWARD_TOL (||M||_inf ||x|| + ||b||)``, the residual norm rounding
+    alone can leave at ``x``; NaN, which bounds nothing, where it overflows.
+    ``M`` is symmetric, so its largest absolute column sum is ``||M||_inf``."""
+    m_norm = float(np.add.reduceat(np.abs(M.data), M.indptr[:-1]).max())
+    floor = BACKWARD_TOL * (m_norm * float(_norm(x)) + float(b_norm))
+    return floor if floor < np.inf else np.nan
+
+
 def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
-                  currents: CurrentPattern, *,
-                  factor: LastFactor | None = None) -> ForwardSolution:
+                  currents: CurrentPattern, *, factor: LastFactor | None = None,
+                  tol: float | None = None) -> ForwardSolution:
     """Solve the forward problem for the nodal potential and electrode voltages.
 
     The conductivity's stencil is gathered into the factor's matrix, on
@@ -561,8 +626,8 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     minimum-degree order of ``M + Mᵀ`` (Liu, ACM TOMS 11(2), 1985), in
     symmetric mode without pivoting (the matrix is symmetric positive
     definite).  The solution meets the relative residual
-    ``||M x - b|| / ||b|| <= SOLVER_TOL``.  Deterministic for identical
-    inputs.
+    ``||M x - b|| / ||b|| <= tol``, or the backward error ``BACKWARD_TOL``
+    where rounding leaves more.  Deterministic for identical inputs.
 
     Parameters
     ----------
@@ -571,6 +636,9 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
         Callers that solve many times pass one, so the operator is built
         once and the solves share a factorization.  Without it, one is
         built for this solve.
+    tol : float, optional
+        The relative residual to meet; ``SOLVER_TOL`` if None.  A
+        reconstruction solves its iterates more loosely.
 
     Raises
     ------
@@ -589,9 +657,13 @@ def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     operator = factor.operator
     if operator.mesh is not mesh or operator.setup is not setup:
         raise ValueError("factor was built for a different mesh or electrode setup")
-    b = _load_vector(mesh.node_count, currents)
-    x = factor.solve(sigma, b)
+    return _solution(mesh, setup, factor.solve(sigma, _load_vector(mesh.node_count, currents),
+                                               tol))
 
+
+def _solution(mesh: Mesh, setup: ElectrodeSetup, x: np.ndarray) -> ForwardSolution:
+    """The forward solution of the block system's solution ``x``: the last
+    voltage restored from the zero-sum constraint, and the gradients."""
     m = mesh.node_count
     N = setup.count - 1
     u = x[:m]

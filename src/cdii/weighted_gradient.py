@@ -8,9 +8,11 @@ forward solution minimizes
 over candidates with zero-sum electrode voltages.  The reconstruction loop
 alternates the update ``clamp_conductivity``, ``a / |grad u|`` clamped to
 ``[eps, 1/eps]``, with a forward solve, and stops once the per-triangle
-gradients settle.  Its forward solves share one ``fem_cem.LastFactor``,
-and the electrode terms of the functional are ``fem_cem``'s.  The loop
-evaluates the functional only to log it.
+gradients settle.  Its forward solves share one ``fem_cem.LastFactor``;
+each iterate is solved only as tightly as the stop rule can use, and the
+last once more to ``fem_cem.SOLVER_TOL``.  The electrode terms of the
+functional are ``fem_cem``'s.  The loop evaluates the functional only to
+log it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fem_cem
 from .fem_cem import (
     CemOperator,
     ConductivityField,
@@ -28,9 +31,29 @@ from .fem_cem import (
     LastFactor,
     SolverError,
     _electrode_terms,
+    _load_vector,
+    _solution,
     solve_forward,
 )
 from .mesh import ElectrodeSetup, Mesh, ParameterError, _frozen, _gradient_norm, _is_integer
+
+#: The forcing factor θ: iterate k is solved to the relative residual
+#: ``θ c / max|grad u|`` of the last gradient change ``c`` and gradient,
+#: clipped to [``fem_cem.SOLVER_TOL``, ``FORCING_MAX``] (Dembo, Eisenstat
+#: & Steihaug, SIAM J. Numer. Anal. 19(2), 1982; Eisenstat & Walker, SIAM
+#: J. Sci. Comput. 17(1), 1996).  θ = 1e-2, with ``FORCING_MAX`` 1e-4,
+#: moved ``relative_l2`` at 360² and δ = 1e-7 by 16% (0.00608 → 0.00708),
+#: as an early stop is sensitive to the trajectory; 1e-3 moved it by 0.4%.
+#: θ = 1e-4 took 91 PCG steps to 1e-3's 64 at 60² and δ = 1e-9, for the
+#: same ``relative_l2`` to 4 digits.
+FORCING = 1e-3
+
+#: The loosest relative residual of an iterate's solve, and that of the
+#: first two, before a gradient change exists.  On the 90² acceptance run,
+#: 1e-4 saved 7 of 27 PCG steps but moved ``relative_l2`` by 0.4% (0.6% at
+#: 60² and δ = 1e-9); 1e-8 took 45 steps for a change of 0.1%, and 1e-10
+#: refactorized once more.
+FORCING_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,10 +109,16 @@ class ReconstructionConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iterate of the reconstruction: what ``convergence.csv`` writes,
+    then the relative residual its solve was given and the PCG iterations
+    that solve took, which stay in memory."""
+
     iteration: int
     objective: float
     max_grad_diff: float  # nan for the initial solve
     wall_ms: float
+    tolerance: float
+    pcg_iterations: int
 
 
 @dataclass(frozen=True)
@@ -101,9 +130,10 @@ class ReconstructionResult:
     a monotone reparameterization of the potential and generally needs the
     boundary-curve calibration step to match the true conductivity.
     ``factorizations`` and ``pcg_iterations`` count the linear-solver work
-    of all the forward solves.  ``stop_threshold`` is the gradient change
-    ``delta * epsilon / essinf(a)`` the loop stopped at or did not reach
-    (NaN where no loop ran).
+    of all the forward solves, the final one's included.
+    ``stop_threshold`` is the gradient change ``delta * epsilon /
+    essinf(a)`` the loop stopped at or did not reach (NaN where no loop
+    ran).
     """
 
     sigma_v: ConductivityField
@@ -168,6 +198,14 @@ def _max_grad_change(grad_n: np.ndarray, grad_prev: np.ndarray) -> float:
     return float(np.sqrt(np.max(dx * dx + dy * dy)))
 
 
+def _forcing_term(change: float, grad_norm: np.ndarray) -> float:
+    """The relative residual to solve the next iterate to:
+    ``FORCING * change / max(grad_norm)``, clipped to
+    [``fem_cem.SOLVER_TOL``, ``FORCING_MAX``].  Both factors are ratios of
+    gradients, so it reads the same in any current unit."""
+    return min(max(FORCING * change / float(grad_norm.max()), fem_cem.SOLVER_TOL), FORCING_MAX)
+
+
 def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
                 currents: CurrentPattern, config: ReconstructionConfig, *,
                 factor: LastFactor | None = None) -> ReconstructionResult:
@@ -177,14 +215,24 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     solve until the gradient change drops to ``delta * epsilon / essinf(a)``
     (``_stop_threshold``; equality stops) or ``max_iter`` is reached.
     Every forward solve shares one ``fem_cem.LastFactor``, whose docstring
-    describes when a solve runs PCG and when it refactorizes; each meets
-    the relative residual ``fem_cem.SOLVER_TOL``.  The result counts the
-    factorizations and PCG iterations of this reconstruction's solves and
-    carries the stop threshold.  Each iterate's gradient magnitude is
-    computed once, for the log and the clamp update.  The per-iteration log
-    records the weighted-gradient objective (``_functional``), which is
-    non-increasing along the iteration up to solver residual, and the
-    sup-norm of the gradient change, which is the value the stop rule tests.
+    describes when a solve runs PCG and when it refactorizes.
+
+    An iterate's solve needs no more accuracy than the outer loop can use:
+    the first two are solved to the relative residual ``FORCING_MAX``, and
+    each later one to the forcing term ``_forcing_term`` of the last
+    gradient change.  On exit, converged or not, the last iterate's solve
+    is continued to ``fem_cem.SOLVER_TOL`` (``LastFactor.refine``), and
+    ``solution`` and ``sigma_v`` come from that solution.
+
+    The result counts the factorizations and PCG iterations of this
+    reconstruction's solves, the final one included, and carries the stop
+    threshold.  Each iterate's gradient magnitude is computed once, for
+    the log and the clamp update.  The log holds one record per iterate:
+    the weighted-gradient objective (``_functional``) at its loose
+    solution, the last row's included, which is non-increasing along the
+    iteration up to solver residual; the sup-norm of the gradient change,
+    which is the value the stop rule tests; and its solve's tolerance and
+    PCG iterations.
 
     Parameters
     ----------
@@ -211,11 +259,13 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
         factor = LastFactor(CemOperator(mesh, setup))
     factorizations, pcg_iterations = factor.factorizations, factor.pcg_iterations
     sigma = ConductivityField(np.ones(mesh.triangle_count))
+    tol = FORCING_MAX  # no gradient change yet
     prev = None
     log = []
     for n in range(config.max_iter + 1):
+        steps = factor.pcg_iterations
         try:
-            sol = solve_forward(mesh, sigma, setup, currents, factor=factor)
+            sol = solve_forward(mesh, sigma, setup, currents, factor=factor, tol=tol)
         except SolverError as exc:
             raise SolverError(f"iteration {n}: {exc}") from exc
         change = float("nan") if prev is None else _max_grad_change(sol.grad_u, prev.grad_u)
@@ -225,16 +275,24 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
             objective=_functional(mesh, data, setup, currents, sol.u, sol.U, grad_norm),
             max_grad_diff=change,
             wall_ms=(time.perf_counter() - t0) * 1e3,
+            tolerance=tol,
+            pcg_iterations=factor.pcg_iterations - steps,
         ))
         t0 = time.perf_counter()
-        sigma = clamp_conductivity(data, grad_norm, config.epsilon)
         converged = change <= threshold  # false after the first solve (NaN)
-        if converged:
+        if converged or n == config.max_iter:
             break
+        sigma = clamp_conductivity(data, grad_norm, config.epsilon)
+        if prev is not None:
+            tol = _forcing_term(change, grad_norm)
         prev = sol
 
+    try:
+        sol = _solution(mesh, setup, factor.refine(_load_vector(mesh.node_count, currents)))
+    except SolverError as exc:
+        raise SolverError(f"iteration {n}, final solve: {exc}") from exc
     return ReconstructionResult(
-        sigma_v=sigma,
+        sigma_v=clamp_conductivity(data, _gradient_norm(sol.grad_u), config.epsilon),
         solution=sol,
         log=log,
         converged=converged,

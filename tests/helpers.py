@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 import cdii
 from cdii.csvio import _read_table
-from cdii.fem_cem import _edge_square_integral, _electrode_terms
+from cdii.fem_cem import _edge_penalty, _electrode_terms
 from cdii.mesh import _gradient_norm, triangle_gradients
 from cdii.weighted_gradient import _functional, _max_grad_change, _stop_threshold
 
@@ -162,9 +162,8 @@ def minimum_value(mesh, setup, solution) -> float:
     ``-1/2 sum_k (1/z_k) integral (u - U_k)^2``."""
     val = 0.0
     for k, e in enumerate(setup.electrodes):
-        val += _edge_square_integral(solution.u, solution.U[k], e.edges, mesh.h) \
-            / e.impedance
-    return -0.5 * val
+        val -= _edge_penalty(solution.u, solution.U[k], e.edges, mesh.h, e.impedance)
+    return val
 
 
 def electrode_nodes(electrode: cdii.Electrode) -> np.ndarray:

@@ -5,6 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 import cdii.fem_cem
@@ -15,7 +16,8 @@ from cdii.csvio import (
     read_metrics,
     write_field,
 )
-from cdii.mesh import build_uniform_mesh
+from cdii.fem_cem import ForwardSolution, electrode_flux
+from cdii.mesh import build_uniform_mesh, triangle_gradients
 from cdii.phantom import simulate_data
 from cdii.weighted_gradient import ReconstructionConfig
 
@@ -388,26 +390,83 @@ def test_largest_currents_give_finite_fields(tmp_path, command, names):
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "pipeline"])
-def test_singular_factorization_exits_3(tmp_path, capsys, command):
-    # With both impedances at 1e19 the refactorization at iteration 14 meets
-    # a matrix that SuperLU finds exactly singular.
+def test_singular_factorization_exits_3(tmp_path, capsys, monkeypatch, command):
+    # SuperLU raises a RuntimeError on a matrix it finds exactly singular.
+    # The simulation's factorization succeeds (in the pipeline's own
+    # simulate stage too), and the reconstruction's first one fails.
     cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
-                       **{"electrodes[0].z": "1e19", "electrodes[1].z": "1e19",
-                          "phantom.amplitude": "0.8"})
+                       **{"phantom.amplitude": "0.8"})
     assert run(["simulate", "--config", str(cfg)]) == 0
+    splu, calls = scipy.sparse.linalg.splu, []
+
+    def singular_after_simulation(*args, **kwargs):
+        calls.append(args)
+        if command == "pipeline" and len(calls) == 1:
+            return splu(*args, **kwargs)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_after_simulation)
     assert run([command, "--config", str(cfg)]) == 3
-    assert capsys.readouterr().err == ("solver error: iteration 14: factorization failed: "
+    assert capsys.readouterr().err == ("solver error: iteration 0: factorization failed: "
                                        "Factor is exactly singular\n")
 
 
 def test_solver_failure_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    # With the backward-error floor at 0 rounding is not forgiven, so no
+    # solve can reach 1e-30.
     monkeypatch.setattr(cdii.fem_cem, "SOLVER_TOL", 1e-30)
+    monkeypatch.setattr(cdii.fem_cem, "BACKWARD_TOL", 0.0)
     cfg = write_config(tmp_path / "run.cfg", tmp_path / "out")
     assert run(["pipeline", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("solver error: ") and "(tolerance 1.0e-30)" in err
+    assert err.startswith("solver error: ")
+    assert "(tolerance 1.0e-30, backward-error floor 0.0e+00)" in err
     assert "Traceback" not in err
+
+
+def test_forward_solves_impedances_far_apart(tmp_path):
+    # With impedances 1 and 1e6, rounding leaves a relative residual above
+    # SOLVER_TOL; the solve is accepted by its backward error,
+    # and the written fields recover the currents to the flux tolerance of
+    # acceptance criterion 2.
+    overrides = {"electrodes[0].z": "1", "electrodes[1].z": "1e6"}
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", **overrides)
+    assert run(["forward", "--config", str(cfg)]) == 0
+    mesh, setup, currents, _, _ = _build_problem(config_from_mapping(
+        {**BASE, **overrides, "output.dir": str(tmp_path / "out")}))
+    _, _, u = read_field(tmp_path / "out" / "u.csv")
+    _, _, U = read_field(tmp_path / "out" / "U.csv")
+    solution = ForwardSolution(u=u, U=U, grad_u=triangle_gradients(mesh, u))
+    fluxes = [electrode_flux(mesh, setup, solution, k) for k in range(setup.count)]
+    scale = np.max(np.abs(currents.values))
+    assert np.max(np.abs(fluxes - currents.values)) <= 1e-8 * scale
+
+
+def test_pipeline_converges_at_tiny_impedance(tmp_path):
+    # At 90² with both impedances 1e-6, rounding alone leaves a relative
+    # residual above SOLVER_TOL; accepted by its backward error, the
+    # pipeline converges as at the default impedance (0.0064).
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
+                       **{"mesh.side_nodes": "90", "electrodes[0].z": "1e-6",
+                          "electrodes[1].z": "1e-6", "phantom.amplitude": "0.8"})
+    assert run(["pipeline", "--config", str(cfg)]) == 0
+    metrics = read_metrics(tmp_path / "out" / "metrics.csv")
+    assert metrics["converged"] == 1.0 and metrics["relative_l2"] < 0.007
+
+
+def test_huge_impedance_logs_finite_objectives(tmp_path):
+    # At z = 1e157, u - U_k squared would overflow; the penalty is scaled
+    # before it is squared, so every objective is finite, and no warning
+    # (an error here) is raised.
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out",
+                       **{"electrodes[0].z": "1e157", "electrodes[1].z": "1e157",
+                          "phantom.amplitude": "0.8"})
+    assert run(["pipeline", "--config", str(cfg)]) == 0
+    rows = read_convergence(tmp_path / "out" / "convergence.csv")
+    objectives = np.array([row[1] for row in rows])
+    assert len(rows) > 1 and np.isfinite(objectives).all()
+    assert np.all(np.diff(objectives) <= 1e-8 * np.abs(objectives[:-1]))
 
 
 def test_reconstruct_without_data(tmp_path, capsys):

@@ -99,9 +99,9 @@ def test_small_writers_match_reference_bytes(tmp_path):
     write_phi(tmp_path / "phi.csv", phi)
     reference_table(tmp_path / "phi_ref.csv", "s,t", [(fmt(s), fmt(v)) for s, v in zip(b, t)])
 
-    log = [IterationRecord(0, 1.25, math.nan, 12.5),
-           IterationRecord(1, -0.0, 1e-300, 0.1),
-           IterationRecord(2, 1e300, math.inf, 3.0)]
+    log = [IterationRecord(0, 1.25, math.nan, 12.5, 1e-6, 0),
+           IterationRecord(1, -0.0, 1e-300, 0.1, 1e-6, 4),
+           IterationRecord(2, 1e300, math.inf, 3.0, 1e-10, 25)]
     write_convergence(tmp_path / "conv.csv", log)
     reference_table(tmp_path / "conv_ref.csv",
                     "iteration,objective,max_grad_diff,wall_time_ms",

@@ -559,11 +559,13 @@ def test_solve_rejects_foreign_operator(equal_z_case):
 
 
 def test_solve_enforces_residual_contract(equal_z_case, monkeypatch):
-    # PCG on the new factor cannot reach 1e-30 within its iteration limit.
+    # PCG on the new factor cannot reach 1e-30 within its iteration limit,
+    # and with the backward-error floor at 0 rounding is not forgiven.
     mesh, setup, currents = equal_z_case
     monkeypatch.setattr(cdii.fem_cem, "SOLVER_TOL", 1e-30)
-    with pytest.raises(SolverError,
-                       match=r"relative residual \d\.\d{3}e-\d+ \(tolerance 1\.0e-30\)"):
+    monkeypatch.setattr(cdii.fem_cem, "BACKWARD_TOL", 0.0)
+    with pytest.raises(SolverError, match=r"relative residual \d\.\d{3}e-\d+ "
+                                          r"\(tolerance 1\.0e-30, backward-error floor 0\.0e\+00\)"):
         solve_forward(mesh, ones(mesh), setup, currents)
 
 
@@ -656,6 +658,74 @@ def test_inexact_new_factor_meets_the_contract_by_pcg(reuse_case, monkeypatch):
     sol = solve_forward(mesh, first, setup, currents, factor=factor)
     assert (factor.factorizations, factor.pcg_iterations) == (1, 1)
     assert _relative_residual(operator, first, currents, sol) <= cdii.fem_cem.SOLVER_TOL
+
+
+def test_loose_solve_keeps_the_factor_a_tight_one_renews(reuse_case, monkeypatch):
+    # PCG on the first conductivity's factor meets 1e-6 in fewer steps than
+    # SOLVER_TOL.  With the step limit at the loose solve's count, the loose
+    # solve is accepted on the last factor and the tight one refactorizes.
+    mesh, setup, currents, operator, first, second = reuse_case
+    b = _load_vector(mesh.node_count, currents)
+
+    def second_solve(tol):
+        factor = LastFactor(operator)
+        factor.solve(first, b)
+        before = factor.pcg_iterations
+        x = factor.solve(second, b, tol)
+        return factor, factor.pcg_iterations - before, x
+
+    _, loose_steps, _ = second_solve(1e-6)
+    _, tight_steps, _ = second_solve(None)
+    assert 0 < loose_steps < tight_steps
+    monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", loose_steps)
+    loose, _, x = second_solve(1e-6)
+    tight, _, _ = second_solve(None)
+    assert (loose.factorizations, tight.factorizations) == (1, 2)
+    M = operator_matrix(operator, second)
+    assert np.linalg.norm(M @ x - b) <= 1e-6 * np.linalg.norm(b)
+
+
+def test_refine_continues_the_last_solve_to_the_contract(reuse_case):
+    # A loose solve, then its continuation on the same matrix and factor;
+    # the start basis keeps the loose solution.
+    mesh, setup, currents, operator, first, second = reuse_case
+    b = _load_vector(mesh.node_count, currents)
+    factor = LastFactor(operator)
+    with pytest.raises(ValueError, match="^no solve to refine$"):
+        factor.refine(b)
+    factor.solve(first, b)
+    loose = factor.solve(second, b, 1e-4)
+    kept, basis = loose.tobytes(), factor._basis.tobytes()
+    M = operator_matrix(operator, second)
+
+    def relative_residual(x):
+        return np.linalg.norm(M @ x - b) / np.linalg.norm(b)
+
+    assert relative_residual(loose) > cdii.fem_cem.SOLVER_TOL
+    before = factor.pcg_iterations
+    x = factor.refine(b)
+    assert relative_residual(x) <= cdii.fem_cem.SOLVER_TOL
+    assert factor.factorizations == 1 and factor.pcg_iterations > before
+    assert factor._last is loose and loose.tobytes() == kept
+    assert factor._basis.tobytes() == basis
+
+
+def test_rounding_residual_is_accepted_by_its_backward_error():
+    # With impedances 1 and 1e6 the load, which holds only the currents, is
+    # small against ||M|| ||x||: rounding alone leaves a relative residual
+    # above SOLVER_TOL, which the backward-error floor accepts, and the
+    # electrode fluxes still recover the currents.
+    mesh, setup, currents = two_electrode_case(12, 1.0, 1e6, ALPHA)
+    sol = solve_forward(mesh, ones(mesh), setup, currents)
+    M = operator_matrix(CemOperator(mesh, setup), ones(mesh))
+    x = np.concatenate([sol.u, sol.U[:-1]])
+    b = _load_vector(mesh.node_count, currents)
+    residual = np.linalg.norm(M @ x - b)
+    floor = cdii.fem_cem.BACKWARD_TOL * (spla.norm(M, np.inf) * np.linalg.norm(x)
+                                         + np.linalg.norm(b))
+    assert cdii.fem_cem.SOLVER_TOL * np.linalg.norm(b) < residual <= floor
+    fluxes = [electrode_flux(mesh, setup, sol, k) for k in range(setup.count)]
+    assert np.max(np.abs(fluxes - currents.values)) <= 1e-8 * ALPHA
 
 
 @pytest.mark.parametrize("exhausted", [False, True], ids=["converged", "exhausted"])

@@ -32,6 +32,7 @@ from helpers import (
     assert_objective_descent,
     functional_value,
     minimum_value,
+    operator_matrix,
     pi_vector,
     random_case,
     rel_l2,
@@ -77,9 +78,9 @@ def test_functional_is_the_straight_line_sum():
     g = triangle_gradients(mesh, v)
     expected = float(np.sum(a * _gradient_norm(g))) * mesh.triangle_area
     for k, e in enumerate(setup.electrodes):
-        wp, wq = v[e.edges[:, 0]] - V[k], v[e.edges[:, 1]] - V[k]
-        expected += float(np.sum(wp * wp + wp * wq + wq * wq)) * mesh.h / 3.0 \
-            / (2.0 * e.impedance)
+        scale = 1.0 / np.sqrt(e.impedance)
+        wp, wq = (v[e.edges[:, 0]] - V[k]) * scale, (v[e.edges[:, 1]] - V[k]) * scale
+        expected += float(np.sum(wp * wp + wp * wq + wq * wq)) * mesh.h / 6.0
     expected -= float(np.dot(currents.values, V))
     assert functional_value(mesh, InteriorData(a), setup, currents, (v, V)) == expected
 
@@ -384,10 +385,14 @@ def test_logged_objective_is_bitwise_the_functional_value(monkeypatch):
 
 
 def test_reconstruct_solver_error_names_iteration_0(monkeypatch):
+    # Iteration 0 is solved to FORCING_MAX; with the backward-error floor at
+    # 0 rounding is not forgiven, so no solve can reach 1e-30.
     mesh, setup, currents = two_electrode_case(12, 8.3e-3, 8.3e-3, 3e-3)
     data = InteriorData(np.full(mesh.triangle_count, 3e-3))
     config = ReconstructionConfig(epsilon=0.1, delta=1e-7)
     monkeypatch.setattr(cdii.fem_cem, "SOLVER_TOL", 1e-30)
+    monkeypatch.setattr(cdii.weighted_gradient, "FORCING_MAX", 1e-30)
+    monkeypatch.setattr(cdii.fem_cem, "BACKWARD_TOL", 0.0)
     with pytest.raises(SolverError, match=r"^iteration 0: linear solve stalled"):
         reconstruct(mesh, data, setup, currents, config)
 
@@ -434,8 +439,83 @@ def test_acceptance_reconstruction_shares_its_factorizations(monkeypatch):
         collect_pairs(mesh, setup, result, trace))).values
     rel = np.linalg.norm(sigma - sigma_true.values) / np.linalg.norm(sigma_true.values)
     assert result.converged and result.iterations == 16 and len(result.log) == 17
-    assert f"{rel:.5g}" == "0.0063911"
-    assert result.factorizations == 2 and 0 < result.pcg_iterations <= 55
+    assert f"{rel:.5g}" == "0.0063972"
+    assert result.factorizations == 1 and 0 < result.pcg_iterations <= 55
+
+
+@pytest.mark.parametrize("max_iter,converged", [(1000, True), (3, False)])
+def test_returned_solution_meets_the_solver_tolerance(max_iter, converged):
+    # The iterates are solved loosely, and the last one once more to
+    # SOLVER_TOL, at convergence and at the iteration cap alike.  The
+    # factor's matrix is the last iterate's when reconstruct returns.
+    mesh, setup, currents, _, data, _ = _phantom_case(30)
+    factor = LastFactor(CemOperator(mesh, setup))
+    result = reconstruct(mesh, data, setup, currents,
+                         ReconstructionConfig(epsilon=0.1, delta=1e-7, max_iter=max_iter),
+                         factor=factor)
+    assert result.converged == converged
+    tolerances = [rec.tolerance for rec in result.log]
+    assert min(tolerances) > cdii.fem_cem.SOLVER_TOL
+    x = np.concatenate([result.solution.u, result.solution.U[:-1]])
+    b = cdii.fem_cem._load_vector(mesh.node_count, currents)
+    residual = np.linalg.norm(factor._matrix @ x - b) / np.linalg.norm(b)
+    assert residual <= cdii.fem_cem.SOLVER_TOL
+    clamped = clamp_conductivity(data, _gradient_norm(result.solution.grad_u), 0.1)
+    assert result.sigma_v.values.tobytes() == clamped.values.tobytes()
+
+
+def test_iterates_are_solved_to_the_forcing_term():
+    # The first two iterates are solved to FORCING_MAX, each later one to
+    # FORCING times the last gradient change over the largest gradient,
+    # within [SOLVER_TOL, FORCING_MAX].  Each record counts its solve's PCG
+    # iterations; the final solve's are counted only in the result.
+    mesh, setup, currents, _, data, _ = _phantom_case(30)
+    result = reconstruct(mesh, data, setup, currents,
+                         ReconstructionConfig(epsilon=0.1, delta=1e-9))
+    log = result.log
+    largest = cdii.weighted_gradient.FORCING_MAX
+    assert log[0].tolerance == log[1].tolerance == largest
+    assert all(cdii.fem_cem.SOLVER_TOL <= rec.tolerance <= largest for rec in log[2:])
+    assert min(rec.tolerance for rec in log) < largest  # the forcing term binds
+    assert sum(rec.pcg_iterations for rec in log) <= result.pcg_iterations
+    assert all(rec.pcg_iterations <= cdii.fem_cem.PCG_REFACTOR_CAP for rec in log)
+    assert result.factorizations == 1
+
+
+def test_forcing_term_is_the_scaled_last_change():
+    grad_norm = np.array([0.5, 2.0, 1.0])
+    forcing = cdii.weighted_gradient._forcing_term
+    theta = cdii.weighted_gradient.FORCING
+    assert forcing(4e-4, grad_norm) == theta * 4e-4 / 2.0
+    assert forcing(1.0, grad_norm) == cdii.weighted_gradient.FORCING_MAX
+    assert forcing(0.0, grad_norm) == cdii.fem_cem.SOLVER_TOL
+    # A current unit scales the change and the gradient alike.
+    assert forcing(4e-4 * 1e3, grad_norm * 1e3) == pytest.approx(theta * 2e-4, rel=1e-15)
+
+
+def test_loose_iterates_keep_the_error_of_tight_ones(monkeypatch):
+    # Acceptance criterion 8's configuration: solving every iterate to
+    # SOLVER_TOL (FORCING_MAX = SOLVER_TOL clips every forcing term to it)
+    # stops at the same iterate, with the calibrated error within 1%, and
+    # the logged objective falls at every step of both runs.
+    mesh, setup, currents, sigma_true, data, trace = _phantom_case(90)
+    config = ReconstructionConfig(epsilon=0.1, delta=1e-7)
+
+    def run():
+        result = reconstruct(mesh, data, setup, currents, config)
+        assert_objective_descent(result)
+        sigma = apply_calibration(mesh, result, build_monotone_map(
+            collect_pairs(mesh, setup, result, trace)))
+        return result, rel_l2(sigma.values, sigma_true.values)
+
+    loose, loose_error = run()
+    monkeypatch.setattr(cdii.weighted_gradient, "FORCING_MAX", cdii.fem_cem.SOLVER_TOL)
+    tight, tight_error = run()
+    assert {rec.tolerance for rec in tight.log} == {cdii.fem_cem.SOLVER_TOL}
+    assert loose.iterations == tight.iterations and loose.converged and tight.converged
+    assert loose_error == pytest.approx(tight_error, rel=0.01)
+    assert (loose.factorizations, tight.factorizations) == (1, 2)
+    assert loose.pcg_iterations < tight.pcg_iterations
 
 
 def test_acceptance_factor_stores_no_relaxed_supernode_zeros():
@@ -588,13 +668,13 @@ def test_reconstruct_solver_error_names_iteration_after_pcg_fallback(monkeypatch
     monkeypatch.setattr(cdii.fem_cem, "spla", Linalg())
     monkeypatch.setattr(cdii.fem_cem, "PCG_MAX_ITER", 1)
     message = (r"^iteration 1: linear solve stalled at relative residual (\S+) "
-               r"\(tolerance 1\.0e-10\)$")
+               r"\(tolerance 1\.0e-06, backward-error floor (\S+)\)$")
     with pytest.raises(SolverError, match=message) as info:
         reconstruct(mesh, data, setup, currents,
                     ReconstructionConfig(epsilon=0.1, delta=1e-7))
     assert len(factors) == 2
-    residual = float(re.match(message, str(info.value)).group(1))
-    assert residual > cdii.fem_cem.SOLVER_TOL
+    residual, floor = map(float, re.match(message, str(info.value)).groups())
+    assert residual > cdii.weighted_gradient.FORCING_MAX and residual > floor > 0.0
 
 
 def test_reconstruct_rejects_vanishing_data():
