@@ -433,24 +433,17 @@ class LastFactor:
     work (``BENCH_loop.json``).  Only its stop differs: scipy steps while
     ``||r|| >= tol * ||b||`` and calls an exhausted loop unconverged.
 
-    What does not change between solves is kept, not rebuilt:
+    One matrix on the operator's pattern is kept, not rebuilt: each solve
+    overwrites its entries with the block matrix at its conductivity, so a
+    solve allocates no matrix.  It belongs to this factor, not the
+    operator: two factors on one operator never share it.
 
-    - one matrix on the operator's pattern, whose entries each solve
-      overwrites with the block matrix at its conductivity, so a solve
-      allocates no matrix.  It belongs to this factor, not the operator:
-      two factors on one operator never share it.
-    - the PCG start basis, as normalized rows: the last solution's
-      direction, then the differences of successive recent solutions,
-      newest first.  Each row is computed once, when its solution
-      arrives, as Fischer's projection keeps its basis (Comput. Methods
-      Appl. Mech. Engrg. 163, 1998).  It is allocated by the first solve,
-      after its factorization, so a factor that solves once holds none
-      while SuperLU factors.
-
-    It also holds the last factor, the last solution and how many PCG
-    iterations the last solve took, and counts the factorizations and PCG
-    iterations of the sequence.  Its owner drops it when the sequence ends,
-    and the factor, the matrix and the basis with it.
+    It also holds the last factor, the last ``PCG_RECENT`` solutions, the
+    arrays ``solve`` returned, from which each solve builds its start, and
+    how many PCG iterations the last solve took, and counts the
+    factorizations and PCG iterations of the sequence.  Its owner drops it
+    when the sequence ends, and the factor, the matrix and the solutions
+    with it.
     """
 
     def __init__(self, operator: CemOperator):
@@ -459,11 +452,7 @@ class LastFactor:
         self.pcg_iterations = 0
         self._lu = None
         self._matrix = operator._new_matrix()
-        self._last = None  # the last solution
-        # The start basis, as the rows of W in _start's order; the first
-        # _rows rows are in use.  Empty until the first solution arrives.
-        self._basis = np.zeros((0, self._matrix.shape[0]))
-        self._rows = 0
+        self._recent = []  # the last PCG_RECENT solutions, oldest first
         self._last_pcg = 0
 
     def solve(self, sigma: ConductivityField, b: np.ndarray,
@@ -484,13 +473,13 @@ class LastFactor:
             neither bound; the message names both.
         """
         x = self._solve(self.operator._fill(self._matrix, sigma), b, tol, self._start)
-        self._keep(x)
+        self._recent = (self._recent + [x])[-PCG_RECENT:]
         return x
 
     def refine(self, b: np.ndarray) -> np.ndarray:
         """The last solve's solution continued to the relative residual
         ``SOLVER_TOL``: PCG on the same matrix, started from that solution,
-        as ``solve`` runs it.  The start basis keeps the solution it
+        as ``solve`` runs it.  The recent solutions keep the one it
         started from.
 
         Raises
@@ -500,9 +489,9 @@ class LastFactor:
         SolverError
             As ``solve``.
         """
-        if self._last is None:
+        if not self._recent:
             raise ValueError("no solve to refine")
-        return self._solve(self._matrix, b, None, lambda M, b: self._last.copy())
+        return self._solve(self._matrix, b, None, lambda M, b: self._recent[-1].copy())
 
     def _solve(self, M: sp.csc_matrix, b: np.ndarray, tol: float | None,
                start) -> np.ndarray:
@@ -517,57 +506,43 @@ class LastFactor:
         # PCG on the last factor, unless there is none or the last solve
         # needed more than the cap; then, or if it is not accepted, a new
         # factor.
-        accepted = False
         if self._lu is not None and self._last_pcg <= PCG_REFACTOR_CAP:
             x, res = self._pcg(M, b, bound, start(M, b))
-            accepted = res <= bound or res <= _backward_floor(M, x, b_norm)
-        if not accepted:
-            self._lu = None  # one factor alive at a time
-            try:
-                self._lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                     relax=LU_RELAX, panel_size=LU_PANEL_SIZE,
-                                     options={"SymmetricMode": True})
-            except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
-                raise SolverError(f"factorization failed: {exc}") from None
-            self.factorizations += 1
-            x, res = self._pcg(M, b, bound, self._lu.solve(b))
-            if not (res <= bound or res <= _backward_floor(M, x, b_norm)):  # NaN fails
-                raise SolverError(f"linear solve stalled at relative residual "
-                                  f"{res / b_norm:.3e} (tolerance {rtol:.1e}, backward-error "
-                                  f"floor {_backward_floor(M, x, b_norm) / b_norm:.1e})")
+            if _missed_floor(M, x, res, bound, b_norm) is None:
+                return x
+        self._lu = None  # one factor alive at a time
+        try:
+            self._lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                 relax=LU_RELAX, panel_size=LU_PANEL_SIZE,
+                                 options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+            raise SolverError(f"factorization failed: {exc}") from None
+        self.factorizations += 1
+        x, res = self._pcg(M, b, bound, self._lu.solve(b))
+        floor = _missed_floor(M, x, res, bound, b_norm)
+        if floor is not None:
+            raise SolverError(f"linear solve stalled at relative residual "
+                              f"{res / b_norm:.3e} (tolerance {rtol:.1e}, backward-error "
+                              f"floor {floor / b_norm:.1e})")
         return x
-
-    def _keep(self, x: np.ndarray) -> None:
-        """Take the solution ``x`` into the start basis: the kept
-        differences move down a row, the oldest dropping out past
-        ``PCG_RECENT`` rows, and ``x``'s direction and its difference from
-        the last solution take the first two rows."""
-        if not len(self._basis):
-            self._basis = np.zeros((PCG_RECENT, len(x)))
-        W = self._basis
-        rows = self._rows = min(self._rows + 1, len(W))
-        W[2:rows] = W[1:rows - 1]
-        W[0] = x
-        if rows > 1:
-            np.subtract(x, self._last, out=W[1])
-        # Normalized as the rows of one block, so the basis is to the bit
-        # the one normalized as a block from the raw solutions: numpy's
-        # einsum sums a lone row of over 8192 products in other chunks.
-        new = W[:min(rows, 2)]
-        norms = np.sqrt(np.einsum("ij,ij->i", new, new))
-        new /= np.where(norms > 0.0, norms, 1.0)[:, None]
-        self._last = x
 
     def _start(self, M: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
         """The combination of the recent solutions closest to ``M⁻¹b`` in
-        ``M``'s energy norm: ``W c`` with ``(WᵀMW) c = Wᵀb``.
+        ``M``'s energy norm: ``W c`` with ``(WᵀMW) c = Wᵀb``, Fischer's
+        projection start (Comput. Methods Appl. Mech. Engrg. 163, 1998).
 
-        ``W``'s columns are the start basis: the last solution and the
-        differences of successive ones, each normalized.  They are close to
+        ``W``'s columns are the last solution and the differences of
+        successive ones, newest first, each normalized.  They are close to
         dependent, so the small system is solved by least squares.  The
         last solution is in the span, so the start is no worse than it.
         """
-        W = self._basis[:self._rows]  # the columns of W, as rows
+        x = self._recent[::-1]
+        W = np.empty((len(x), len(b)))  # the columns of W, as rows
+        W[0] = x[0]
+        for i in range(len(x) - 1):
+            np.subtract(x[i], x[i + 1], out=W[i + 1])
+        norms = np.sqrt(np.einsum("ij,ij->i", W, W))
+        W /= np.where(norms > 0.0, norms, 1.0)[:, None]
         MW = M @ np.ascontiguousarray(W.T)  # scipy multiplies C-order blocks fastest
         c = np.linalg.lstsq(W @ MW, W @ b, rcond=1e-14)[0]
         return c @ W
@@ -605,13 +580,20 @@ def _norm(v: np.ndarray) -> float:
     return np.sqrt(v.dot(v))
 
 
-def _backward_floor(M: sp.csc_matrix, x: np.ndarray, b_norm: float) -> float:
-    """``BACKWARD_TOL (||M||_inf ||x|| + ||b||)``, the residual norm rounding
-    alone can leave at ``x``; NaN, which bounds nothing, where it overflows.
-    ``M`` is symmetric, so its largest absolute column sum is ``||M||_inf``."""
+def _missed_floor(M: sp.csc_matrix, x: np.ndarray, res: float, bound: float,
+                  b_norm: float) -> float | None:
+    """None when the iterate ``x``, of residual norm ``res``, is accepted:
+    ``res <= bound``, or else ``res`` is at most the backward-error floor
+    ``BACKWARD_TOL (||M||_inf ||x|| + ||b||)``, the residual rounding alone
+    can leave.  Otherwise the floor it missed: NaN, which bounds nothing,
+    where that overflows.  A NaN ``res`` meets neither bound.  ``M`` is
+    symmetric, so its largest absolute column sum is ``||M||_inf``."""
+    if res <= bound:
+        return None
     m_norm = float(np.add.reduceat(np.abs(M.data), M.indptr[:-1]).max())
     floor = BACKWARD_TOL * (m_norm * float(_norm(x)) + float(b_norm))
-    return floor if floor < np.inf else np.nan
+    floor = floor if floor < np.inf else np.nan
+    return None if res <= floor else floor
 
 
 def solve_forward(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,

@@ -345,25 +345,6 @@ def quadratic_minimizer_oracle(mesh, sigma, setup, currents):
     return x[:m], U
 
 
-def start_reference(recent: list[np.ndarray], M, b: np.ndarray) -> np.ndarray:
-    """The PCG start of ``fem_cem.LastFactor`` rebuilt from the raw recent
-    solutions (oldest first), as it was before the factor kept its basis:
-    the last solution and the differences of successive ones, newest first,
-    stacked, normalized as rows of one block, and combined by the least
-    squares Galerkin system ``(WᵀMW) c = Wᵀb``.  The reference that the
-    kept basis is checked against bitwise."""
-    x = recent[::-1]
-    W = np.empty((len(x), len(b)))
-    W[0] = x[0]
-    for i in range(len(x) - 1):
-        np.subtract(x[i], x[i + 1], out=W[i + 1])
-    norms = np.sqrt(np.einsum("ij,ij->i", W, W))
-    W /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    MW = M @ np.ascontiguousarray(W.T)
-    c = np.linalg.lstsq(W @ MW, W @ b, rcond=1e-14)[0]
-    return c @ W
-
-
 class InexactFactor:
     """A SuperLU factor whose solves are 0.1% too large."""
 

@@ -35,7 +35,6 @@ from helpers import (
     pi_vector,
     quadratic_minimizer_oracle,
     random_case,
-    start_reference,
     triplet_stiffness,
     two_electrode_case,
 )
@@ -625,14 +624,15 @@ def test_reused_factor_solves_to_the_contract(reuse_case):
     assert _relative_residual(operator, second, currents, sol) <= cdii.fem_cem.SOLVER_TOL
 
 
-def test_factor_allocates_its_start_basis_on_its_first_solve(reuse_case):
-    # A factor that solves once holds no basis while SuperLU factors.
+def test_factor_keeps_the_solution_it_returns(reuse_case):
+    # A new factor holds no solution and nothing else preallocated; a solve
+    # keeps the very array it returns, not a copy.
     mesh, setup, currents, operator, first, _ = reuse_case
     factor = LastFactor(operator)
+    assert factor._recent == []
     assert sum(v.size for v in vars(factor).values() if isinstance(v, np.ndarray)) == 0
-    solve_forward(mesh, first, setup, currents, factor=factor)
-    size = mesh.node_count + setup.count - 1
-    assert factor._basis.shape == (cdii.fem_cem.PCG_RECENT, size)
+    x = factor.solve(first, _load_vector(mesh.node_count, currents))
+    assert len(factor._recent) == 1 and factor._recent[0] is x
 
 
 def test_failed_pcg_falls_back_to_the_direct_solve(reuse_case, monkeypatch):
@@ -687,7 +687,7 @@ def test_loose_solve_keeps_the_factor_a_tight_one_renews(reuse_case, monkeypatch
 
 def test_refine_continues_the_last_solve_to_the_contract(reuse_case):
     # A loose solve, then its continuation on the same matrix and factor;
-    # the start basis keeps the loose solution.
+    # the recent solutions are left as they were, the loose one last.
     mesh, setup, currents, operator, first, second = reuse_case
     b = _load_vector(mesh.node_count, currents)
     factor = LastFactor(operator)
@@ -695,7 +695,8 @@ def test_refine_continues_the_last_solve_to_the_contract(reuse_case):
         factor.refine(b)
     factor.solve(first, b)
     loose = factor.solve(second, b, 1e-4)
-    kept, basis = loose.tobytes(), factor._basis.tobytes()
+    recent = list(factor._recent)
+    kept = [x.tobytes() for x in recent]
     M = operator_matrix(operator, second)
 
     def relative_residual(x):
@@ -706,8 +707,9 @@ def test_refine_continues_the_last_solve_to_the_contract(reuse_case):
     x = factor.refine(b)
     assert relative_residual(x) <= cdii.fem_cem.SOLVER_TOL
     assert factor.factorizations == 1 and factor.pcg_iterations > before
-    assert factor._last is loose and loose.tobytes() == kept
-    assert factor._basis.tobytes() == basis
+    assert len(factor._recent) == 2 and factor._recent[-1] is loose
+    assert all(a is b for a, b in zip(factor._recent, recent))
+    assert [x.tobytes() for x in factor._recent] == kept
 
 
 def test_rounding_residual_is_accepted_by_its_backward_error():
@@ -785,49 +787,35 @@ def test_refactorizes_after_a_solve_over_the_cap(reuse_case, monkeypatch):
 
 
 @pytest.mark.parametrize("again", range(4))
-def test_resolving_a_recent_conductivity_takes_no_pcg_step(reuse_case, again):
+def test_resolving_a_recent_conductivity_takes_no_pcg_step(again, monkeypatch):
     # The PCG start is the energy-optimal combination of the last four
-    # solutions, so a conductivity among them is solved before any step.
-    # The later conductivities are 1% apart, so no solve goes over the cap.
-    mesh, setup, currents, operator, first, second = reuse_case
-    rng = np.random.default_rng(5)
-    third = ConductivityField(second.values * rng.uniform(0.99, 1.01, mesh.triangle_count))
-    fourth = ConductivityField(third.values * rng.uniform(0.99, 1.01, mesh.triangle_count))
-    sigmas = (first, second, third, fourth)
-    factor = LastFactor(operator)
-    for sigma in sigmas:
-        solve_forward(mesh, sigma, setup, currents, factor=factor)
-    assert factor.pcg_iterations > 0
-    before = (factor.factorizations, factor.pcg_iterations)
-    sol = solve_forward(mesh, sigmas[again], setup, currents, factor=factor)
-    assert (factor.factorizations, factor.pcg_iterations) == before
-    assert _relative_residual(operator, sigmas[again], currents, sol) <= cdii.fem_cem.SOLVER_TOL
-
-
-@pytest.mark.parametrize("side_nodes", [20, 91])
-def test_kept_start_is_bitwise_the_start_from_raw_solutions(side_nodes, monkeypatch):
-    # Over seven solves, three of them refactorizations (a cap of 0 sends
-    # every solve after an iterating PCG solve to the factorization), the
-    # start from the kept basis is the start rebuilt from the last
-    # PCG_RECENT solutions.  91² has over 8192 unknowns, where numpy's
-    # einsum sums a lone row in other chunks than a block's rows.
-    mesh, setup, currents = two_electrode_case(side_nodes, Z, Z, ALPHA)
-    operator = CemOperator(mesh, setup)
-    b = _load_vector(mesh.node_count, currents)
-    rng = np.random.default_rng(side_nodes)
-    values = rng.uniform(0.5, 2.0, mesh.triangle_count)
-    monkeypatch.setattr(cdii.fem_cem, "PCG_REFACTOR_CAP", 0)
-    factor = LastFactor(operator)
-    solutions = []
-    for _ in range(7):
-        values = values * rng.uniform(0.95, 1.05, mesh.triangle_count)
-        sigma = ConductivityField(values)
-        if solutions:
-            M = operator_matrix(operator, sigma)
-            expected = start_reference(solutions[-cdii.fem_cem.PCG_RECENT:], M, b)
-            assert factor._start(M, b).tobytes() == expected.tobytes()
-        solutions.append(factor.solve(sigma, b))
-    assert factor.factorizations == 4 and factor.pcg_iterations > 0
+    # solutions, so a conductivity among them is solved before any step,
+    # also where they span refactorizations: with the cap at 0, each solve
+    # after an iterating PCG solve refactorizes, so five solves take three
+    # factorizations, and the first drops out.  The conductivities are 1%
+    # apart, so the last PCG solve is under the cap restored for the
+    # re-solve.  91² has over 8192 unknowns, past the blocks of 8192 in
+    # which numpy sums.
+    for side_nodes in (20, 91):
+        mesh, setup, currents = two_electrode_case(side_nodes, Z, Z, ALPHA)
+        operator = CemOperator(mesh, setup)
+        rng = np.random.default_rng(side_nodes)
+        values = rng.uniform(0.5, 2.0, mesh.triangle_count)
+        sigmas = []
+        for _ in range(5):
+            sigmas.append(ConductivityField(values))
+            values = values * rng.uniform(0.99, 1.01, mesh.triangle_count)
+        monkeypatch.setattr(cdii.fem_cem, "PCG_REFACTOR_CAP", 0)
+        factor = LastFactor(operator)
+        for sigma in sigmas:
+            solve_forward(mesh, sigma, setup, currents, factor=factor)
+        assert factor.factorizations == 3 and factor.pcg_iterations > 0
+        monkeypatch.undo()
+        before = (factor.factorizations, factor.pcg_iterations)
+        sigma = sigmas[1 + again]
+        sol = solve_forward(mesh, sigma, setup, currents, factor=factor)
+        assert (factor.factorizations, factor.pcg_iterations) == before
+        assert _relative_residual(operator, sigma, currents, sol) <= cdii.fem_cem.SOLVER_TOL
 
 
 def test_solves_leave_the_operators_matrices_alone(reuse_case):
