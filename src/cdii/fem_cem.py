@@ -28,9 +28,11 @@ the stencil at its conductivity into the slots of a matrix its
 ``LastFactor`` keeps, adds the fixed entries, and factorizes with
 SuperLU's symmetric mode, in the multiple minimum-degree order SuperLU
 computes for each factorization, without relaxed supernodes
-(``LU_RELAX``).  ``assemble_system`` assembles the same stencil entries
-and the electrode trace mass as triplets; the operator takes its pattern
-and its electrode blocks from one call to it.
+(``LU_RELAX``).  The stiffness's pattern is known by construction: a
+node's column holds its south, west, own, east and north neighbours,
+those the grid has (``_stencil_pattern``), so ``assemble_system`` and the
+operator write their arrays in place, slot by slot, and look no entry
+up.
 
 Every solve goes through a ``LastFactor``, which holds the last
 factorization; the solves that pass the same one share it.  Each solve
@@ -180,26 +182,6 @@ class BlockSystem:
     Upsilon: np.ndarray
     rhs: np.ndarray
 
-    def __post_init__(self):
-        d = sp.csr_matrix(self.Lambda - self.Lambda.T)
-        scale = max(np.max(np.abs(self.Lambda.data)), 1.0)
-        if d.nnz and np.max(np.abs(d.data)) > 1e-13 * scale:
-            raise ValueError("stiffness block lost symmetry during assembly")
-
-    def full_matrix(self) -> sp.csc_matrix:
-        """The symmetric block matrix of the eliminated-voltage system.
-
-        Unknowns are in mesh node order, then the electrode voltages.
-        ``CemOperator`` takes its sparsity pattern from this matrix once.
-        """
-        return sp.bmat(
-            [
-                [self.Lambda, sp.csr_matrix(self.Psi)],
-                [sp.csr_matrix(self.Psi.T), sp.csr_matrix(self.Upsilon)],
-            ],
-            format="csc",
-        )
-
 
 def _check_currents(setup: ElectrodeSetup, currents: CurrentPattern) -> None:
     if len(currents.values) != setup.count:
@@ -256,27 +238,19 @@ def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     """
     _check_sigma(mesh, sigma)
     _check_setup(mesh, setup, currents)
-    m = mesh.node_count
+    n, m = mesh.side_nodes, mesh.node_count
     N = setup.count - 1
     h = mesh.h
 
-    # The stencil's entries, then four trace-mass entries per electrode
-    # edge: written into one block of triplets, whose indices are the
-    # int32 the matrix keeps.
-    stencil_rows, stencil_cols, at = _stencil_pairs(mesh.side_nodes)
-    end = len(at)
-    rows = np.empty(end + 4 * sum(len(e.edges) for e in setup.electrodes), dtype=np.int32)
-    cols = np.empty_like(rows)
-    vals = np.empty(len(rows))
-    rows[:end], cols[:end] = stencil_rows, stencil_cols
-    np.take(_stencil(mesh, sigma), at, out=vals[:end])
-    for e in setup.electrodes:
-        p, q = e.edges[:, 0], e.edges[:, 1]
-        c = h / (6.0 * e.impedance)
-        for row, col, val in ((p, p, 2.0 * c), (q, q, 2.0 * c), (p, q, c), (q, p, c)):
-            start, end = end, end + len(p)
-            rows[start:end], cols[start:end], vals[start:end] = row, col, val
-    Lam = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+    # The stencil's entries in their slots, then the trace mass added into
+    # theirs one term at a time, in _trace_mass's order: each slot sums
+    # its triangles' terms and then its electrode edges' terms, as an
+    # element-by-element assembly would.
+    indptr, indices, at = _stencil_pattern(n)
+    data = np.take(_stencil(mesh, sigma), at)
+    rows, cols, mass = _trace_mass(setup, h)
+    np.add.at(data, _slots(indptr, n, rows, cols), mass)
+    Lam = sp.csr_matrix((data, indices, indptr), shape=(m, m))
 
     # Per-node single-basis edge integrals, h/2 per incident electrode edge.
     w = np.array([np.bincount(e.edges.ravel(), minlength=m) for e in setup.electrodes]) * (h / 2)
@@ -290,23 +264,79 @@ def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
                        rhs=_load_vector(m, currents))
 
 
-def _stencil_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The int32 (row, col) node pairs of the stiffness on a grid of ``n``
-    nodes a side, and the index of each pair's entry in ``_stencil``:
-    each node's diagonal, then each west-east and each south-north grid
-    edge, once in each direction."""
-    node = np.arange(n * n, dtype=np.int32).reshape(n, n)
-    at = node + np.arange(n, dtype=np.int32)[:, None]  # r * (n + 1) + c
-    we, sn = at[:, :-1] + n * (n + 1), at[:-1] + 2 * n * (n + 1)
-    west, east, south, north = node[:, :-1], node[:, 1:], node[:-1], node[1:]
-    triples = [(node, node, at), (west, east, we), (east, west, we),
-               (south, north, sn), (north, south, sn)]
-    return tuple(np.concatenate([t[i].ravel() for t in triples]) for i in range(3))
+def _stencil_pattern(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stiffness's pattern on a grid of ``n`` nodes a side, as int32
+    CSR ``indptr`` and ``indices``, and the index of each slot's entry in
+    ``_stencil``.  Node ``j``'s row holds its south, west, own, east and
+    north neighbours, those the grid has: ``j - n``, ``j - 1``, ``j``,
+    ``j + 1`` and ``j + n``, in increasing order.  The pattern is
+    symmetric, so its rows are also its columns."""
+    size = n * (n + 1)
+    # A middle grid row's slots, numbered as if it were grid row 0: every
+    # neighbour of each node but the west one of the row's first node and
+    # the east one of its last (a south neighbour's edge is its
+    # south-north edge, a west one's its west-east edge).  Each middle
+    # row repeats them, shifted by n nodes and n + 1 stencil entries a
+    # row; the first grid row drops the south neighbours, the last the
+    # north ones.
+    c = np.arange(n, dtype=np.int32)[:, None]
+    has = np.ones((n, 5), dtype=bool)
+    has[0, 1] = has[-1, 3] = False
+    kind = np.broadcast_to(np.arange(5), (n, 5))[has]
+    cols = (c + np.array([-n, -1, 0, 1, n], dtype=np.int32))[has]
+    ats = (c + np.array([2 * size - n - 1, size - 1, 0, size, 2 * size], dtype=np.intp))[has]
+    width = len(kind)
+    nnz = n * width - 2 * n
+    first, last = width - n, nnz - (width - n)  # the middle rows' slots
+    indices = np.empty(nnz, dtype=np.int32)
+    at = np.empty(nnz, dtype=np.intp)
+    rows = np.arange(1, n - 1, dtype=np.int32)[:, None]
+    for out, run, step in ((indices, cols, n), (at, ats, n + 1)):
+        out[:first] = run[kind != 0]
+        np.add(rows * step, run, out=out[first:last].reshape(n - 2, width))
+        np.add(run[kind != 4], (n - 1) * step, out=out[last:])
+    # Row pointers, each node's last slot + 1: as in a middle row, less
+    # the n south slots the first grid row lacks, and in the first and
+    # last grid rows less one slot per node up to and including this one.
+    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    grid = indptr[1:].reshape(n, n)
+    np.add(np.arange(n, dtype=np.int32)[:, None] * width - n,
+           np.cumsum(has.sum(axis=1, dtype=np.int32)), out=grid)
+    grid[0] += n - np.arange(1, n + 1, dtype=np.int32)
+    grid[-1] -= np.arange(1, n + 1, dtype=np.int32)
+    return indptr, indices, at
+
+
+def _trace_mass(setup: ElectrodeSetup, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The electrode trace mass, ``h/(6 z) [[2, 1], [1, 2]]`` on each
+    electrode edge ``(p, q)``, as the rows, columns and values of its
+    entries: electrode by electrode, the pp, qq, pq and qp entries of its
+    edges."""
+    rows, cols, values = [], [], []
+    for e in setup.electrodes:
+        p, q = e.edges[:, 0], e.edges[:, 1]
+        c = h / (6.0 * e.impedance)
+        rows += [p, q, p, q]
+        cols += [p, q, q, p]
+        values.append(np.repeat([2.0 * c, 2.0 * c, c, c], len(p)))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _slots(indptr: np.ndarray, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The slot of each entry ``(row, col)``, ``col`` the node ``row`` or a
+    grid neighbour of it, in a layout whose node ``j`` starts at
+    ``indptr[j]`` with ``_stencil_pattern``'s entries of row ``j``: the
+    entry's rank among the south, west, own, east and north neighbours
+    the grid has."""
+    c = rows % n
+    return (indptr[rows] + ((rows >= n) & (cols > rows - n)) + ((c > 0) & (cols >= rows))
+            + (cols > rows) + ((c < n - 1) & (cols > rows + 1)))
 
 
 def _stencil(mesh: Mesh, sigma: ConductivityField) -> np.ndarray:
-    """The stiffness entries at ``sigma``, at the indices ``_stencil_pairs``
-    gives, followed by one zero.
+    """The stiffness entries at ``sigma``: each node's diagonal, then each
+    west-east and each south-north grid edge, at the indices
+    ``_stencil_pattern`` gives, followed by one zero.
 
     Each entry adds its triangles' terms in increasing triangle order, so
     it is bitwise the sum of the triangles' element matrices taken in that
@@ -353,36 +383,70 @@ class CemOperator:
     """The CEM block matrix of one mesh and electrode setup, for any conductivity.
 
     Built from one call to ``assemble_system`` at unit conductivity, which
-    validates the setup and checks symmetry; its pattern is the operator's,
-    entries zero at unit conductivity included.  Unknowns are in the
-    reference order: mesh nodes, then the electrode voltages.  Each slot
-    keeps the index of its ``_stencil`` entry: the trailing zero for a slot
-    no stiffness reaches.  The fixed electrode entries are kept as the
-    slots where they are nonzero and their values, a few per electrode
-    edge and voltage.
+    validates the setup.  Unknowns are in the reference order: mesh nodes,
+    then the electrode voltages.  The pattern is the stiffness's, entries
+    zero at unit conductivity included, then in each node's column its
+    nonzero entries of ``Psi`` transposed, and in each voltage's column
+    its nonzero entries of ``Psi``, then of ``Upsilon``; it is symmetric,
+    and each column's rows increase.  Each slot keeps the index of its
+    ``_stencil`` entry: the trailing zero for a slot no stiffness reaches.
+    The fixed electrode entries are kept as the slots where they are
+    nonzero and their values, a few per electrode edge and voltage: the
+    trace mass, which is the unit system's entry less its stencil entry,
+    and the entries of ``Psi`` and ``Upsilon``.
     """
 
     def __init__(self, mesh: Mesh, setup: ElectrodeSetup):
         unit = ConductivityField(np.ones(mesh.triangle_count))
-        M = assemble_system(mesh, unit, setup, CurrentPattern(np.zeros(setup.count))).full_matrix()
+        system = assemble_system(mesh, unit, setup, CurrentPattern(np.zeros(setup.count)))
         self.mesh = mesh
         self.setup = setup
-        self._indices, self._indptr, self._shape = M.indices, M.indptr, M.shape
+        n, m, N = mesh.side_nodes, mesh.node_count, setup.count - 1
 
-        # Slot of each stencil entry: look the pairs up in a table of the
-        # pattern that stores slot + 1.  The table reads the CSC arrays as
-        # CSR, so it is indexed (col, row).
-        table = sp.csr_matrix((np.arange(1, M.nnz + 1, dtype=np.int32),
-                               M.indices, M.indptr), shape=M.shape)
-        rows, cols, at = _stencil_pairs(mesh.side_nodes)
-        self._map = np.full(M.nnz, -1, dtype=np.intp)  # -1: the trailing zero
-        self._map[np.asarray(table[cols, rows]).ravel() - 1] = at
+        # The unit system's trace mass: its slots in the stiffness, whose
+        # voltage columns are empty, and its entries there.
+        rows, cols, _ = _trace_mass(setup, mesh.h)
+        lam_indptr = np.concatenate([system.Lambda.indptr,
+                                     np.full(N, system.Lambda.nnz, dtype=np.int32)])
+        lam_slots, first = np.unique(_slots(lam_indptr, n, rows, cols), return_index=True)
+        trace = system.Lambda.data[lam_slots]
+        # The coupling entries, after the stiffness in each column: a node's
+        # row of Psi, a voltage's column of Psi and then of Upsilon.
+        psi_volts, psi_nodes = np.divmod(np.flatnonzero(system.Psi.T), m)
+        ups_rows, ups_cols = np.nonzero(system.Upsilon)
+        coupling_cols = np.concatenate([psi_nodes, m + psi_volts, m + ups_cols])
+        coupling_rows = np.concatenate([m + psi_volts, psi_nodes, m + ups_rows])
+        order = np.lexsort((coupling_rows, coupling_cols))
+        coupling_cols, coupling_rows = coupling_cols[order], coupling_rows[order]
+        psi = system.Psi[psi_nodes, psi_volts]
+        coupling_values = np.concatenate([psi, psi, system.Upsilon[ups_rows, ups_cols]])[order]
+        del system  # the build's peak is the layout below, not the unit system
 
-        # What is left after the unit stiffness: the electrode trace mass,
-        # Psi and Upsilon as assemble_system built them, up to rounding.
-        fixed = M.data - np.take(_stencil(mesh, unit), self._map)
-        self._fixed_slots = np.flatnonzero(fixed)
-        self._fixed_values = fixed[self._fixed_slots]
+        # A column starts as many slots after its stiffness entries' start
+        # as the columns before it hold coupling entries.
+        before = np.repeat(np.arange(len(order) + 1, dtype=np.int32),
+                           np.diff(coupling_cols, prepend=-1, append=m + N))
+        self._indptr, self._shape = lam_indptr + before, (m + N, m + N)
+        coupling_slots = lam_indptr[coupling_cols + 1] + np.arange(len(order))
+        in_stiffness = np.ones(self._indptr[-1], dtype=bool)
+        in_stiffness[coupling_slots] = False
+        _, lam_indices, at = _stencil_pattern(n)
+        trace -= np.take(_stencil(mesh, unit), at[lam_slots])  # the unit stencil's entries
+        self._indices = np.empty(len(in_stiffness), dtype=np.int32)
+        self._indices[in_stiffness] = lam_indices
+        self._indices[coupling_slots] = coupling_rows
+        self._map = np.empty(len(in_stiffness), dtype=np.intp)
+        self._map[in_stiffness] = at
+        self._map[coupling_slots] = -1  # the trailing zero
+
+        # The fixed entries that are nonzero, in slot order: the trace mass,
+        # the unit system's entry less its stencil entry, and the coupling.
+        trace_rows = rows[first]
+        slots = np.concatenate([lam_slots + before[trace_rows], coupling_slots])
+        values = np.concatenate([trace, coupling_values])
+        kept = np.flatnonzero(values)
+        kept = kept[np.argsort(slots[kept])]
+        self._fixed_slots, self._fixed_values = slots[kept], values[kept]
 
     def _new_matrix(self) -> sp.csc_matrix:
         """A matrix on this operator's pattern, its entries not yet set."""
@@ -552,10 +616,11 @@ class LastFactor:
         """PCG preconditioned with the last factor from the start ``x``, in
         scipy's ``cg`` recurrence, stepping while ``||r|| > tol`` and fewer
         than ``PCG_MAX_ITER`` steps have run; the last iterate and its true
-        residual norm ``||M x - b||``."""
+        residual norm ``||M x - b||``: after no step, the start's, which
+        is ``||b - M x||`` bitwise."""
         r = b - M @ x
         steps = 0
-        while _norm(r) > tol and steps < PCG_MAX_ITER:
+        while (res := _norm(r)) > tol and steps < PCG_MAX_ITER:
             z = self._lu.solve(r)
             rho = np.dot(r, z)
             if steps:
@@ -571,7 +636,7 @@ class LastFactor:
             steps += 1
         self.pcg_iterations += steps
         self._last_pcg = steps
-        return x, _norm(M @ x - b)
+        return x, _norm(M @ x - b) if steps else res
 
 
 def _norm(v: np.ndarray) -> float:

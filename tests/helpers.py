@@ -105,6 +105,21 @@ def triplet_stiffness(mesh: cdii.Mesh, sigma: cdii.ConductivityField,
                          shape=(m, m)).tocsr()
 
 
+def full_matrix(system) -> sp.csc_matrix:
+    """The symmetric block matrix of the eliminated-voltage system, in
+    mesh node order and then the electrode voltages, stacked from the
+    blocks of ``assemble_system`` by ``bmat``; zero entries of ``Psi`` and
+    ``Upsilon`` are left out, explicit zeros of ``Lambda`` kept.  The
+    reference layout that ``CemOperator``'s pattern is checked against."""
+    return sp.bmat(
+        [
+            [system.Lambda, sp.csr_matrix(system.Psi)],
+            [sp.csr_matrix(system.Psi.T), sp.csr_matrix(system.Upsilon)],
+        ],
+        format="csc",
+    )
+
+
 def operator_matrix(operator: cdii.CemOperator,
                     sigma: cdii.ConductivityField) -> sp.csc_matrix:
     """A new block matrix of ``operator`` at conductivity ``sigma``, filled

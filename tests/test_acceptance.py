@@ -31,6 +31,7 @@ from helpers import (
     assert_objective_descent,
     energy_derivative,
     exact_linear_solution,
+    full_matrix,
     functional_value,
     minimum_value,
     pi_vector,
@@ -288,7 +289,7 @@ def test_criterion_10_small_instance_oracle():
                 np.max(np.abs(sol.U - U_ref)) / scale)
 
     system = assemble_system(mesh, sigma, setup, currents)
-    dense = system.full_matrix().toarray()
+    dense = full_matrix(system).toarray()
     m = mesh.node_count
     N = setup.count - 1
     lengths = np.array([len(e.edge_ids) * mesh.h for e in setup.electrodes])

@@ -30,6 +30,7 @@ from helpers import (
     energy_derivative,
     energy_value,
     exact_linear_solution,
+    full_matrix,
     max_principle_excess,
     operator_matrix,
     pi_vector,
@@ -192,13 +193,13 @@ def test_full_matrix_symmetric_and_positive_definite():
     rng = np.random.default_rng(7)
     for side_nodes in (3, 5, 8):
         mesh, setup, currents, sigma = random_case(rng, side_nodes)
-        dense = assemble_system(mesh, sigma, setup, currents).full_matrix().toarray()
+        dense = full_matrix(assemble_system(mesh, sigma, setup, currents)).toarray()
         asym = np.max(np.abs(dense - dense.T))
         assert asym <= 1e-13 * np.max(np.abs(dense))
         assert np.linalg.eigvalsh(dense).min() > 0.0
     # the standard bottom/top configuration as well
     mesh, setup, currents = two_electrode_case(6, Z, Z, ALPHA)
-    dense = assemble_system(mesh, ones(mesh), setup, currents).full_matrix().toarray()
+    dense = full_matrix(assemble_system(mesh, ones(mesh), setup, currents)).toarray()
     assert np.max(np.abs(dense - dense.T)) <= 1e-13 * np.max(np.abs(dense))
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
@@ -222,8 +223,15 @@ OPERATOR_CASES = [
     (10, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)]),
 ]
 
+# The last electrode shares corner node 4 with an electrode of equal
+# impedance, so Psi is exactly zero there and the pattern leaves that entry
+# out.  It runs last in each test of the pattern, so no other case's id
+# moves.
+PSI_ZERO_CASE = (5, [("bottom", (0.0, 1.0), 0.1), ("top", (0.0, 1.0), 0.2),
+                     ("right", (0.0, 1.0), 0.1)])
 
-@pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES)
+
+@pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES + [PSI_ZERO_CASE])
 def test_operator_matches_reference_assembly(side_nodes, electrodes):
     rng = np.random.default_rng(side_nodes)
     mesh = build_uniform_mesh(side_nodes)
@@ -235,7 +243,7 @@ def test_operator_matches_reference_assembly(side_nodes, electrodes):
     size = mesh.node_count + setup.count - 1
     for _ in range(3):
         sigma = ConductivityField(rng.uniform(0.1, 10.0, mesh.triangle_count))
-        reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
+        reference = full_matrix(assemble_system(mesh, sigma, setup, currents))
         reference.sort_indices()
         actual = operator_matrix(operator, sigma)
         assert actual.shape == (size, size)
@@ -255,7 +263,7 @@ def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
     setup = locate_electrodes(mesh, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))],
                               [mesh.h / 3.0, 0.1])
     currents = CurrentPattern(np.array([-1.0, 1.0]))
-    unit = assemble_system(mesh, ones(mesh), setup, currents).full_matrix().tocoo()
+    unit = full_matrix(assemble_system(mesh, ones(mesh), setup, currents)).tocoo()
     bottom_edges = {(i, i + 1) for i in range(n - 1)} | {(i + 1, i) for i in range(n - 1)}
     zero = unit.data == 0.0
     assert np.count_nonzero(zero) == 2 * (n - 1)
@@ -273,7 +281,7 @@ def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
     actual = operator_matrix(operator, sigma)
     assert np.all(actual.data != 0.0)
 
-    reference = assemble_system(mesh, sigma, setup, currents).full_matrix()
+    reference = full_matrix(assemble_system(mesh, sigma, setup, currents))
     reference.sort_indices()
     assert np.array_equal(actual.indptr, reference.indptr)
     assert np.array_equal(actual.indices, reference.indices)
@@ -286,7 +294,8 @@ def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
 CANCELLING_CASE = (6, [("bottom", (0.0, 1.0), (1 / 5) / 3), ("top", (0.0, 1.0), 0.1)])
 
 
-@pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES + [CANCELLING_CASE])
+@pytest.mark.parametrize("side_nodes,electrodes",
+                         OPERATOR_CASES + [CANCELLING_CASE, PSI_ZERO_CASE])
 def test_assembly_matches_triplet_reference(side_nodes, electrodes):
     # The stencil and the per-triangle triplets give the same pattern, the
     # same Lambda at unit sigma, where every partial sum of the stiffness
@@ -320,7 +329,7 @@ BINCOUNT_LAYOUTS = {
 @pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES + [
     (60, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)])] + [
     (n, [(side, span, Z) for side, span in layout])
-    for n in (2, 20, 61) for layout in BINCOUNT_LAYOUTS.values()])
+    for n in (2, 20, 61) for layout in BINCOUNT_LAYOUTS.values()] + [PSI_ZERO_CASE])
 def test_operator_stiffness_is_bitwise_a_bincount(side_nodes, electrodes):
     # Each slot adds the same products in the same order as a bincount of
     # each triangle's weighted entries into their slots: increasing
@@ -363,30 +372,21 @@ def test_operator_keeps_no_per_triangle_map():
     assert kept <= 2.5 * len(operator._indices)
 
 
-def test_operator_build_peaks_in_its_assembly(monkeypatch):
-    # What the build allocates after its assemble_system call returns
-    # (the full matrix, the slot lookup, the scatter map and the fixed
-    # entries) stays under the peak that call reached.
+def test_operator_build_peaks_within_three_times_what_it_keeps():
+    # The build writes the pattern's slots in place, with no triplets, no
+    # bmat and no slot lookup: its peak, the unit assembly included, stays
+    # within three times the arrays the operator keeps.
     mesh = build_uniform_mesh(120)
     setup = locate_electrodes(mesh, [("bottom", (0.0, 1.0)), ("top", (0.0, 1.0))], [Z, Z])
     CemOperator(mesh, setup)  # imports and caches outside the trace
-    peaks = []
-
-    def traced(*args):
-        system = assemble_system(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        return system
-
-    monkeypatch.setattr(cdii.fem_cem, "assemble_system", traced)
     tracemalloc.start()
     try:
-        CemOperator(mesh, setup)
-        peaks.append(tracemalloc.get_traced_memory()[1])
+        operator = CemOperator(mesh, setup)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assembly, rest = peaks
-    assert rest <= assembly, f"{rest} B after the assembly against its {assembly} B"
+    kept = sum(v.nbytes for v in vars(operator).values() if isinstance(v, np.ndarray))
+    assert peak <= 3 * kept, f"{peak} B at the peak against {kept} B kept"
 
 
 def test_operator_rejects_mismatched_sigma(equal_z_case):
@@ -816,6 +816,29 @@ def test_resolving_a_recent_conductivity_takes_no_pcg_step(again, monkeypatch):
         sol = solve_forward(mesh, sigma, setup, currents, factor=factor)
         assert (factor.factorizations, factor.pcg_iterations) == before
         assert _relative_residual(operator, sigma, currents, sol) <= cdii.fem_cem.SOLVER_TOL
+
+
+def test_accepted_start_takes_one_product_with_the_matrix(reuse_case):
+    # A start accepted before any PCG step is judged by the residual PCG
+    # formed from it, so the solve multiplies by M once after its start:
+    # on a new factor, which starts from its solve of b, and on the last
+    # one, whose start's block product comes first.
+    mesh, setup, currents, operator, first, _ = reuse_case
+    b = _load_vector(mesh.node_count, currents)
+    factor = LastFactor(operator)
+    products = []
+
+    class Counted(sp.csc_matrix):
+        def __matmul__(self, other):
+            products.append(np.ndim(other))
+            return super().__matmul__(other)
+
+    factor._matrix = Counted(factor._matrix)
+    for expected in ([1], [2, 1]):
+        products.clear()
+        factor.solve(first, b)
+        assert (factor.factorizations, factor.pcg_iterations) == (1, 0)
+        assert products == expected
 
 
 def test_solves_leave_the_operators_matrices_alone(reuse_case):
