@@ -55,7 +55,7 @@ from .calibration import (
     build_monotone_map,
     collect_pairs,
 )
-from .config import ConfigError, PipelineConfig, file_error, load_config
+from .config import ConfigError, PipelineConfig, check_output_dir, file_error, load_config
 from .csvio import (
     data_line,
     read_field,
@@ -419,6 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(message)s",
                         level=logging.WARNING if args.quiet else logging.INFO)
     try:
+        if args.out is not None:
+            check_output_dir("--out", args.out)
         if args.command == "metrics":
             return cmd_metrics(args.reference, args.candidate, args.out)
         cfg = load_config(args.config)

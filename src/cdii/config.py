@@ -9,8 +9,8 @@ its key, and its annotation and default are the value's type and default.
 ``mesh.side_nodes`` and ``currents`` are required.  Errors name the
 offending key.  Value ranges, the electrode count and one current per
 electrode are checked by the domain (the CLI names the key, ``electrodes``
-for the count); only ``output.dir`` is checked here, as no constructor
-owns it.
+for the count); only the output directory is checked here
+(``check_output_dir``), as no constructor owns it.
 """
 
 import inspect
@@ -117,6 +117,16 @@ def _take_electrodes(mapping) -> tuple[ElectrodeSpec, ...]:
     return tuple(specs)
 
 
+def check_output_dir(key: str, path: str) -> None:
+    """The rule of an output directory, from ``output.dir`` or ``--out``:
+    not empty, which would write into the working directory, and no NUL
+    byte.  A ``ConfigError`` under ``key`` otherwise."""
+    if not path:
+        raise ConfigError(key, "must not be empty")
+    if "\0" in path:
+        raise ConfigError(key, "must not contain a NUL byte")
+
+
 def file_error(exc: OSError) -> ConfigError:
     """The error of a file that cannot be read or written, keyed by its
     path once: ``not found``, ``is a directory`` or the system's reason,
@@ -145,11 +155,7 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
                  if f.metadata else _take_electrodes(mapping))
         for f in fields(PipelineConfig)})
 
-    if not cfg.output_dir:
-        raise ConfigError("output.dir", "must not be empty")
-    if "\0" in cfg.output_dir:
-        raise ConfigError("output.dir", "must not contain a NUL byte")
-
+    check_output_dir("output.dir", cfg.output_dir)
     if mapping:
         raise ConfigError(min(mapping), "unknown key")
     return cfg

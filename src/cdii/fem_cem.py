@@ -486,8 +486,7 @@ class LastFactor:
     accepted, the solve factorizes its matrix, the new factor replacing
     the old, and starts PCG from the new factor's solve of ``b``: an exact
     factor is accepted there in no step.  PCG on a new factor that is not
-    accepted fails the solve.  ``refine`` continues the last solve to
-    ``SOLVER_TOL`` by the same rules, started from its solution.
+    accepted fails the solve.
 
     The CG loop is written out, not called as ``scipy.sparse.linalg.cg``.
     It repeats scipy 1.17's recurrence operation for operation, so its
@@ -536,31 +535,7 @@ class LastFactor:
             cannot factorize ``M``, or PCG on a new factorization meets
             neither bound; the message names both.
         """
-        x = self._solve(self.operator._fill(self._matrix, sigma), b, tol, self._start)
-        self._recent = (self._recent + [x])[-PCG_RECENT:]
-        return x
-
-    def refine(self, b: np.ndarray) -> np.ndarray:
-        """The last solve's solution continued to the relative residual
-        ``SOLVER_TOL``: PCG on the same matrix, started from that solution,
-        as ``solve`` runs it.  The recent solutions keep the one it
-        started from.
-
-        Raises
-        ------
-        ValueError
-            If this factor has solved nothing yet.
-        SolverError
-            As ``solve``.
-        """
-        if not self._recent:
-            raise ValueError("no solve to refine")
-        return self._solve(self._matrix, b, None, lambda M, b: self._recent[-1].copy())
-
-    def _solve(self, M: sp.csc_matrix, b: np.ndarray, tol: float | None,
-               start) -> np.ndarray:
-        """``M⁻¹b`` to ``tol`` by PCG from ``start(M, b)`` on the last
-        factor, or from a new factorization's solve."""
+        M = self.operator._fill(self._matrix, sigma)
         b_norm = _norm(b)
         if not b_norm < np.inf:
             raise SolverError("the norm of the load vector overflows, "
@@ -570,24 +545,25 @@ class LastFactor:
         # PCG on the last factor, unless there is none or the last solve
         # needed more than the cap; then, or if it is not accepted, a new
         # factor.
+        x = None
         if self._lu is not None and self._last_pcg <= PCG_REFACTOR_CAP:
-            x, res = self._pcg(M, b, bound, start(M, b))
-            if _missed_floor(M, x, res, bound, b_norm) is None:
-                return x
-        self._lu = None  # one factor alive at a time
-        try:
-            self._lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                 relax=LU_RELAX, panel_size=LU_PANEL_SIZE,
-                                 options={"SymmetricMode": True})
-        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
-            raise SolverError(f"factorization failed: {exc}") from None
-        self.factorizations += 1
-        x, res = self._pcg(M, b, bound, self._lu.solve(b))
-        floor = _missed_floor(M, x, res, bound, b_norm)
-        if floor is not None:
-            raise SolverError(f"linear solve stalled at relative residual "
-                              f"{res / b_norm:.3e} (tolerance {rtol:.1e}, backward-error "
-                              f"floor {floor / b_norm:.1e})")
+            x, res = self._pcg(M, b, bound, self._start(M, b))
+        if x is None or _missed_floor(M, x, res, bound, b_norm) is not None:
+            self._lu = None  # one factor alive at a time
+            try:
+                self._lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                     relax=LU_RELAX, panel_size=LU_PANEL_SIZE,
+                                     options={"SymmetricMode": True})
+            except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+                raise SolverError(f"factorization failed: {exc}") from None
+            self.factorizations += 1
+            x, res = self._pcg(M, b, bound, self._lu.solve(b))
+            floor = _missed_floor(M, x, res, bound, b_norm)
+            if floor is not None:
+                raise SolverError(f"linear solve stalled at relative residual "
+                                  f"{res / b_norm:.3e} (tolerance {rtol:.1e}, backward-error "
+                                  f"floor {floor / b_norm:.1e})")
+        self._recent = (self._recent + [x])[-PCG_RECENT:]
         return x
 
     def _start(self, M: sp.csc_matrix, b: np.ndarray) -> np.ndarray:

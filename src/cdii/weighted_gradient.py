@@ -220,9 +220,9 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
     An iterate's solve needs no more accuracy than the outer loop can use:
     the first two are solved to the relative residual ``FORCING_MAX``, and
     each later one to the forcing term ``_forcing_term`` of the last
-    gradient change.  On exit, converged or not, the last iterate's solve
-    is continued to ``fem_cem.SOLVER_TOL`` (``LastFactor.refine``), and
-    ``solution`` and ``sigma_v`` come from that solution.
+    gradient change.  On exit, converged or not, the last iterate's
+    conductivity is solved once more, to ``fem_cem.SOLVER_TOL``, on the
+    same factor, and ``solution`` and ``sigma_v`` come from that solution.
 
     The result counts the factorizations and PCG iterations of this
     reconstruction's solves, the final one included, and carries the stop
@@ -288,7 +288,7 @@ def reconstruct(mesh: Mesh, data: InteriorData, setup: ElectrodeSetup,
         prev = sol
 
     try:
-        sol = _solution(mesh, setup, factor.refine(_load_vector(mesh.node_count, currents)))
+        sol = _solution(mesh, setup, factor.solve(sigma, _load_vector(mesh.node_count, currents)))
     except SolverError as exc:
         raise SolverError(f"iteration {n}, final solve: {exc}") from exc
     return ReconstructionResult(

@@ -1,0 +1,245 @@
+"""The complete electrode model's exact invariants, checked on the solver's
+solutions: reciprocity, linearity in the currents and σ/z scaling
+(Somersalo, Cheney & Isaacson, SIAM J. Appl. Math. 52(4), 1992).
+
+Each is compared in the scalar form ``I·U = b·x``.  With the last voltage
+eliminated by the zero-sum constraint, the load ``b`` holds ``I_k - I_N``
+in the voltage rows, so ``b·x = Σ_{k<N} (I_k - I_N) U_k = I·U``.  In that
+form the residual contract bounds each gap without a condition number.
+
+A solve returns ``x`` with ``M x = b + r``.  Its contract accepts a
+computed residual of at most ``max(SOLVER_TOL ||b||, BACKWARD_TOL
+(||M||_inf ||x|| + ||b||))``.  The exact residual differs from the
+computed one by the rounding of ``M @ x - b``, at most ``γ_K || |M| |x|
+||`` for rows of fewer than ``K`` entries (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.5), so ``||r|| <= ρ``,
+the sum of the two.  A dot product ``b·x`` over the ``N`` voltage rows
+rounds by at most ``γ_N ||b|| ||x||``.  The rounding of the bounds'
+own arithmetic is of second order and left out.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
+
+import cdii.fem_cem
+from cdii.fem_cem import (CemOperator, ConductivityField, CurrentPattern, LastFactor, _load_vector,
+                          _stencil)
+from cdii.mesh import SIDES, build_uniform_mesh, locate_electrodes
+
+from helpers import operator_matrix
+
+UNIT_ROUNDOFF = 2.0 ** -53
+# The ordinary impedance range the hypothesis cases draw from: the
+# README's and the benchmark's 8.3e-3 lie inside it.
+Z_RANGE = (1e-3, 10.0)
+
+
+def gamma(k: int) -> float:
+    """Higham's ``γ_k``: the relative error bound of ``k`` roundings."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def norm(v) -> float:
+    return float(np.linalg.norm(v))
+
+
+class System:
+    """One operator's block matrix at one conductivity, and its solves."""
+
+    def __init__(self, mesh, setup, sigma):
+        self.factor = LastFactor(CemOperator(mesh, setup))
+        self.sigma = sigma
+        self.M = operator_matrix(self.factor.operator, sigma)
+        # Each derivation moves M across a dot product: M = Mᵀ, bitwise.
+        assert (self.M != self.M.T).nnz == 0
+        self.m = mesh.node_count
+        self.N = setup.count - 1
+
+    def solve(self, b):
+        """``x`` for the load ``b``, and ``ρ``, the bound on its exact
+        residual."""
+        x = self.factor.solve(self.sigma, b)
+        contract = max(cdii.fem_cem.SOLVER_TOL * norm(b),
+                       cdii.fem_cem.BACKWARD_TOL * (spla.norm(self.M, np.inf) * norm(x) + norm(b)))
+        K = int(np.diff(self.M.indptr).max()) + 1  # a row's products and b's entry
+        return x, contract + gamma(K) * norm(abs(self.M) @ np.abs(x))
+
+    def load(self, rng):
+        """The load of a random current pattern; the last current is the
+        negated sum of the others, so the sum is exactly zero."""
+        I = rng.normal(size=self.N + 1)
+        I[-1] = -I[:-1].sum()
+        return _load_vector(self.m, CurrentPattern(I))
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def layouts(draw):
+    """A mesh of 3² to 31² nodes, 2-4 electrodes on distinct sides with
+    grid-aligned spans, their impedances log-uniform over ``Z_RANGE``,
+    and a seed for a lognormal σ and the current patterns."""
+    n = draw(st.integers(3, 31))
+    sides = draw(st.permutations(SIDES))[:draw(st.integers(2, 4))]
+    spans = []
+    for side in sides:
+        lo = draw(st.integers(0, n - 2))
+        hi = draw(st.integers(lo + 1, n - 1))
+        spans.append((side, (lo / (n - 1), hi / (n - 1))))
+    impedances = [draw(log_uniform(*Z_RANGE)) for _ in sides]
+    return n, spans, impedances, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def problem(n, spans, impedances, seed):
+    mesh = build_uniform_mesh(n)
+    setup = locate_electrodes(mesh, spans, impedances)
+    rng = np.random.default_rng(seed)
+    sigma = ConductivityField(np.exp(rng.normal(size=mesh.triangle_count)))
+    return mesh, setup, sigma, rng
+
+
+def reciprocity_gap(system, rng):
+    """``b2·x1 - b1·x2`` and its bound.
+
+    ``b2·x1 = (M x2 - r2)·x1 = x2·(b1 + r1) - r2·x1``, as ``M`` is
+    symmetric, so ``b2·x1 - b1·x2 = x2·r1 - x1·r2``, at most ``||x2|| ρ1 +
+    ||x1|| ρ2``; the two dot products and their difference round by at
+    most ``γ_{N+1} (||b2|| ||x1|| + ||b1|| ||x2||)``.
+    """
+    b1, b2 = system.load(rng), system.load(rng)
+    (x1, rho1), (x2, rho2) = system.solve(b1), system.solve(b2)
+    gap = b2 @ x1 - b1 @ x2
+    bound = (norm(x2) * rho1 + norm(x1) * rho2
+             + gamma(system.N + 1) * (norm(b2) * norm(x1) + norm(b1) * norm(x2)))
+    return gap, bound
+
+
+def linearity_gap(system, rng, alpha, beta):
+    """``bp·x3 - α bp·x1 - β bp·x2`` for ``b3 = α b1 + β b2`` and a probe
+    load ``bp``, its bound, and ``(x3, x1, x2)``; the load is linear in
+    the currents.
+
+    ``bp·xi = (M xp - rp)·xi = xp·(bi + ri) - rp·xi``, so the gap is
+    ``xp·(b3 - α b1 - β b2) + xp·(r3 - α r1 - β r2) - rp·(x3 - α x1 - β
+    x2)``.  ``b3`` is formed with two roundings a term, so ``||b3 - α b1 -
+    β b2|| <= γ_2 (|α| ||b1|| + |β| ||b2||)``.  The three dot products and
+    the combination round by at most ``γ_{N+3} ||bp|| (||x3|| + |α| ||x1||
+    + |β| ||x2||)``.
+    """
+    b1, b2, bp = system.load(rng), system.load(rng), system.load(rng)
+    b3 = alpha * b1 + beta * b2
+    (x1, rho1), (x2, rho2), (x3, rho3), (xp, rhop) = map(system.solve, (b1, b2, b3, bp))
+    gap = bp @ x3 - alpha * (bp @ x1) - beta * (bp @ x2)
+    spread = norm(x3) + abs(alpha) * norm(x1) + abs(beta) * norm(x2)
+    bound = (norm(xp) * (gamma(2) * (abs(alpha) * norm(b1) + abs(beta) * norm(b2))
+                         + rho3 + abs(alpha) * rho1 + abs(beta) * rho2)
+             + rhop * spread + gamma(system.N + 3) * norm(bp) * spread)
+    return gap, bound, (x3, x1, x2)
+
+
+def scaling_gap(mesh, spans, impedances, sigma, rng, c):
+    """``b·x_c - b·x/c`` for the solution ``x_c`` at ``(c σ, z/c)``, ``c`` a
+    power of two, its bound, and ``(x_c, x)``.
+
+    ``c σ`` and ``z/c`` are exact, and so is every stiffness, ``Psi`` and
+    ``Upsilon`` entry of ``M_c``: each scales by ``c`` before it rounds.  A
+    trace-mass entry does not, as the operator keeps it as ``(unit stencil
+    + mass) - unit stencil``, so ``M_c = c M + E`` with ``E`` nonzero
+    there; ``c M`` is exact, and ``E = M_c - c M`` is too, its entries
+    being differences of floats within a factor of two (Sterbenz).  Each
+    matrix's trace-mass entry takes at most six roundings: up to four mass
+    terms added to the unit stencil ``s``, ``s`` subtracted, and the fill's
+    add.  Each rounds a value of at most ``(1 + c)(|s| + 2|t| + |M|)``, ``t``
+    the fixed entry, so ``|E|`` is at most 12 units of roundoff of it.  Then
+    ``M x_c = (b + r_c - E x_c)/c`` and ``b·x_c = (M x - r)·x_c = (x·b +
+    x·r_c - x·E x_c)/c - r·x_c``, so the gap is at most ``(||x|| ρ_c +
+    ||E||_inf ||x|| ||x_c||)/c + ρ ||x_c||``, ``E`` being symmetric.  The
+    two dot products and their difference round by at most ``γ_{N+1}
+    ||b|| (||x_c|| + ||x||/c)``.
+    """
+    system = System(mesh, locate_electrodes(mesh, spans, impedances), sigma)
+    scaled = System(mesh, locate_electrodes(mesh, spans, [z / c for z in impedances]),
+                    ConductivityField(c * sigma.values))
+    assert np.array_equal(scaled.M.indptr, system.M.indptr)
+    assert np.array_equal(scaled.M.indices, system.M.indices)
+    E = sp.csc_matrix((scaled.M.data - c * system.M.data, system.M.indices, system.M.indptr),
+                      shape=system.M.shape)
+    operator = system.factor.operator
+    trace = np.zeros(E.nnz, dtype=bool)  # the fixed slots a stiffness entry reaches
+    trace[operator._fixed_slots] = operator._map[operator._fixed_slots] != -1
+    t = np.zeros(E.nnz)
+    t[operator._fixed_slots] = operator._fixed_values
+    unit = _stencil(mesh, ConductivityField(np.ones(mesh.triangle_count)))
+    s = np.take(unit, operator._map, mode="wrap")
+    assert not E.data[~trace].any()
+    assert np.all(np.abs(E.data) <= 12 * UNIT_ROUNDOFF * (1 + c)
+                  * (np.abs(s) + 2 * np.abs(t) + np.abs(system.M.data)))
+    b = system.load(rng)
+    (x, rho), (x_c, rho_c) = system.solve(b), scaled.solve(b)
+    gap = b @ x_c - (b @ x) / c
+    bound = ((norm(x) * rho_c + spla.norm(E, np.inf) * norm(x) * norm(x_c)) / c
+             + rho * norm(x_c) + gamma(system.N + 1) * norm(b) * (norm(x_c) + norm(x) / c))
+    return gap, bound, (x_c, x)
+
+
+# Coefficients of a combination of loads, zero or away from underflow,
+# where a rounding's relative error is no longer bounded by the unit
+# roundoff.
+COEFFICIENTS = st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(layouts())
+def test_reciprocity(layout):
+    mesh, setup, sigma, rng = problem(*layout)
+    gap, bound = reciprocity_gap(System(mesh, setup, sigma), rng)
+    assert abs(gap) <= bound
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(layouts(), COEFFICIENTS, COEFFICIENTS)
+def test_linearity_in_the_currents(layout, alpha, beta):
+    mesh, setup, sigma, rng = problem(*layout)
+    gap, bound, _ = linearity_gap(System(mesh, setup, sigma), rng, alpha, beta)
+    assert abs(gap) <= bound
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(layouts(), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+def test_conductivity_and_impedance_scaling(layout, k):
+    _, spans, impedances, _ = layout
+    mesh, _, sigma, rng = problem(*layout)
+    gap, bound, _ = scaling_gap(mesh, spans, impedances, sigma, rng, 2.0 ** k)
+    assert abs(gap) <= bound
+
+
+def test_invariants_at_impedances_far_apart():
+    # z = 1 / 1e6 / 1 at 61²: the zero-sum gauge puts an offset of about
+    # I z/(2|e|) into every potential, so ||x|| is large against ||b||,
+    # the solves are accepted by their backward error, and the derived
+    # bounds, which still hold, read 2.6e-4 (reciprocity and scaling) and
+    # 5.9e-4 (linearity) relative to the compared value.  The gaps read
+    # 4.5e-9, 1.1e-8 and 5.8e-9, the nodal ones of linearity and scaling
+    # 1.1e-8 and 5.8e-9; over the ordinary range the gaps read about 5e-15
+    # in the median.  No bound free of the condition number covers a nodal gap, so those
+    # are held to today's 1e-7.  ROADMAP item 3 (grounding one node in
+    # place of the zero-sum elimination) is to shrink the offset, the
+    # bounds and the gaps.
+    spans = [(side, (0.0, 1.0)) for side in ("bottom", "right", "top")]
+    impedances = [1.0, 1e6, 1.0]
+    mesh, setup, sigma, rng = problem(61, spans, impedances, 0)
+    system = System(mesh, setup, sigma)
+    m = mesh.node_count
+
+    gap, bound = reciprocity_gap(system, rng)
+    assert abs(gap) <= bound
+    gap, bound, (x3, x1, x2) = linearity_gap(system, rng, 0.7, -1.3)
+    assert abs(gap) <= bound
+    assert norm((x3 - (0.7 * x1 - 1.3 * x2))[:m]) <= 1e-7 * norm(x3[:m])
+    gap, bound, (x_c, x) = scaling_gap(mesh, spans, impedances, sigma, rng, 4.0)
+    assert abs(gap) <= bound
+    assert norm((x_c - x / 4.0)[:m]) <= 1e-7 * norm(x[:m] / 4.0)

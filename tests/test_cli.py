@@ -680,6 +680,32 @@ def test_unwritable_output_exits_2_naming_path(tmp_path, capsys, valid_outputs,
     assert err.count("\n") == 1 and err.startswith(f"config error: {path}: ")
 
 
+@pytest.mark.parametrize("value,reason", [("", "must not be empty"),
+                                          ("a\0b", "must not contain a NUL byte")],
+                         ids=["empty", "nul"])
+@pytest.mark.parametrize("command", FIRST_OUTPUT)
+def test_out_flag_meets_the_output_dir_rule(tmp_path, capsys, monkeypatch, valid_outputs,
+                                            command, value, reason):
+    # An empty --out names the working directory, which holds every stage's
+    # inputs here, so a command that got past the rule would write there.
+    work = tmp_path / "work"
+    shutil.copytree(valid_outputs, work)
+    monkeypatch.chdir(work)
+
+    def listing():
+        return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in work.iterdir()}
+
+    before = listing()
+    if command == "metrics":
+        args = ["metrics", "sigma_true.csv", "sigma_final.csv"]
+    else:
+        args = [command, "--config", str(write_config(tmp_path / "run.cfg", tmp_path / "cfg"))]
+    assert run([*args, "--out", value]) == 2
+    assert capsys.readouterr().err == f"config error: --out: {reason}\n"
+    assert listing() == before
+    assert not (tmp_path / "cfg").exists()
+
+
 # A file a command reads, by the command that reads it.
 READ_FILES = {
     "metrics-reference": ("r.csv", "metrics"),

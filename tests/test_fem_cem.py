@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -211,27 +212,28 @@ def test_assemble_rejects_mismatched_sigma(equal_z_case):
 
 
 # Operator cases: side_nodes, then (side, span, impedance) per electrode.
-# Both parities, the smallest grids, 2-4 electrodes, partial spans.
+# Both parities, the smallest grids, 2-4 electrodes, partial spans.  Each
+# id is written out, so a case added anywhere renames no other.
 OPERATOR_CASES = [
-    (2, [("bottom", (0.0, 1.0), 0.5), ("top", (0.0, 1.0), 0.25)]),
-    (3, [("bottom", (0.0, 0.5), 0.1), ("top", (0.5, 1.0), 0.3),
-         ("left", (0.0, 1.0), 0.02)]),
-    (4, [("bottom", (0.0, 1 / 3), 1e-3), ("right", (1 / 3, 1.0), 0.4),
-         ("top", (1 / 3, 2 / 3), 0.05), ("left", (0.0, 2 / 3), 2.0)]),
-    (7, [("left", (0.5, 1.0), 8.3e-3), ("right", (0.0, 0.5), 0.2),
-         ("bottom", (1 / 6, 5 / 6), 0.07)]),
-    (10, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)]),
+    pytest.param(2, [("bottom", (0.0, 1.0), 0.5), ("top", (0.0, 1.0), 0.25)],
+                 id="2-electrodes0"),
+    pytest.param(3, [("bottom", (0.0, 0.5), 0.1), ("top", (0.5, 1.0), 0.3),
+                     ("left", (0.0, 1.0), 0.02)], id="3-electrodes1"),
+    pytest.param(4, [("bottom", (0.0, 1 / 3), 1e-3), ("right", (1 / 3, 1.0), 0.4),
+                     ("top", (1 / 3, 2 / 3), 0.05), ("left", (0.0, 2 / 3), 2.0)],
+                 id="4-electrodes2"),
+    pytest.param(7, [("left", (0.5, 1.0), 8.3e-3), ("right", (0.0, 0.5), 0.2),
+                     ("bottom", (1 / 6, 5 / 6), 0.07)], id="7-electrodes3"),
+    pytest.param(10, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)], id="10-electrodes4"),
+    # The last electrode shares corner node 4 with an electrode of equal
+    # impedance, so Psi is exactly zero there and the pattern leaves that
+    # entry out.
+    pytest.param(5, [("bottom", (0.0, 1.0), 0.1), ("top", (0.0, 1.0), 0.2),
+                     ("right", (0.0, 1.0), 0.1)], id="5-electrodes5"),
 ]
 
-# The last electrode shares corner node 4 with an electrode of equal
-# impedance, so Psi is exactly zero there and the pattern leaves that entry
-# out.  It runs last in each test of the pattern, so no other case's id
-# moves.
-PSI_ZERO_CASE = (5, [("bottom", (0.0, 1.0), 0.1), ("top", (0.0, 1.0), 0.2),
-                     ("right", (0.0, 1.0), 0.1)])
 
-
-@pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES + [PSI_ZERO_CASE])
+@pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES)
 def test_operator_matches_reference_assembly(side_nodes, electrodes):
     rng = np.random.default_rng(side_nodes)
     mesh = build_uniform_mesh(side_nodes)
@@ -291,11 +293,11 @@ def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
 
 # z = h/3 at h = 1/5: the bottom trace mass cancels the unit stiffness
 # along the bottom edges.
-CANCELLING_CASE = (6, [("bottom", (0.0, 1.0), (1 / 5) / 3), ("top", (0.0, 1.0), 0.1)])
+CANCELLING_CASE = pytest.param(6, [("bottom", (0.0, 1.0), (1 / 5) / 3),
+                                   ("top", (0.0, 1.0), 0.1)], id="6-electrodes5")
 
 
-@pytest.mark.parametrize("side_nodes,electrodes",
-                         OPERATOR_CASES + [CANCELLING_CASE, PSI_ZERO_CASE])
+@pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES + [CANCELLING_CASE])
 def test_assembly_matches_triplet_reference(side_nodes, electrodes):
     # The stencil and the per-triangle triplets give the same pattern, the
     # same Lambda at unit sigma, where every partial sum of the stiffness
@@ -327,9 +329,10 @@ BINCOUNT_LAYOUTS = {
 
 
 @pytest.mark.parametrize("side_nodes,electrodes", OPERATOR_CASES + [
-    (60, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)])] + [
-    (n, [(side, span, Z) for side, span in layout])
-    for n in (2, 20, 61) for layout in BINCOUNT_LAYOUTS.values()] + [PSI_ZERO_CASE])
+    pytest.param(60, [("bottom", (0.0, 1.0), Z), ("top", (0.0, 1.0), Z)], id="60-electrodes5")] + [
+    pytest.param(n, [(side, span, Z) for side, span in layout], id=f"{n}-electrodes{i}")
+    for i, (n, layout) in enumerate(itertools.product((2, 20, 61), BINCOUNT_LAYOUTS.values()),
+                                    start=6)])
 def test_operator_stiffness_is_bitwise_a_bincount(side_nodes, electrodes):
     # Each slot adds the same products in the same order as a bincount of
     # each triangle's weighted entries into their slots: increasing
@@ -685,18 +688,15 @@ def test_loose_solve_keeps_the_factor_a_tight_one_renews(reuse_case, monkeypatch
     assert np.linalg.norm(M @ x - b) <= 1e-6 * np.linalg.norm(b)
 
 
-def test_refine_continues_the_last_solve_to_the_contract(reuse_case):
-    # A loose solve, then its continuation on the same matrix and factor;
-    # the recent solutions are left as they were, the loose one last.
+def test_tight_solve_continues_a_loose_one_on_its_factor(reuse_case):
+    # A reconstruction's final solve: a loose solve, then a solve of the
+    # same conductivity to the contract.  Its start, which spans the loose
+    # solution, misses SOLVER_TOL, so PCG steps on the same factor.
     mesh, setup, currents, operator, first, second = reuse_case
     b = _load_vector(mesh.node_count, currents)
     factor = LastFactor(operator)
-    with pytest.raises(ValueError, match="^no solve to refine$"):
-        factor.refine(b)
     factor.solve(first, b)
     loose = factor.solve(second, b, 1e-4)
-    recent = list(factor._recent)
-    kept = [x.tobytes() for x in recent]
     M = operator_matrix(operator, second)
 
     def relative_residual(x):
@@ -704,12 +704,9 @@ def test_refine_continues_the_last_solve_to_the_contract(reuse_case):
 
     assert relative_residual(loose) > cdii.fem_cem.SOLVER_TOL
     before = factor.pcg_iterations
-    x = factor.refine(b)
+    x = factor.solve(second, b)
     assert relative_residual(x) <= cdii.fem_cem.SOLVER_TOL
     assert factor.factorizations == 1 and factor.pcg_iterations > before
-    assert len(factor._recent) == 2 and factor._recent[-1] is loose
-    assert all(a is b for a, b in zip(factor._recent, recent))
-    assert [x.tobytes() for x in factor._recent] == kept
 
 
 def test_rounding_residual_is_accepted_by_its_backward_error():
