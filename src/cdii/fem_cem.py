@@ -20,19 +20,22 @@ reconstruction.  On this grid of right triangles the stiffness is a
 conductivity of the one or two triangles that have it as a leg, and a
 cell's SE and NW corners, joined by the hypotenuse, are not coupled.
 ``_stencil`` computes those entries from slices of the conductivity on
-the cell grid.  A ``CemOperator`` is built once per mesh and electrode
-setup: it holds the block matrix's sparsity pattern with the nodes in
-mesh order and the electrode voltages last, the fixed electrode entries,
-and the stencil entry of each of the pattern's slots.  A solve gathers
-the stencil at its conductivity into the slots of a matrix its
-``LastFactor`` keeps, adds the fixed entries, and factorizes with
-SuperLU's symmetric mode, in the multiple minimum-degree order SuperLU
-computes for each factorization, without relaxed supernodes
+the cell grid, and the electrode trace mass, which is the same at every
+conductivity, adds to the entries of the electrode nodes' diagonals and
+grid edges (``_trace_mass``).  A ``CemOperator`` is built once per mesh
+and electrode setup: it holds the block matrix's sparsity pattern with
+the nodes in mesh order and the electrode voltages last, the stencil
+entry of each of the pattern's slots, the trace mass, and the entries of
+Psi and Upsilon.  A solve adds the trace mass into the stencil at its
+conductivity, gathers the stencil into the slots of a matrix its
+``LastFactor`` keeps, writes Psi and Upsilon into theirs, and factorizes
+with SuperLU's symmetric mode, in the multiple minimum-degree order
+SuperLU computes for each factorization, without relaxed supernodes
 (``LU_RELAX``).  The stiffness's pattern is known by construction: a
 node's column holds its south, west, own, east and north neighbours,
-those the grid has (``_stencil_pattern``), so ``assemble_system`` and the
-operator write their arrays in place, slot by slot, and look no entry
-up.
+those the grid has (``_stencil_pattern``), so ``assemble_system`` and
+the operator write their arrays in place, slot by slot, and look no
+entry up.
 
 Every solve goes through a ``LastFactor``, which holds the last
 factorization; the solves that pass the same one share it.  Each solve
@@ -242,15 +245,15 @@ def assemble_system(mesh: Mesh, sigma: ConductivityField, setup: ElectrodeSetup,
     N = setup.count - 1
     h = mesh.h
 
-    # The stencil's entries in their slots, then the trace mass added into
-    # theirs one term at a time, in _trace_mass's order: each slot sums
+    # The trace mass added into the stencil one term at a time, in
+    # _trace_mass's order, then gathered into the slots: each slot sums
     # its triangles' terms and then its electrode edges' terms, as an
     # element-by-element assembly would.
     indptr, indices, at = _stencil_pattern(n)
-    data = np.take(_stencil(mesh, sigma), at)
-    rows, cols, mass = _trace_mass(setup, h)
-    np.add.at(data, _slots(indptr, n, rows, cols), mass)
-    Lam = sp.csr_matrix((data, indices, indptr), shape=(m, m))
+    entries = _stencil(mesh, sigma)
+    np.add.at(entries, *_trace_mass(setup, n, h))
+    Lam = sp.csr_matrix((np.take(entries, at), indices, indptr), shape=(m, m))
+    del entries  # so it does not outlive the gather into Psi's computation
 
     # Per-node single-basis edge integrals, h/2 per incident electrode edge.
     w = np.array([np.bincount(e.edges.ravel(), minlength=m) for e in setup.electrodes]) * (h / 2)
@@ -307,30 +310,22 @@ def _stencil_pattern(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, indices, at
 
 
-def _trace_mass(setup: ElectrodeSetup, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _trace_mass(setup: ElectrodeSetup, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """The electrode trace mass, ``h/(6 z) [[2, 1], [1, 2]]`` on each
-    electrode edge ``(p, q)``, as the rows, columns and values of its
-    entries: electrode by electrode, the pp, qq, pq and qp entries of its
-    edges."""
-    rows, cols, values = [], [], []
+    electrode edge ``(p, q)`` of a grid of ``n`` nodes a side, as the
+    ``_stencil`` index and the value of each term: electrode by electrode,
+    the pp, qq and pq terms of its edges, slots ``(p, q)`` and ``(q, p)``
+    reading one entry.  An edge runs along increasing coordinate: ``q`` is
+    ``p + 1`` (a west-east edge) or ``p + n`` (south-north)."""
+    at, values = [], []
+    size = n * (n + 1)
     for e in setup.electrodes:
         p, q = e.edges[:, 0], e.edges[:, 1]
         c = h / (6.0 * e.impedance)
-        rows += [p, q, p, q]
-        cols += [p, q, q, p]
-        values.append(np.repeat([2.0 * c, 2.0 * c, c, c], len(p)))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-
-
-def _slots(indptr: np.ndarray, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The slot of each entry ``(row, col)``, ``col`` the node ``row`` or a
-    grid neighbour of it, in a layout whose node ``j`` starts at
-    ``indptr[j]`` with ``_stencil_pattern``'s entries of row ``j``: the
-    entry's rank among the south, west, own, east and north neighbours
-    the grid has."""
-    c = rows % n
-    return (indptr[rows] + ((rows >= n) & (cols > rows - n)) + ((c > 0) & (cols >= rows))
-            + (cols > rows) + ((c < n - 1) & (cols > rows + 1)))
+        diagonal = p + p // n
+        at += [diagonal, q + q // n, diagonal + size * (1 + (q - p == n))]
+        values.append(np.repeat([2.0 * c, 2.0 * c, c], len(p)))
+    return np.concatenate(at), np.concatenate(values)
 
 
 def _stencil(mesh: Mesh, sigma: ConductivityField) -> np.ndarray:
@@ -390,10 +385,9 @@ class CemOperator:
     its nonzero entries of ``Psi``, then of ``Upsilon``; it is symmetric,
     and each column's rows increase.  Each slot keeps the index of its
     ``_stencil`` entry: the trailing zero for a slot no stiffness reaches.
-    The fixed electrode entries are kept as the slots where they are
-    nonzero and their values, a few per electrode edge and voltage: the
-    trace mass, which is the unit system's entry less its stencil entry,
-    and the entries of ``Psi`` and ``Upsilon``.
+    The trace mass is kept as ``_trace_mass`` gives it, to be added into
+    the stencil, and the entries of ``Psi`` and ``Upsilon``, which no
+    stiffness reaches, as their slots and values.
     """
 
     def __init__(self, mesh: Mesh, setup: ElectrodeSetup):
@@ -402,14 +396,8 @@ class CemOperator:
         self.mesh = mesh
         self.setup = setup
         n, m, N = mesh.side_nodes, mesh.node_count, setup.count - 1
+        self._mass_at, self._mass = _trace_mass(setup, n, mesh.h)
 
-        # The unit system's trace mass: its slots in the stiffness, whose
-        # voltage columns are empty, and its entries there.
-        rows, cols, _ = _trace_mass(setup, mesh.h)
-        lam_indptr = np.concatenate([system.Lambda.indptr,
-                                     np.full(N, system.Lambda.nnz, dtype=np.int32)])
-        lam_slots, first = np.unique(_slots(lam_indptr, n, rows, cols), return_index=True)
-        trace = system.Lambda.data[lam_slots]
         # The coupling entries, after the stiffness in each column: a node's
         # row of Psi, a voltage's column of Psi and then of Upsilon.
         psi_volts, psi_nodes = np.divmod(np.flatnonzero(system.Psi.T), m)
@@ -419,34 +407,26 @@ class CemOperator:
         order = np.lexsort((coupling_rows, coupling_cols))
         coupling_cols, coupling_rows = coupling_cols[order], coupling_rows[order]
         psi = system.Psi[psi_nodes, psi_volts]
-        coupling_values = np.concatenate([psi, psi, system.Upsilon[ups_rows, ups_cols]])[order]
+        ups = system.Upsilon[ups_rows, ups_cols]
+        self._coupling_values = np.concatenate([psi, psi, ups])[order]
         del system  # the build's peak is the layout below, not the unit system
 
-        # A column starts as many slots after its stiffness entries' start
-        # as the columns before it hold coupling entries.
+        # Each column's stiffness start, a voltage's at the stiffness's end,
+        # moved by the coupling entries of the columns before it.
+        lam_indptr, lam_indices, at = _stencil_pattern(n)
+        lam_indptr = np.append(lam_indptr, np.full(N, lam_indptr[-1]))
         before = np.repeat(np.arange(len(order) + 1, dtype=np.int32),
                            np.diff(coupling_cols, prepend=-1, append=m + N))
         self._indptr, self._shape = lam_indptr + before, (m + N, m + N)
-        coupling_slots = lam_indptr[coupling_cols + 1] + np.arange(len(order))
+        self._coupling_slots = lam_indptr[coupling_cols + 1] + np.arange(len(order))
         in_stiffness = np.ones(self._indptr[-1], dtype=bool)
-        in_stiffness[coupling_slots] = False
-        _, lam_indices, at = _stencil_pattern(n)
-        trace -= np.take(_stencil(mesh, unit), at[lam_slots])  # the unit stencil's entries
+        in_stiffness[self._coupling_slots] = False
         self._indices = np.empty(len(in_stiffness), dtype=np.int32)
         self._indices[in_stiffness] = lam_indices
-        self._indices[coupling_slots] = coupling_rows
+        self._indices[self._coupling_slots] = coupling_rows
         self._map = np.empty(len(in_stiffness), dtype=np.intp)
         self._map[in_stiffness] = at
-        self._map[coupling_slots] = -1  # the trailing zero
-
-        # The fixed entries that are nonzero, in slot order: the trace mass,
-        # the unit system's entry less its stencil entry, and the coupling.
-        trace_rows = rows[first]
-        slots = np.concatenate([lam_slots + before[trace_rows], coupling_slots])
-        values = np.concatenate([trace, coupling_values])
-        kept = np.flatnonzero(values)
-        kept = kept[np.argsort(slots[kept])]
-        self._fixed_slots, self._fixed_values = slots[kept], values[kept]
+        self._map[self._coupling_slots] = -1  # the trailing zero
 
     def _new_matrix(self) -> sp.csc_matrix:
         """A matrix on this operator's pattern, its entries not yet set."""
@@ -457,12 +437,11 @@ class CemOperator:
         """``M``, a matrix on this operator's pattern, with its entries
         overwritten by the block matrix's at conductivity ``sigma``."""
         _check_sigma(self.mesh, sigma)
+        entries = _stencil(self.mesh, sigma)
+        np.add.at(entries, self._mass_at, self._mass)  # as assemble_system adds it
         # mode "wrap" reads -1 as "raise" does, without buffering the output.
-        np.take(_stencil(self.mesh, sigma), self._map, out=M.data, mode="wrap")
-        # Bitwise the add of a dense fixed vector: every other slot would
-        # add +0.0, which changes only a -0.0, and a stencil entry is -0.0
-        # only where every sigma * 0.5 in it underflows to zero.
-        M.data[self._fixed_slots] += self._fixed_values
+        np.take(entries, self._map, out=M.data, mode="wrap")
+        M.data[self._coupling_slots] = self._coupling_values
         return M
 
 
@@ -631,7 +610,8 @@ def _missed_floor(M: sp.csc_matrix, x: np.ndarray, res: float, bound: float,
     symmetric, so its largest absolute column sum is ``||M||_inf``."""
     if res <= bound:
         return None
-    m_norm = float(np.add.reduceat(np.abs(M.data), M.indptr[:-1]).max())
+    with np.errstate(over="ignore"):
+        m_norm = float(np.add.reduceat(np.abs(M.data), M.indptr[:-1]).max())
     floor = BACKWARD_TOL * (m_norm * float(_norm(x)) + float(b_norm))
     floor = floor if floor < np.inf else np.nan
     return None if res <= floor else floor

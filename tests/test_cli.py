@@ -16,7 +16,8 @@ from cdii.csvio import (
     read_metrics,
     write_field,
 )
-from cdii.fem_cem import ForwardSolution, electrode_flux
+from cdii.fem_cem import (ConductivityField, ForwardSolution, SolverError, electrode_flux,
+                          solve_forward)
 from cdii.mesh import build_uniform_mesh, triangle_gradients
 from cdii.phantom import simulate_data
 from cdii.weighted_gradient import ReconstructionConfig
@@ -423,6 +424,22 @@ def test_solver_failure_exits_3_without_traceback(tmp_path, capsys, monkeypatch)
     assert err.startswith("solver error: ")
     assert "(tolerance 1.0e-30, backward-error floor 0.0e+00)" in err
     assert "Traceback" not in err
+
+
+def test_overflowing_backward_error_floor_is_only_a_solver_error(tmp_path, capsys):
+    # At z = 1e-308 the trace mass overflows, so ||M||_inf and the floor do
+    # too: the floor reads nan, and the failure is a SolverError alone, no
+    # RuntimeWarning (an error here) from the norm's column sums.
+    overrides = {"electrodes[0].z": "1e-308"}
+    cfg = write_config(tmp_path / "run.cfg", tmp_path / "out", **overrides)
+    mesh, setup, currents, _, _ = _build_problem(config_from_mapping(
+        {**BASE, **overrides, "output.dir": str(tmp_path / "out")}))
+    with pytest.raises(SolverError, match="backward-error floor nan"):
+        solve_forward(mesh, ConductivityField(np.ones(mesh.triangle_count)), setup, currents)
+    assert run(["forward", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("solver error: ") and "backward-error floor nan" in err
 
 
 def test_forward_solves_impedances_far_apart(tmp_path):

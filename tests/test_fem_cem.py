@@ -251,8 +251,7 @@ def test_operator_matches_reference_assembly(side_nodes, electrodes):
         assert actual.shape == (size, size)
         assert np.array_equal(actual.indptr, reference.indptr)
         assert np.array_equal(actual.indices, reference.indices)
-        expected = reference.toarray()
-        assert np.max(np.abs(actual.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert actual.data.tobytes() == reference.data.tobytes()
 
 
 def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
@@ -287,8 +286,7 @@ def test_operator_pattern_leaves_out_entries_zero_for_every_sigma():
     reference.sort_indices()
     assert np.array_equal(actual.indptr, reference.indptr)
     assert np.array_equal(actual.indices, reference.indices)
-    expected = reference.toarray()
-    assert np.max(np.abs(actual.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert actual.data.tobytes() == reference.data.tobytes()
 
 
 # z = h/3 at h = 1/5: the bottom trace mass cancels the unit stiffness
@@ -335,8 +333,10 @@ BINCOUNT_LAYOUTS = {
                                     start=6)])
 def test_operator_stiffness_is_bitwise_a_bincount(side_nodes, electrodes):
     # Each slot adds the same products in the same order as a bincount of
-    # each triangle's weighted entries into their slots: increasing
-    # triangle order.
+    # each triangle's weighted entries into their slots, in increasing
+    # triangle order, followed by the trace-mass triplets added one at a
+    # time, electrode by electrode, pp, qq, pq and qp.  The Psi and
+    # Upsilon slots, which no stiffness reaches, hold the reference's.
     mesh = build_uniform_mesh(side_nodes)
     setup = locate_electrodes(mesh, [(side, span) for side, span, _ in electrodes],
                               [z for _, _, z in electrodes])
@@ -346,15 +346,24 @@ def test_operator_stiffness_is_bitwise_a_bincount(side_nodes, electrodes):
     M = operator_matrix(operator, sigma)
     size = M.shape[0]
     # Slot of entry (row, col): the rank of col * size + row in the pattern.
-    keys = np.repeat(np.arange(size), np.diff(M.indptr)) * size + M.indices
+    slot_cols = np.repeat(np.arange(size), np.diff(M.indptr))
+    keys = slot_cols * size + M.indices
     assert np.all(np.diff(keys) > 0)
     rows, cols = np.nonzero(_STIFF)
     tri = mesh.triangles
     slots = np.searchsorted(keys, (tri[:, cols] * size + tri[:, rows]).reshape(-1))
     weights = (sigma.values[:, None] * _STIFF[rows, cols]).reshape(-1)
-    fixed = np.zeros(M.nnz)
-    fixed[operator._fixed_slots] = operator._fixed_values
-    expected = fixed + np.bincount(slots, weights=weights, minlength=M.nnz)
+    expected = np.bincount(slots, weights=weights, minlength=M.nnz)
+    for e in setup.electrodes:
+        p, q = e.edges[:, 0], e.edges[:, 1]
+        c = mesh.h / (6.0 * e.impedance)
+        for row, col, value in ((p, p, 2.0 * c), (q, q, 2.0 * c), (p, q, c), (q, p, c)):
+            np.add.at(expected, np.searchsorted(keys, col * size + row), value)
+    reference = full_matrix(assemble_system(mesh, sigma, setup,
+                                            CurrentPattern(np.zeros(setup.count))))
+    reference.sort_indices()
+    coupling = np.maximum(slot_cols, M.indices) >= mesh.node_count
+    expected[coupling] = reference.data[coupling]
     assert M.data.tobytes() == expected.tobytes()
 
 
